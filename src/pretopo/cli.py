@@ -139,15 +139,26 @@ def _dataset_from_config(doc: dict):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+def _config_number(doc: dict, key: str, default, convert):
+    """``convert(doc[key])``, reporting a value it rejects as a config error."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"cluster config: {key!r} must be a number, got {value!r}") from exc
+
+
 def cmd_cluster(args) -> int:
     doc = _load_json(args.config, "cluster config")
+    d = _config_number(doc, "d", 0, int)
+    if d < 0:
+        raise ConfigError(f"cluster config: 'd' must be >= 0, got {d}")
+    th_qh = _config_number(doc, "th_qh", 0.5, float)
+    rng_seed = _config_number(doc, "rng_seed", 0, int)
     table, criteria, item_labels = _dataset_from_config(doc)
     if criteria is None:
         criteria = [criterion_from_dict(c) for c in doc.get("criteria", [])]
     mode = doc.get("mode", "prefilter")
-    d = int(doc.get("d", 0))
-    th_qh = float(doc.get("th_qh", 0.5))
-    rng_seed = int(doc.get("rng_seed", 0))
     tie_break = doc.get("equivalence_tie_break", "lowest_index")
 
     out_dir = Path(args.out_dir if args.out_dir else doc.get("output_dir", "."))

@@ -200,30 +200,65 @@ def elementary_closed_subsets(space: PseudoclosureSpace, seeds: list[Seed]) -> C
     return ClosedFamily(ElementSet(n, m) for m in seen)
 
 
+# Row blocks are sized so that each temporary holds about this many entries:
+# besides the returned matrix, no m x m array is ever allocated.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(rows: int, width: int):
+    """Half-open (lo, hi) bounds splitting ``rows`` rows of ``width`` columns."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def _incidence(family: ClosedFamily) -> np.ndarray:
+    """0/1 matrix with one row per set and one column per item.
+
+    Its dtype keeps matmul sums of 0/1 terms exact: float32 below 2**24
+    items, float64 (exact to 2**53) beyond.
+    """
+    n = family[0].n
+    nbytes = (n + 7) // 8
+    raw = b"".join(s.mask.to_bytes(nbytes, "little") for s in family)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(family), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    return bits.astype(np.float32 if n < 1 << 24 else np.float64)
+
+
 def extract_adjacency(family: ClosedFamily) -> np.ndarray:
     """Relation-strength matrix over the family.
 
     For intersecting distinct sets F and G the entry from G to F is
     (|G|/|F|) * (|F&G|/|F|) and symmetrically; disjoint pairs and the
     diagonal stay 0.  Containment makes the larger set's entry at least 1.
+
+    The dense m x m float64 matrix is filled in row blocks.  For rows
+    ``lo:hi`` one matmul of the incidence matrix gives the exact
+    intersection counts with every set from ``lo`` on; they fill that strip
+    and, by symmetry, the mirrored column strip.  Each weight is formed from
+    the same two correctly rounded quotients and one product as the scalar
+    formula, so it is bit-identical to it.
     """
     m = len(family)
+    sizes = np.array([len(s) for s in family], dtype=np.float64)
+    if m and not sizes.min() > 0:
+        raise ValueError("closed family must not contain the empty set")
     adj = np.zeros((m, m), dtype=np.float64)
-    sets = family.sets
-    sizes = [len(s) for s in sets]
-    for i in range(m):
-        if sizes[i] == 0:
-            raise ValueError("closed family must not contain the empty set")
-    for i in range(m):
-        mi, ni = sets[i].mask, sizes[i]
-        for j in range(i + 1, m):
-            inter = (mi & sets[j].mask).bit_count()
-            if inter == 0:
-                continue
-            nj = sizes[j]
-            # row i -> column j reads "how strongly i attracts j"
-            adj[i, j] = (ni / nj) * (inter / nj)
-            adj[j, i] = (nj / ni) * (inter / ni)
+    if not m:
+        return adj
+    inc = _incidence(family)
+    for lo, hi in _row_blocks(m, m):
+        inter = inc[lo:hi] @ inc[lo:].T
+        near, far = sizes[lo:hi, None], sizes[lo:]
+        # row i -> column j reads "how strongly i attracts j"
+        strip = adj[lo:hi, lo:]
+        np.divide(inter, far, out=strip)
+        strip *= near / far
+        mirrored = inter / near
+        mirrored *= far / near
+        adj[lo:, lo:hi] = mirrored.T
+    np.fill_diagonal(adj, 0.0)
     return adj
 
 
@@ -233,7 +268,6 @@ class QuasiHierarchy:
 
     universe: Universe
     family: ClosedFamily
-    adjacency: np.ndarray
     threshold: float
     parent_edges: list[tuple[int, int, float]]
     roots: list[int]
@@ -268,20 +302,34 @@ class QuasiHierarchy:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuasiHierarchy":
+        """Inverse of :meth:`to_json_dict`.
+
+        Edges and roots index the ``sets`` list, so the sets must already be
+        in canonical order and every index must fall inside it.
+        """
         n = int(doc["universe_size"])
         universe = Universe.of_size(n)
-        family = ClosedFamily(
-            ElementSet.from_members(n, members) for members in doc["sets"]
-        )
+        listed = [ElementSet.from_members(n, members) for members in doc["sets"]]
+        family = ClosedFamily(listed)
+        if family.sets != listed or not all(listed):
+            raise ConfigError(
+                "hierarchy json: sets must be distinct, non-empty and in canonical order"
+            )
         edges = [(int(p), int(c), float(w)) for p, c, w in doc["edges"]]
         roots = [int(r) for r in doc["roots"]]
+        m = len(family)
+        bad = [i for p, c, _ in edges for i in (p, c) if not 0 <= i < m]
+        bad += [r for r in roots if not 0 <= r < m]
+        if bad:
+            raise ConfigError(
+                f"hierarchy json: set index {bad[0]} out of range for {m} sets"
+            )
         coverage_mask = 0
         for s in family:
             coverage_mask |= s.mask
         return cls(
             universe=universe,
             family=family,
-            adjacency=extract_adjacency(family),
             threshold=float(doc["threshold"]),
             parent_edges=edges,
             roots=roots,
@@ -304,6 +352,9 @@ def extract_quasihierarchy(
     canonical index, or to a seeded random pick when ``tie_break="random"``).
     Among survivors, an edge runs from the strictly larger set of every pair
     whose relation reaches ``th_qh``; roots are the sets without a parent.
+
+    ``adjacency`` is read in row blocks, in the row-major pair order of a
+    scalar scan, without copying an m x m or survivor x survivor array.
     """
     if not 0 < th_qh <= 1:
         raise ConfigError(f"th_qh must lie in (0, 1], got {th_qh}")
@@ -323,12 +374,14 @@ def extract_quasihierarchy(
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if adjacency[i, j] >= th_qh and adjacency[j, i] >= th_qh:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for lo, hi in _row_blocks(m, m):
+        mutual = (adjacency[lo:hi, lo:] >= th_qh) & (adjacency[lo:, lo:hi].T >= th_qh)
+        rows, cols = np.nonzero(mutual)
+        upper = cols > rows
+        for i, j in zip((rows[upper] + lo).tolist(), (cols[upper] + lo).tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(m):
@@ -344,21 +397,19 @@ def extract_quasihierarchy(
             survivors.append(min(candidates))
     survivors.sort()
 
+    # survivors ascend, so they keep the canonical order of ``family``
     pruned_family = ClosedFamily(family[i] for i in survivors)
-    pruned_adj = adjacency[np.ix_(survivors, survivors)].copy()
-
-    k = len(pruned_family)
+    k = len(survivors)
+    kept = np.array(survivors, dtype=np.intp)
+    sizes = np.array([len(s) for s in pruned_family], dtype=np.intp)
     edges: list[tuple[int, int, float]] = []
-    has_parent = [False] * k
-    for i in range(k):
-        si = len(pruned_family[i])
-        for j in range(k):
-            if i == j:
-                continue
-            if pruned_adj[i, j] >= th_qh and si > len(pruned_family[j]):
-                edges.append((i, j, float(pruned_adj[i, j])))
-                has_parent[j] = True
-    roots = [i for i in range(k) if not has_parent[i]]
+    has_parent = np.zeros(k, dtype=bool)
+    for lo, hi in _row_blocks(k, k):
+        weights = adjacency[np.ix_(kept[lo:hi], kept)]
+        rows, cols = np.nonzero((weights >= th_qh) & (sizes[lo:hi, None] > sizes))
+        has_parent[cols] = True
+        edges.extend(zip((rows + lo).tolist(), cols.tolist(), weights[rows, cols].tolist()))
+    roots = np.flatnonzero(~has_parent).tolist()
 
     coverage_mask = 0
     for s in pruned_family:
@@ -366,7 +417,6 @@ def extract_quasihierarchy(
     return QuasiHierarchy(
         universe=universe,
         family=pruned_family,
-        adjacency=pruned_adj,
         threshold=th_qh,
         parent_edges=edges,
         roots=roots,

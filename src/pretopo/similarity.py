@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FilterSpace, NeighborhoodBasis, PrefilterSpace, PseudoclosureSpace, Universe
-from .errors import ConfigError, DegenerateSeriesError
+from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError
 
 
 @dataclass
@@ -115,13 +115,33 @@ class FeatureTable:
             (name for name in cols if name.startswith("series_")),
             key=lambda name: int(name.split("_", 1)[1]),
         )
+
+        def column(name: str) -> list[float]:
+            idx = cols[name]
+            values = []
+            # the header is line 1
+            for line, row in enumerate(rows, start=2):
+                try:
+                    value = float(row[idx])
+                except (IndexError, ValueError) as exc:
+                    cell = row[idx] if idx < len(row) else None
+                    raise ParseError(
+                        f"{path}: column {name!r} needs a number, got {cell!r}", line=line
+                    ) from exc
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: line {line}: column {name!r} holds non-finite {value!r}"
+                    )
+                values.append(value)
+            return values
+
         positions = sizes = series = None
         if "x" in cols and "y" in cols:
-            positions = [(float(r[cols["x"]]), float(r[cols["y"]])) for r in rows]
+            positions = list(zip(column("x"), column("y")))
         if "size" in cols:
-            sizes = [float(r[cols["size"]]) for r in rows]
+            sizes = column("size")
         if series_cols:
-            series = [[float(r[cols[c]]) for c in series_cols] for r in rows]
+            series = [list(row) for row in zip(*map(column, series_cols))]
         return cls(positions=positions, sizes=sizes, series=series)
 
 

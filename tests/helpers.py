@@ -6,12 +6,16 @@ the code paths they check.
 
 import random
 
+import numpy as np
+
 from pretopo import (
+    ClosedFamily,
     ElementSet,
     FilterSpace,
     GraphSpace,
     NeighborhoodBasis,
     PrefilterSpace,
+    QuasiHierarchy,
     Universe,
 )
 
@@ -72,3 +76,86 @@ def random_isotone_space(rng, n):
 
 def all_subsets(n):
     return (ElementSet(n, mask) for mask in range(1 << n))
+
+
+def brute_force_adjacency(family):
+    """Pair-by-pair relation strengths: (|G|/|F|) * (|F&G|/|F|) from G to F."""
+    m = len(family)
+    adj = np.zeros((m, m), dtype=np.float64)
+    sets = family.sets
+    sizes = [len(s) for s in sets]
+    if 0 in sizes:
+        raise ValueError("closed family must not contain the empty set")
+    for i in range(m):
+        mi, ni = sets[i].mask, sizes[i]
+        for j in range(i + 1, m):
+            inter = (mi & sets[j].mask).bit_count()
+            if inter == 0:
+                continue
+            nj = sizes[j]
+            adj[i, j] = (ni / nj) * (inter / nj)
+            adj[j, i] = (nj / ni) * (inter / ni)
+    return adj
+
+
+def brute_force_quasihierarchy(
+    family, adjacency, th_qh, universe=None, tie_break="lowest_index", tie_rng_seed=0
+):
+    """Scan every pair for mutual relations, keep the largest set of each
+    equivalence group, then scan every survivor pair for parent edges."""
+    m = len(family)
+    if universe is None:
+        universe = Universe.of_size(family[0].n if m else 0)
+
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if adjacency[i, j] >= th_qh and adjacency[j, i] >= th_qh:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    rng = random.Random(tie_rng_seed)
+    survivors = []
+    for members in groups.values():
+        best_size = max(len(family[i]) for i in members)
+        candidates = [i for i in members if len(family[i]) == best_size]
+        if tie_break == "random" and len(candidates) > 1:
+            survivors.append(candidates[rng.randrange(len(candidates))])
+        else:
+            survivors.append(min(candidates))
+    survivors.sort()
+
+    pruned_family = ClosedFamily(family[i] for i in survivors)
+    pruned_adj = adjacency[np.ix_(survivors, survivors)]
+    k = len(pruned_family)
+    edges = []
+    has_parent = [False] * k
+    for i in range(k):
+        si = len(pruned_family[i])
+        for j in range(k):
+            if i != j and pruned_adj[i, j] >= th_qh and si > len(pruned_family[j]):
+                edges.append((i, j, float(pruned_adj[i, j])))
+                has_parent[j] = True
+
+    coverage_mask = 0
+    for s in pruned_family:
+        coverage_mask |= s.mask
+    return QuasiHierarchy(
+        universe=universe,
+        family=pruned_family,
+        threshold=th_qh,
+        parent_edges=edges,
+        roots=[i for i in range(k) if not has_parent[i]],
+        universe_coverage=ElementSet(universe.size, coverage_mask),
+    )

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per release criterion, at pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  The slowest gate (9, the 400-site ingestion smoke test) takes a
-couple of minutes; everything else finishes in seconds.
+criterion.  The slowest gate (9, the 400-site ingestion smoke test) takes
+about 30 seconds; everything else finishes in seconds.
 """
 
 import itertools

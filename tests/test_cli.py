@@ -126,6 +126,57 @@ class TestCluster:
         code, _, _ = run(capsys, "cluster", "--config", config)
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "x"),
+        ("d", -1),
+        ("d", None),
+        ("th_qh", "abc"),
+        ("th_qh", [0.5]),
+        ("rng_seed", "x"),
+    ])
+    def test_bad_scalar_exits_2(self, tmp_path, capsys, key, value):
+        features = self.prepare(tmp_path, capsys)
+        doc = cluster_config(features, str(tmp_path / "out"))
+        doc[key] = value
+        config = write_json(tmp_path / "cfg.json", doc)
+        code, _, err = run(capsys, "cluster", "--config", config)
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+        assert repr(key) in json.loads(err)["message"]
+
+    def features_run(self, tmp_path, capsys, text):
+        features = tmp_path / "f.csv"
+        features.write_text(text)
+        config = write_json(tmp_path / "cfg.json", cluster_config(str(features), str(tmp_path / "out")))
+        code, _, err = run(capsys, "cluster", "--config", config)
+        return code, json.loads(err) if err else None
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1,2"])
+    def test_non_numeric_feature_exits_2(self, tmp_path, capsys, cell):
+        code, err = self.features_run(
+            tmp_path, capsys, f'x,y,size\n0.0,0.0,1.0\n1.0,"{cell}",1.0\n'
+        )
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("line 3:")
+
+    def test_short_feature_row_exits_2(self, tmp_path, capsys):
+        code, err = self.features_run(tmp_path, capsys, "x,y,size\n0.0,0.0,1.0\n1.0,1.0\n")
+        assert code == 2
+        assert err["error"] == "ParseError"
+
+    @pytest.mark.parametrize("column", ["x", "y", "size", "series_1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_exits_3(self, tmp_path, capsys, column, value):
+        header = ["x", "y", "size", "series_0", "series_1"]
+        row = ["1.0", "0.0", "1.0", "0.5", "0.25"]
+        row[header.index(column)] = value
+        text = ",".join(header) + "\n0.0,0.0,1.0,0.0,1.0\n" + ",".join(row) + "\n"
+        code, err = self.features_run(tmp_path, capsys, text)
+        assert code == 3
+        assert err["error"] == "DataError"
+        assert repr(column) in err["message"]
+
     def test_raw_series_dataset(self, tmp_path, capsys):
         # two sites share a weekly rhythm, the third follows its own beat
         rows = ["site_id,timestamp,value"]
@@ -233,6 +284,30 @@ class TestRender:
         dot = dot_path.read_text()
         assert dot.count("->") == 1  # only the size-3 -> size-6 chain survives
         assert "(n=1)" not in dot
+
+    @pytest.mark.parametrize("edit", [
+        {"sets": [[0, 1, 2], [0], [0, 1, 2, 3, 4, 5]]},  # not canonical
+        {"sets": [[0], [0], [0, 1, 2, 3, 4, 5]]},  # duplicate set
+        {"sets": [[], [0, 1, 2], [0, 1, 2, 3, 4, 5]]},  # empty set
+        {"edges": [[2, 1, 2.0], [1, 3, 3.0]]},  # child index past the end
+        {"edges": [[-1, 0, 3.0]]},  # negative parent index
+        {"roots": [3]},
+    ])
+    def test_hand_edited_hierarchy_exits_2(self, tmp_path, capsys, edit):
+        doc = {
+            "schema_version": 1,
+            "threshold": 0.5,
+            "universe_size": 6,
+            "sets": [[0], [0, 1, 2], [0, 1, 2, 3, 4, 5]],
+            "edges": [[2, 1, 2.0], [1, 0, 3.0]],
+            "roots": [2],
+        }
+        hierarchy = write_json(tmp_path / "h.json", dict(doc, **edit))
+        dot_path = tmp_path / "t.dot"
+        code, _, err = run(capsys, "render", "--hierarchy", hierarchy, "--dot", str(dot_path))
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not dot_path.exists()
 
     def test_malformed_hierarchy_exits_2(self, tmp_path, capsys):
         hierarchy = write_json(tmp_path / "h.json", {"sets": "nope"})
