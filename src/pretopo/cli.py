@@ -21,6 +21,7 @@ from .hierarchy import (
     ClosestNode,
     QuasiHierarchy,
     RandomNeighbor,
+    check_quasihierarchy_options,
     flatten,
     quasistructural_analysis,
 )
@@ -31,6 +32,7 @@ from .similarity import (
     PearsonBall,
     SizeBall,
     build_basis,
+    check_mode,
 )
 
 _SCHEMA_VERSION = 1
@@ -155,11 +157,21 @@ def cmd_cluster(args) -> int:
         raise ConfigError(f"cluster config: 'd' must be >= 0, got {d}")
     th_qh = _config_number(doc, "th_qh", 0.5, float)
     rng_seed = _config_number(doc, "rng_seed", 0, int)
+    mode = doc.get("mode", "prefilter")
+    check_mode(mode)
+    tie_break = doc.get("equivalence_tie_break", "lowest_index")
+    check_quasihierarchy_options(th_qh, tie_break)
+    seed_name = doc.get("seed_func", "closest_node")
+    if seed_name not in ("closest_node", "random_neighbor"):
+        raise ConfigError(f"unknown seed_func {seed_name!r}")
+    criteria_docs = doc.get("criteria", [])
+    if not isinstance(criteria_docs, list):
+        raise ConfigError(
+            f"cluster config: 'criteria' must be a list of objects, got {criteria_docs!r}"
+        )
     table, criteria, item_labels = _dataset_from_config(doc)
     if criteria is None:
-        criteria = [criterion_from_dict(c) for c in doc.get("criteria", [])]
-    mode = doc.get("mode", "prefilter")
-    tie_break = doc.get("equivalence_tie_break", "lowest_index")
+        criteria = [criterion_from_dict(c) for c in criteria_docs]
 
     out_dir = Path(args.out_dir if args.out_dir else doc.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,13 +191,10 @@ def cmd_cluster(args) -> int:
         return 0
 
     space = build_basis(table, criteria, mode, labels=item_labels)
-    seed_name = doc.get("seed_func", "closest_node")
     if seed_name == "closest_node":
         seed_func = ClosestNode.from_criteria(criteria)
-    elif seed_name == "random_neighbor":
-        seed_func = RandomNeighbor(rng_seed)
     else:
-        raise ConfigError(f"unknown seed_func {seed_name!r}")
+        seed_func = RandomNeighbor(rng_seed)
 
     hierarchy = quasistructural_analysis(
         space, table, d, seed_func, th_qh, tie_break=tie_break

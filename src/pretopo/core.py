@@ -5,7 +5,9 @@ satisfying ``a(empty) = empty`` and ``A subset-of a(A)``.  Three concrete
 space kinds are provided:
 
 * :class:`PrefilterSpace` -- each item carries a list of basis sets; an item
-  joins ``a(A)`` when every one of its basis sets intersects ``A``.
+  joins ``a(A)`` when every one of its basis sets intersects ``A``.  The
+  operator is evaluated from the members of ``A`` through transposed basis
+  masks, so its cost follows ``|A|``, not the universe size.
 * :class:`FilterSpace` -- same storage, but the basis sets are intersected
   first; an item joins ``a(A)`` when that single intersection meets ``A``.
 * :class:`GraphSpace` -- ``a(A)`` is ``A`` plus all successors of ``A``
@@ -18,9 +20,13 @@ so the hot operations are integer ANDs and ORs.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, UnsupportedSpaceError
 
@@ -247,8 +253,30 @@ class PseudoclosureSpace:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def unpack_masks(masks: Sequence[int], n: int) -> np.ndarray:
+    """0/1 uint8 matrix with one row per mask; column i holds bit i."""
+    nbytes = (n + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """Inverse of :func:`unpack_masks`: one mask per row of a 0/1 matrix."""
+    rows, n = bits.shape
+    nbytes = (n + 7) // 8
+    raw = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") for i in range(rows)]
+
+
 class PrefilterSpace(PseudoclosureSpace):
-    """Neighborhood space: x joins a(A) when every basis set of x meets A."""
+    """Neighborhood space: x joins a(A) when every basis set of x meets A.
+
+    Basis set j of x meets A exactly when x lies in T_j(y) = {x : y in
+    basis_j(x)} for some y in A.  So a(A) is the intersection over slots j
+    of short_j | (union of T_j(y) over y in A), where short_j holds the
+    items with no basis set j.  One call costs |A| big-integer ORs per slot.
+    """
 
     kind = "prefilter"
 
@@ -260,17 +288,40 @@ class PrefilterSpace(PseudoclosureSpace):
         self._basis_masks = [
             tuple(b.mask for b in row) for row in basis.sets
         ]
+        self._slots = [
+            (pack_rows(unpack_masks(rows, universe.size).T), short)
+            for rows, short in self._slot_rows()
+        ]
+
+    def _slot_rows(self) -> list[tuple[list[int], int]]:
+        """Per basis slot j: each item's basis set j (0 if it has none), short_j."""
+        slots = []
+        depth = max(map(len, self._basis_masks), default=0)
+        for j in range(depth):
+            rows = []
+            short = 0
+            for x, masks in enumerate(self._basis_masks):
+                if j < len(masks):
+                    rows.append(masks[j])
+                else:
+                    rows.append(0)
+                    short |= 1 << x
+            slots.append((rows, short))
+        return slots
 
     def _pseudoclosure_mask(self, mask: int) -> int:
-        out = 0
-        bit = 1
-        for masks in self._basis_masks:
-            for bm in masks:
-                if not bm & mask:
-                    break
-            else:
-                out |= bit
-            bit <<= 1
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        out = self.universe.full_mask
+        for transposed, short in self._slots:
+            reach = short
+            for y in members:
+                reach |= transposed[y]
+            out &= reach
         return out
 
     def neighborhoods_of(self, x: int) -> list[ElementSet]:
@@ -296,29 +347,19 @@ class FilterSpace(PrefilterSpace):
 
     x joins a(A) when the intersection of all its basis sets meets A, i.e.
     the generated family is stable under intersection and has a single-set
-    basis.
+    basis.  That is a prefilter space with one slot: the intersections.
     """
 
     kind = "filter"
 
     def __init__(self, universe: Universe, basis: NeighborhoodBasis):
+        self._intersection_masks = [
+            reduce(operator.and_, (b.mask for b in row)) for row in basis.sets
+        ]
         super().__init__(universe, basis)
-        inter = []
-        for masks in self._basis_masks:
-            m = masks[0]
-            for bm in masks[1:]:
-                m &= bm
-            inter.append(m)
-        self._intersection_masks = inter
 
-    def _pseudoclosure_mask(self, mask: int) -> int:
-        out = 0
-        bit = 1
-        for im in self._intersection_masks:
-            if im & mask:
-                out |= bit
-            bit <<= 1
-        return out
+    def _slot_rows(self) -> list[tuple[list[int], int]]:
+        return [(self._intersection_masks, 0)]
 
     def neighborhoods_of(self, x: int) -> list[ElementSet]:
         return [ElementSet(self.size, self._intersection_masks[x])]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ElementSet, PseudoclosureSpace, Universe
+from .core import ElementSet, PseudoclosureSpace, Universe, unpack_masks
 from .errors import ConfigError
 from .similarity import Criterion, FeatureTable, distance_function, is_distance_criterion
 
@@ -118,8 +118,9 @@ def find_neighbors(
             candidates_mask = space.neighbor_mask(last) & ~visited
             if not candidates_mask:
                 break
-            candidates = ElementSet(n, candidates_mask).members()
-            nxt = candidates[rng.randrange(len(candidates))]
+            # the k-th set bit, drawn as from the ascending candidate list
+            k = rng.randrange(candidates_mask.bit_count())
+            nxt = int(np.flatnonzero(unpack_masks([candidates_mask], n)[0])[k])
             path.append(nxt)
             visited |= 1 << nxt
             last = nxt
@@ -219,10 +220,7 @@ def _incidence(family: ClosedFamily) -> np.ndarray:
     items, float64 (exact to 2**53) beyond.
     """
     n = family[0].n
-    nbytes = (n + 7) // 8
-    raw = b"".join(s.mask.to_bytes(nbytes, "little") for s in family)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(family), nbytes)
-    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    bits = unpack_masks([s.mask for s in family], n)
     return bits.astype(np.float32 if n < 1 << 24 else np.float64)
 
 
@@ -337,6 +335,15 @@ class QuasiHierarchy:
         )
 
 
+def check_quasihierarchy_options(th_qh: float, tie_break) -> None:
+    """Raise :class:`ConfigError` unless ``th_qh`` lies in (0, 1] and
+    ``tie_break`` names a known rule."""
+    if not 0 < th_qh <= 1:
+        raise ConfigError(f"th_qh must lie in (0, 1], got {th_qh}")
+    if tie_break not in ("lowest_index", "random"):
+        raise ConfigError(f"unknown tie_break {tie_break!r}")
+
+
 def extract_quasihierarchy(
     family: ClosedFamily,
     adjacency: np.ndarray,
@@ -356,10 +363,7 @@ def extract_quasihierarchy(
     ``adjacency`` is read in row blocks, in the row-major pair order of a
     scalar scan, without copying an m x m or survivor x survivor array.
     """
-    if not 0 < th_qh <= 1:
-        raise ConfigError(f"th_qh must lie in (0, 1], got {th_qh}")
-    if tie_break not in ("lowest_index", "random"):
-        raise ConfigError(f"unknown tie_break {tie_break!r}")
+    check_quasihierarchy_options(th_qh, tie_break)
     m = len(family)
     if universe is None:
         n = family[0].n if m else 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -68,6 +69,7 @@ def load_csv(path) -> list[RawSeries]:
             vi = header.index("value")
         except ValueError:
             raise ParseError("header must contain site_id,timestamp,value", line=1) from None
+        inf = math.inf
         lineno = 1
         for row in reader:
             lineno += 1
@@ -80,10 +82,18 @@ def load_csv(path) -> list[RawSeries]:
             except (IndexError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from None
             ts = _parse_timestamp(ts_raw, lineno)
-            if value < 0:
-                raise DataError(f"line {lineno}: negative consumption {value}")
-            prev = last_ts.get(site)
-            if prev is not None and ts <= prev:
+            prev = last_ts.get(site, -inf)
+            # A comparison with NaN is false, so this one test on the hot
+            # path also rejects every non-finite reading; the branch below
+            # only works out which rule the row broke.
+            if not (0.0 <= value < inf and prev < ts < inf):
+                if not (math.isfinite(value) and math.isfinite(ts)):
+                    raise DataError(
+                        f"line {lineno}: non-finite reading "
+                        f"(timestamp {ts_raw!r}, value {row[vi]!r})"
+                    )
+                if value < 0:
+                    raise DataError(f"line {lineno}: negative consumption {value}")
                 raise DataError(
                     f"line {lineno}: timestamps for site {site!r} must be strictly increasing"
                 )

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FilterSpace, NeighborhoodBasis, PrefilterSpace, PseudoclosureSpace, Universe
+from .core import (
+    FilterSpace,
+    NeighborhoodBasis,
+    PrefilterSpace,
+    PseudoclosureSpace,
+    Universe,
+    pack_rows,
+)
 from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError
 
 
@@ -275,22 +282,21 @@ def pairwise_matrix(table: FeatureTable, criterion: Criterion) -> np.ndarray:
 
 def criterion_ball_masks(table: FeatureTable, criterion: Criterion) -> list[int]:
     """Per item, the bitmask of items inside its criterion ball (self included)."""
-    n = table.n_items
     matrix = pairwise_matrix(table, criterion)
     if isinstance(criterion, PearsonBall):
         hits = matrix >= criterion.threshold
-        np.fill_diagonal(hits, True)  # self-pair by fiat
     elif isinstance(criterion, EuclideanBall):
         hits = matrix <= criterion.radius
     else:
         hits = matrix <= criterion.tolerance
-    masks = []
-    for i in range(n):
-        mask = 1 << i
-        for j in np.flatnonzero(hits[i]):
-            mask |= 1 << int(j)
-        masks.append(mask)
-    return masks
+    np.fill_diagonal(hits, True)  # self-pair by fiat
+    return pack_rows(hits)
+
+
+def check_mode(mode) -> None:
+    """Raise :class:`ConfigError` unless ``mode`` names a conjunction semantics."""
+    if mode not in ("prefilter", "filter"):
+        raise ConfigError(f"unknown mode {mode!r}")
 
 
 def build_basis(
@@ -307,8 +313,7 @@ def build_basis(
     """
     if not criteria:
         raise ConfigError("at least one criterion is required")
-    if mode not in ("prefilter", "filter"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    check_mode(mode)
     n = table.n_items
     per_criterion = [criterion_ball_masks(table, c) for c in criteria]
     basis = NeighborhoodBasis.from_masks(

@@ -11,12 +11,15 @@ import numpy as np
 from pretopo import (
     ClosedFamily,
     ElementSet,
+    EuclideanBall,
     FilterSpace,
     GraphSpace,
     NeighborhoodBasis,
+    PearsonBall,
     PrefilterSpace,
     QuasiHierarchy,
     Universe,
+    pairwise_matrix,
 )
 
 
@@ -43,6 +46,67 @@ def brute_force_pseudoclosure_prefilter(basis_masks, a_mask, n):
         if all(bm & a_mask for bm in basis_masks[x]):
             out |= 1 << x
     return out
+
+
+def brute_force_pseudoclosure_filter(basis_masks, a_mask, n):
+    """Direct per-element evaluation: x joins when the intersection of its
+    basis sets meets A."""
+    out = 0
+    for x in range(n):
+        inter = (1 << n) - 1
+        for bm in basis_masks[x]:
+            inter &= bm
+        if inter & a_mask:
+            out |= 1 << x
+    return out
+
+
+def brute_force_family(pseudoclosure, seed_masks):
+    """Walk every seed's pseudoclosure chain to its fixed point, keeping each
+    set on the way; ``pseudoclosure`` maps a mask to a mask."""
+    seen = set()
+    for mask in seed_masks:
+        while mask not in seen:
+            seen.add(mask)
+            mask = pseudoclosure(mask)
+    return seen
+
+
+def brute_force_ball_masks(table, criterion):
+    """Per item, the ball mask built bit by bit from the pairwise matrix;
+    the item itself is always a member."""
+    matrix = pairwise_matrix(table, criterion)
+    if isinstance(criterion, PearsonBall):
+        hits = matrix >= criterion.threshold
+    elif isinstance(criterion, EuclideanBall):
+        hits = matrix <= criterion.radius
+    else:
+        hits = matrix <= criterion.tolerance
+    masks = []
+    for i in range(table.n_items):
+        mask = 1 << i
+        for j in np.flatnonzero(hits[i]):
+            mask |= 1 << int(j)
+        masks.append(mask)
+    return masks
+
+
+def brute_force_random_walk(space, first_node, d, rng_seed):
+    """The random-neighbor walk drawn from the explicit candidate list."""
+    n = space.size
+    rng = random.Random(f"{rng_seed}:{first_node}")
+    path = []
+    visited = 1 << first_node
+    last = first_node
+    for _ in range(d):
+        candidates = ElementSet(n, space.neighbor_mask(last) & ~visited).members()
+        if not candidates:
+            break
+        nxt = candidates[rng.randrange(len(candidates))]
+        path.append(nxt)
+        visited |= 1 << nxt
+        last = nxt
+    return path
 
 
 def random_prefilter_space(rng, n, max_sets=3):

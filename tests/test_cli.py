@@ -144,6 +144,43 @@ class TestCluster:
         assert json.loads(err)["error"] == "ConfigError"
         assert repr(key) in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "features_text", ["x,y,size\n", "x,y,size\n0.0,0.0,1.0\n"], ids=["empty", "one-item"]
+    )
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "nope"),
+        ("equivalence_tie_break", "bogus"),
+        ("th_qh", 5),
+        ("th_qh", 0),
+        ("th_qh", "nan"),
+        ("seed_func", "teleport"),
+        ("criteria", "euclid"),
+        ("criteria", {"kind": "euclidean", "radius": 2.0}),
+    ])
+    def test_bad_option_exits_2_before_any_output(
+        self, tmp_path, capsys, features_text, key, value
+    ):
+        features = tmp_path / "f.csv"
+        features.write_text(features_text)
+        doc = cluster_config(str(features), str(tmp_path / "out"))
+        doc[key] = value
+        config = write_json(tmp_path / "cfg.json", doc)
+        code, out, err = run(capsys, "cluster", "--config", config)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    def test_string_criteria_named_in_message(self, tmp_path, capsys):
+        features = self.prepare(tmp_path, capsys)
+        doc = cluster_config(features, str(tmp_path / "out"))
+        doc["criteria"] = "euclid"
+        config = write_json(tmp_path / "cfg.json", doc)
+        _, _, err = run(capsys, "cluster", "--config", config)
+        assert json.loads(err)["message"] == (
+            "cluster config: 'criteria' must be a list of objects, got 'euclid'"
+        )
+
     def features_run(self, tmp_path, capsys, text):
         features = tmp_path / "f.csv"
         features.write_text(text)
@@ -203,6 +240,38 @@ class TestCluster:
         assert summary["outliers"] == 1
         text = (tmp_path / "o" / "assignment.csv").read_text()
         assert "a,0" in text and "b,0" in text and "c,-1" in text
+
+
+class TestNonFiniteReadings:
+    @pytest.mark.parametrize("reading", ["a,86400,nan", "a,86400,inf", "a,nan,1.0"])
+    def test_ingest_exits_3(self, tmp_path, capsys, reading):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"site_id,timestamp,value\na,0,1.0\n{reading}\nb,0,1.0\nb,86400,2.0\n")
+        code, out, err = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "DataError",
+            "message": f"line 3: non-finite reading (timestamp {reading.split(',')[1]!r}, "
+                       f"value {reading.split(',')[2]!r})",
+        }
+
+    def test_raw_series_cluster_exits_3(self, tmp_path, capsys):
+        rows = ["site_id,timestamp,value"]
+        for site in ("a", "b"):
+            rows += [f"{site},{d * 86400},{1.0 + d % 7}" for d in range(60)]
+        rows[10] = "a,777600,nan"
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(rows) + "\n")
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "raw_series", "path": str(raw),
+                        "resolutions": ["day", "week"], "rho": 0.5},
+            "seed_func": "random_neighbor",
+        })
+        code, out, err = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["message"].startswith("line 11: non-finite reading")
 
 
 class TestEval:

@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from helpers import all_subsets, brute_force_closure, random_isotone_space
+from helpers import (
+    all_subsets,
+    brute_force_closure,
+    brute_force_random_walk,
+    random_graph_space,
+    random_isotone_space,
+    random_prefilter_space,
+)
 from pretopo import (
     ClosedFamily,
     ClosestNode,
@@ -62,6 +69,16 @@ class TestFindNeighbors:
         space, table = line_space(), line_table()
         # item 3 has no neighbors within the ball, so the walk halts at once
         assert find_neighbors(space, table, 3, 5, RandomNeighbor(1)) == []
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_random_walk_matches_candidate_list_draw(self, n):
+        rng = random.Random(n)
+        for space in (random_prefilter_space(rng, n), random_graph_space(rng, n, p=0.05)):
+            for rng_seed in (0, 7):
+                for x in range(n):
+                    assert find_neighbors(space, None, x, 4, RandomNeighbor(rng_seed)) == (
+                        brute_force_random_walk(space, x, 4, rng_seed)
+                    )
 
     def test_closest_node_requires_distance_criterion(self):
         with pytest.raises(ConfigError):

@@ -58,6 +58,16 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(path)
 
+    @pytest.mark.parametrize("column", ["timestamp", "value"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_reading_rejected(self, tmp_path, column, raw):
+        row = {"timestamp": "1800", "value": "2.0", column: raw}
+        path = write(
+            tmp_path, f"site_id,timestamp,value\ns1,0,1.0\ns1,{row['timestamp']},{row['value']}\n"
+        )
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            load_csv(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write(tmp_path, "site_id,timestamp,value\ns1,0,1\ns1,60,not_a_number\n")
         with pytest.raises(ParseError) as err:

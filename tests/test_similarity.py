@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import brute_force_ball_masks
 from pretopo import (
     ConfigError,
     DegenerateSeriesError,
@@ -18,6 +19,7 @@ from pretopo import (
     pairwise_matrix,
     pearson,
 )
+from pretopo.similarity import criterion_ball_masks
 
 TOL = 1e-12
 
@@ -174,6 +176,44 @@ class TestBuildBasis:
         t = FeatureTable(positions=[(0.0, 0.0), (1.0, 0.0)])
         assert isinstance(build_basis(t, [EuclideanBall(1.0)], "prefilter"), PrefilterSpace)
         assert isinstance(build_basis(t, [EuclideanBall(1.0)], "filter"), FilterSpace)
+
+
+def random_table(rng, n):
+    return FeatureTable(
+        positions=[tuple(rng.uniform(0.0, 6.0, 2)) for _ in range(n)],
+        sizes=rng.uniform(0.0, 10.0, n).tolist(),
+        series=rng.normal(size=(n, 6)).tolist(),
+    )
+
+
+def unchecked(cls, **fields):
+    """A criterion with values its constructor rejects, to probe the mask
+    builder's own guarantees."""
+    criterion = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(criterion, name, value)
+    return criterion
+
+
+class TestBallMasksOracle:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+    @pytest.mark.parametrize(
+        "criterion", [EuclideanBall(1.5), SizeBall(0.8), PearsonBall(0.2), PearsonBall(1.0)]
+    )
+    def test_packed_masks_match_per_hit_masks(self, n, criterion):
+        table = random_table(np.random.default_rng(n), n)
+        assert criterion_ball_masks(table, criterion) == brute_force_ball_masks(table, criterion)
+
+    @pytest.mark.parametrize("criterion", [
+        unchecked(EuclideanBall, radius=-1.0),
+        unchecked(SizeBall, tolerance=-1.0),
+        unchecked(PearsonBall, threshold=2.0, channel=None),
+    ])
+    def test_self_bit_kept_when_threshold_excludes_it(self, criterion):
+        table = random_table(np.random.default_rng(5), 9)
+        masks = criterion_ball_masks(table, criterion)
+        assert masks == [1 << i for i in range(9)]
+        assert masks == brute_force_ball_masks(table, criterion)
 
 
 class TestFeatureTableValidation:
