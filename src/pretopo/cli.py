@@ -126,28 +126,53 @@ def _dataset_from_config(doc: dict):
     if kind == "features":
         return FeatureTable.from_csv(dataset["path"]), None, None
     if kind == "raw_series":
+        resolutions, aggregate, rho = _raw_series_options(dataset)
         sites = ingest.load_csv(dataset["path"])
         if not sites:
             return FeatureTable(), [], None
-        resolutions = tuple(dataset.get("resolutions", ingest.RESOLUTIONS))
-        table = ingest.build_resampled_table(
-            sites, resolutions, dataset.get("aggregate", "mean")
-        )
-        rho = dataset.get("rho")
-        if rho is None:
-            raise ConfigError("raw_series dataset needs 'rho' (scalar or per-resolution map)")
+        table = ingest.build_resampled_table(sites, resolutions, aggregate)
         criteria = ingest.build_resolution_criteria(table, rho)
         return table.as_feature_table(), criteria, list(table.site_ids)
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _config_number(doc: dict, key: str, default, convert):
-    """``convert(doc[key])``, reporting a value it rejects as a config error."""
-    value = doc.get(key, default)
+def _raw_series_options(dataset: dict):
+    """A raw_series dataset's resolutions, aggregate and rho, checked before
+    its readings are loaded."""
+    resolutions = dataset.get("resolutions", list(ingest.RESOLUTIONS))
+    if (not isinstance(resolutions, list) or not resolutions
+            or any(r not in ingest.RESOLUTIONS for r in resolutions)):
+        raise ConfigError(
+            f"raw_series dataset: 'resolutions' must be a non-empty list of "
+            f"{', '.join(ingest.RESOLUTIONS)}; got {resolutions!r}"
+        )
+    aggregate = dataset.get("aggregate", "mean")
+    ingest.check_aggregate(aggregate)
+    rho = dataset.get("rho")
+    if rho is None:
+        raise ConfigError("raw_series dataset needs 'rho' (scalar or per-resolution map)")
+    if isinstance(rho, dict):
+        missing = [r for r in resolutions if r not in rho]
+        if missing:
+            raise ConfigError(f"raw_series dataset: 'rho' has no threshold for {missing}")
+        rho = {r: _number(rho[r], f"raw_series dataset: 'rho' for {r!r}") for r in resolutions}
+    else:
+        rho = _number(rho, "raw_series dataset: 'rho'")
+    for threshold in rho.values() if isinstance(rho, dict) else [rho]:
+        PearsonBall(threshold=threshold)  # raises for a threshold outside (-1, 1]
+    return tuple(resolutions), aggregate, rho
+
+
+def _number(value, what: str, convert=float):
+    """``convert(value)``, reporting a value it rejects as a config error."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"cluster config: {key!r} must be a number, got {value!r}") from exc
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _config_number(doc: dict, key: str, default, convert):
+    return _number(doc.get(key, default), f"cluster config: {key!r}", convert)
 
 
 def cmd_cluster(args) -> int:

@@ -25,6 +25,12 @@ logger = logging.getLogger(__name__)
 
 RESOLUTIONS = ("half_hour", "day", "week", "month")
 _FIXED_WIDTH = {"half_hour": 1800.0, "day": 86400.0, "week": 604800.0}
+_RAW_DTYPE = np.dtype([("site_id", object), ("timestamp", np.float64), ("value", np.float64)])
+# Characters of text parsed per np.loadtxt call.  It bounds the site-id
+# strings held at once (one Python str per row) to a few MB; and while it is
+# at most csv.field_size_limit(), only a block's first line, carried over
+# from the previous read, can hold a field longer than csv accepts.
+_BLOCK_CHARS = 1 << 17
 
 
 @dataclass
@@ -55,7 +61,110 @@ def _parse_timestamp(raw: str, lineno: int) -> float:
 
 
 def load_csv(path) -> list[RawSeries]:
-    """Read, group and validate raw readings; sites come back sorted by id."""
+    """Read, group and validate raw readings; sites come back sorted by id.
+
+    A file with numeric timestamps and no quote characters is parsed column
+    by column with numpy's C reader.  Any file that reader cannot prove it
+    reads exactly as the row reader does (ISO timestamps, quoted fields, a
+    malformed row, a rejected reading) is read again row by row, so ISO
+    parsing and every error message come from :func:`_load_rows` alone.
+    """
+    try:
+        sites = _load_columnar(path)
+    except UnicodeDecodeError:  # reported by the row reader, at its own position
+        sites = None
+    return _load_rows(path) if sites is None else sites
+
+
+def _hands_over(text: str) -> bool:
+    """Whether ``text`` holds a character the two readers treat differently:
+    ``csv`` quoting, a NUL, or the separators U+001C..U+001F, which numpy
+    strips from a number as whitespace and ``float`` rejects."""
+    return any(char in text for char in '"\x00\x1c\x1d\x1e\x1f')
+
+
+def _load_columnar(path) -> list[RawSeries] | None:
+    """:func:`_load_rows`'s result through ``np.loadtxt``, or None where the
+    two readers might disagree.
+
+    The file is read with universal newlines, so ``\\r`` and ``\\r\\n`` end a
+    line as they end a ``csv`` row.  Without a ``"`` every field is the text
+    between commas, as ``csv`` splits it.  ``loadtxt`` skips empty lines as
+    the row reader does; every other line must give one row.  numpy parses
+    numbers exactly as ``float`` does but rejects a few spellings ``float``
+    takes (``1_000``, non-ASCII digits); those files, and files with a
+    rejected reading, go to the row reader.
+    """
+    run_sites: list[str] = []  # the site id of each run of equal ids, in file order
+    run_lengths: list[int] = []
+    ts_blocks, value_blocks = [], []
+    field_limit = csv.field_size_limit()
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if _hands_over(header) or len(header) > field_limit:
+            return None
+        names = header.split(",")
+        if not all(column in names for column in _RAW_DTYPE.names):
+            return None
+        usecols = [names.index(column) for column in _RAW_DTYPE.names]
+        tail = ""
+        while True:
+            block = fh.read(_BLOCK_CHARS)
+            if _hands_over(block):
+                return None
+            lines = (tail + block).split("\n")
+            tail = lines.pop() if block else ""  # a line the next read completes
+            # lines after the first lie inside the block
+            if len(block) > field_limit or (lines and len(lines[0]) > field_limit):
+                return None  # a field may be longer than csv accepts
+            n_rows = len(lines) - lines.count("")
+            if n_rows:
+                try:
+                    rows = np.loadtxt(
+                        lines, dtype=_RAW_DTYPE, delimiter=",",
+                        comments=None, usecols=usecols, ndmin=1,
+                    )
+                except ValueError:
+                    return None
+                if len(rows) != n_rows:
+                    return None
+                sites = rows["site_id"]
+                starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
+                run_sites += sites[np.append(0, starts)].tolist()
+                run_lengths += np.diff(starts, prepend=0, append=n_rows).tolist()
+                ts_blocks.append(rows["timestamp"].copy())
+                value_blocks.append(rows["value"].copy())
+            if not block:
+                break
+    if not ts_blocks:
+        return []
+    ts = np.concatenate(ts_blocks)
+    values = np.concatenate(value_blocks)
+    if not (np.isfinite(ts).all() and np.isfinite(values).all() and (values >= 0).all()):
+        return None
+
+    # each site's rows, in file order, gathered in site-id order
+    site_ids = sorted(set(run_sites))
+    rank = {site: k for k, site in enumerate(site_ids)}
+    run_rank = [rank[site] for site in run_sites]
+    row_rank = np.repeat(run_rank, run_lengths)
+    if run_rank != sorted(run_rank):
+        order = np.argsort(row_rank, kind="stable")
+        ts, values = ts[order], values[order]
+    ends = np.cumsum(np.bincount(row_rank, minlength=len(site_ids)))
+    rising = ts[1:] > ts[:-1]
+    rising[ends[:-1] - 1] = True  # a site's first reading follows another site's last
+    if not rising.all():
+        return None
+    starts = np.append(0, ends[:-1])
+    return [
+        RawSeries(site, ts[a:b], values[a:b])
+        for site, a, b in zip(site_ids, starts.tolist(), ends.tolist())
+    ]
+
+
+def _load_rows(path) -> list[RawSeries]:
+    """The row reader: ``csv`` rows one at a time, every check with its line."""
     per_site: dict[str, tuple[list[float], list[float]]] = {}
     last_ts: dict[str, float] = {}
     with open(path, newline="") as fh:
@@ -127,17 +236,28 @@ def _month_edges(start: float, end: float) -> list[float]:
 
 def bucket_edges(resolution: str, window: tuple[float, float]) -> list[float]:
     """Bucket boundaries covering [start, end); the last bucket may be partial."""
+    return _bucket_edges(resolution, window).tolist()
+
+
+def _bucket_edges(resolution: str, window: tuple[float, float]) -> np.ndarray:
     start, end = window
     if end <= start:
         raise ConfigError(f"empty window {window}")
     if resolution == "month":
-        return _month_edges(start, end)
+        return np.asarray(_month_edges(start, end))
     try:
         width = _FIXED_WIDTH[resolution]
     except KeyError:
         raise ConfigError(f"unknown resolution {resolution!r}") from None
     count = max(1, int(np.ceil((end - start) / width)))
-    return [start + i * width for i in range(count)] + [end]
+    # start + i * width in float64, the same two roundings as in Python floats
+    return np.append(start + np.arange(count) * width, end)
+
+
+def check_aggregate(aggregate: str) -> None:
+    """Raise :class:`ConfigError` unless ``aggregate`` is ``mean`` or ``sum``."""
+    if aggregate not in ("mean", "sum"):
+        raise ConfigError(f"unknown aggregate {aggregate!r}")
 
 
 def resample(
@@ -153,9 +273,11 @@ def resample(
     interpolated from their neighbors; an empty leading or trailing bucket
     means the site does not cover the window and raises :class:`DataError`.
     """
-    if aggregate not in ("mean", "sum"):
-        raise ConfigError(f"unknown aggregate {aggregate!r}")
-    edges = np.asarray(bucket_edges(resolution, window))
+    check_aggregate(aggregate)
+    return _resample(series, _bucket_edges(resolution, window), aggregate)
+
+
+def _resample(series: RawSeries, edges: np.ndarray, aggregate: str) -> np.ndarray:
     n_buckets = len(edges) - 1
     ts, values = series.timestamps, series.values
     lo = np.searchsorted(ts, edges[0], side="left")
@@ -220,6 +342,29 @@ class ResampledTable:
         return written
 
 
+def _widest_drop(pool: list[RawSeries]) -> RawSeries:
+    """The first site in ``pool`` whose removal leaves the widest window.
+
+    Without site k the window starts at the largest start, or at the second
+    largest when k holds the largest, and likewise ends at the smallest or
+    second smallest end; so one pass prices every candidate.
+    """
+    starts = [s.coverage[0] for s in pool]
+    ends = [s.coverage[1] for s in pool]
+    indices = range(len(pool))
+    i_start = max(indices, key=starts.__getitem__)
+    i_end = min(indices, key=ends.__getitem__)
+    next_start = max(starts[:i_start] + starts[i_start + 1:])
+    next_end = min(ends[:i_end] + ends[i_end + 1:])
+    widths = [
+        (next_end if k == i_end else ends[i_end])
+        - (next_start if k == i_start else starts[i_start])
+        for k in indices
+    ]
+    # max() keeps the first of equal widths, and any width beats none
+    return pool[max(indices, key=widths.__getitem__)]
+
+
 def build_resampled_table(
     sites: list[RawSeries],
     resolutions: tuple[str, ...] = RESOLUTIONS,
@@ -250,13 +395,7 @@ def build_resampled_table(
         start, end = window_of(pool)
         if end - start >= target:
             break
-        # drop the site whose removal widens the window the most
-        best_site, best_width = None, -1.0
-        for candidate in pool:
-            rest = [s for s in pool if s is not candidate]
-            w0, w1 = window_of(rest)
-            if w1 - w0 > best_width:
-                best_site, best_width = candidate, w1 - w0
+        best_site = _widest_drop(pool)
         pool = [s for s in pool if s is not best_site]
         dropped.append((best_site.site_id, "shrinks the common window"))
         logger.warning("dropping site %s: shrinks the common window", best_site.site_id)
@@ -265,6 +404,8 @@ def build_resampled_table(
     if end <= start:
         raise DataError("sites share no common time window")
     window = (start, end)
+    check_aggregate(aggregate)
+    edges = {resolution: _bucket_edges(resolution, window) for resolution in resolutions}
 
     vectors: dict[str, dict[str, np.ndarray]] = {}
     failed: set[str] = set()
@@ -272,7 +413,7 @@ def build_resampled_table(
         per_res = {}
         try:
             for resolution in resolutions:
-                per_res[resolution] = resample(s, resolution, window, aggregate)
+                per_res[resolution] = _resample(s, edges[resolution], aggregate)
         except DataError as exc:
             failed.add(s.site_id)
             dropped.append((s.site_id, str(exc)))

@@ -4,6 +4,7 @@ Everything here is brute force on purpose: oracles must stay independent of
 the code paths they check.
 """
 
+import math
 import random
 
 import numpy as np
@@ -223,3 +224,21 @@ def brute_force_quasihierarchy(
         roots=[i for i in range(k) if not has_parent[i]],
         universe_coverage=ElementSet(universe.size, coverage_mask),
     )
+
+
+def brute_force_widest_drop(pool):
+    """The site whose removal widens the common window the most, first in
+    pool order among equals: the former scan that recomputes the window of
+    every candidate's remaining sites, seeded with -inf so that it picks a
+    site even when every window left is empty."""
+
+    def window_of(current):
+        return max(s.coverage[0] for s in current), min(s.coverage[1] for s in current)
+
+    best_site, best_width = None, -math.inf
+    for candidate in pool:
+        rest = [s for s in pool if s is not candidate]
+        w0, w1 = window_of(rest)
+        if w1 - w0 > best_width:
+            best_site, best_width = candidate, w1 - w0
+    return best_site

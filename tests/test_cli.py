@@ -274,6 +274,52 @@ class TestNonFiniteReadings:
         assert json.loads(err)["message"].startswith("line 11: non-finite reading")
 
 
+class TestRawSeriesOptions:
+    @pytest.mark.parametrize("options", [
+        {"resolutions": "half_hour"},
+        {"resolutions": []},
+        {"resolutions": ["half_hour", "hour"]},
+        {"resolutions": [["day"]]},
+        {"aggregate": "median"},
+        {"aggregate": None},
+        {"rho": {"day": 0.8}},
+        {"rho": {"half_hour": "x"}},
+        {"rho": "abc"},
+        {"rho": [0.8]},
+        {"rho": None},
+        {"rho": 1.5},
+        {"rho": "nan"},
+        {"rho": {"half_hour": -1}},
+    ], ids=lambda options: json.dumps(options))
+    def test_bad_option_exits_2_before_readings_are_read(self, tmp_path, capsys, options):
+        # the readings would exit 3 if they were read
+        raw = tmp_path / "raw.csv"
+        raw.write_text("site_id,timestamp,value\na,0,nan\n")
+        dataset = {"kind": "raw_series", "path": str(raw),
+                   "resolutions": ["half_hour"], "rho": 0.8, **options}
+        config = write_json(tmp_path / "cfg.json", {"dataset": dataset, "seed_func": "random_neighbor"})
+        code, out, err = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "o").exists()
+
+    def test_rho_map_per_resolution(self, tmp_path, capsys):
+        rows = ["site_id,timestamp,value"]
+        for site in ("a", "b"):
+            rows += [f"{site},{d * 86400},{1.0 + d % 7}" for d in range(60)]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(rows) + "\n")
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "raw_series", "path": str(raw), "resolutions": ["day", "week"],
+                        "rho": {"day": 0.5, "week": "0.5", "month": "unused"}},
+            "seed_func": "random_neighbor",
+        })
+        code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert code == 0
+        assert json.loads(out)["sets"] > 0
+
+
 class TestEval:
     def test_identical_files_ari_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -405,6 +451,21 @@ class TestIngestCommand:
         assert (tmp_path / "res" / "features_day.csv").exists()
         assert (tmp_path / "res" / "features_week.csv").exists()
         assert (tmp_path / "res" / "sites.csv").exists()
+
+    def test_pairwise_disjoint_sites(self, tmp_path, capsys):
+        # A covers days 0-10, B days 100-110, C days 200-210: no two overlap
+        rows = ["site_id,timestamp,value"]
+        for site, first in (("A", 0), ("B", 100), ("C", 200)):
+            rows += [f"{site},{d * 86400},{1.0 + d % 3}" for d in range(first, first + 11)]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "res"),
+                           "--resolutions", "day")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sites"] == 1
+        assert doc["dropped"] == [["A", "shrinks the common window"], ["B", "shrinks the common window"]]
+        assert doc["window"] == [200 * 86400.0, 210 * 86400.0]
 
     def test_empty_input_exits_3(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

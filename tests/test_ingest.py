@@ -1,9 +1,14 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pretopo import ConfigError, DataError, ParseError, build_basis
+from helpers import brute_force_widest_drop
+from pretopo import ConfigError, DataError, ParseError, build_basis, ingest
 from pretopo.ingest import (
     RESOLUTIONS,
     RawSeries,
@@ -97,6 +102,169 @@ class TestLoadCsv:
         assert err.value.line == 2
 
 
+# Cell spellings on both sides of what np.loadtxt and float() accept alike.
+ODD_NUMBERS = [
+    "1_000", " 1.0 ", "\t2\t", "0x10", "-1.5", "nan", "-nan", "inf", "-inf", "Infinity", "1e400",
+    "-1e400", "1e-400", "-1e-400", "-0.0", "+0", "1.", ".5", "+.5", "1e5", "1E+05", "00012",
+    "", " ", ".", "e5", "1e", "+", "1..2", "1d5", "\u0661", "\u20031", "1\u2003", "1\x0c", "1\x1c", "\x1f1",
+    "0x1p3", "nan(1)", "abc", "2021-01-01T00:00:00Z", "2021-01-01 00:30:00+00:00", "#",
+]
+SITE_IDS = ["a", "b", "site_007", " a", "a ", "", "\u00e9t\u00e9", "\u65e5\u672c", "#x", "a b", '"a"', "a,b"]
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """Raw reading files, mostly well-formed, with the odd line every reader
+    must agree on: CRLF endings, blank, whitespace-only and ``#`` lines,
+    extra or reordered columns, quoted and non-ASCII ids, interleaved sites,
+    odd number spellings and a missing final newline."""
+    columns = list(draw(st.permutations(["site_id", "timestamp", "value"])))
+    for _ in range(draw(st.integers(0, 2))):
+        columns.insert(draw(st.integers(0, len(columns))), draw(st.sampled_from(["extra", "x", ""])))
+    sites = draw(st.lists(st.sampled_from(SITE_IDS), min_size=1, max_size=3, unique=True))
+    clock = {site: draw(st.sampled_from([-5.0, 0.0, 1609459200.0])) for site in sites}
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["odd", "blank", "space", "hash", "short"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        elif kind == "hash":
+            lines.append("# comment")
+        elif kind == "short":
+            lines.append(draw(st.sampled_from(SITE_IDS)) + ",1")
+        else:
+            site = draw(st.sampled_from(sites))
+            clock[site] += draw(st.sampled_from([1800.0, 1.0, 0.5]))
+            ts = repr(clock[site]) if draw(st.booleans()) else str(int(clock[site]))
+            value = f"{draw(st.floats(0, 1e6)):.4f}"
+            cells = {"site_id": site, "timestamp": ts, "value": value}
+            if kind == "odd":
+                column = draw(st.sampled_from(["timestamp", "value", "value"]))
+                cells[column] = draw(st.sampled_from(ODD_NUMBERS) | st.text(max_size=3))
+            row = [cells.get(column, "z") for column in columns]
+            lines.append(",".join(row + ["tail"] * draw(st.integers(0, 1))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text
+
+
+def load_outcome(load, path):
+    """What a reader returns, bit for bit, or the error it raises."""
+    try:
+        sites = load(path)
+    except Exception as exc:  # noqa: BLE001 - every error must match, whatever its type
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    if sites is None:
+        return ("handed over",)
+    return ("ok", [
+        (s.site_id, s.timestamps.dtype, s.timestamps.tobytes(), s.values.dtype, s.values.tobytes())
+        for s in sites
+    ])
+
+
+def ingest_year_text(n_sites=3, rows=400):
+    """The benchmark's raw file in small: epoch half-hours, 4-decimal values."""
+    lines = ["site_id,timestamp,value"]
+    for i in range(n_sites):
+        lines += [
+            f"site_{i:03d},{1609459200 + t * 1800},{5.0 + math.sin(t / 7.0 + i):.4f}"
+            for t in range(rows)
+        ]
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(text=raw_csv_texts(), block_chars=st.sampled_from([1, 7, 64, ingest._BLOCK_CHARS]))
+    def test_matches_row_reader(self, tmp_path_factory, text, block_chars):
+        path = tmp_path_factory.mktemp("raw") / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            assert load_outcome(load_csv, path) == expected
+            columnar = load_outcome(ingest._load_columnar, path)
+        if columnar != ("handed over",):
+            assert columnar == expected
+
+    @pytest.mark.parametrize("block_chars", [64, ingest._BLOCK_CHARS])
+    def test_ingest_year_input_is_served_without_the_row_reader(self, tmp_path, block_chars):
+        path = write(tmp_path, ingest_year_text())
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
+            assert load_outcome(load_csv, path) == expected
+        assert [s.site_id for s in load_csv(path)] == ["site_000", "site_001", "site_002"]
+
+    def test_interleaved_sites_are_served_without_the_row_reader(self, tmp_path):
+        path = write(tmp_path, "site_id,timestamp,value\nb,0,1\na,0,2\nb,5,3\na,9,4\nb,6,5\n")
+        with mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
+            a, b = load_csv(path)
+        assert (a.site_id, a.timestamps.tolist(), a.values.tolist()) == ("a", [0.0, 9.0], [2.0, 4.0])
+        assert (b.site_id, b.timestamps.tolist(), b.values.tolist()) == ("b", [0.0, 5.0, 6.0], [1.0, 3.0, 5.0])
+
+    def test_round_robin_sites_keep_file_order(self, tmp_path):
+        # long enough that an unstable sort would reorder a site's rows
+        lines = ["site_id,timestamp,value"]
+        lines += [f"s{t % 3},{t},{t % 7}" for t in range(600)]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
+            assert load_outcome(load_csv, path) == expected
+
+    def test_hands_over_when_loadtxt_drops_a_line(self, tmp_path):
+        path = write(tmp_path, "site_id,timestamp,value\ns1,0,1\ns1,1,2\n")
+        loadtxt = np.loadtxt
+        with mock.patch.object(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[:-1]):
+            assert ingest._load_columnar(path) is None
+
+    @pytest.mark.parametrize("text", [
+        "site_id,timestamp,value\n",
+        "site_id,timestamp,value",
+        "site_id,timestamp,value\r\n\r\n\n",
+    ])
+    def test_header_only_file_is_empty_without_warning(self, tmp_path, text):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_csv(path) == []
+            assert ingest._load_columnar(path) == []
+
+    @pytest.mark.parametrize("row", [
+        '"s1",0,1', "s1,2021-01-01T00:00:00Z,1", "s1,1_000,1", "s1,0,-1", "s1,0,1\x1c", "s1,\x1f0,1",
+    ])
+    def test_hands_over_what_it_cannot_vouch_for(self, tmp_path, row):
+        path = write(tmp_path, f"site_id,timestamp,value\n{row}\n")
+        assert ingest._load_columnar(path) is None
+
+    @pytest.mark.parametrize("data", [
+        b"site_id,timestamp,value\ns1,0,1\n\xff\xfe,1,2\n",
+        b"site_id,timestamp,value\ns\xc3,0,1\n",
+        b"site_id,timestamp,value\n" + b"".join(b"s1,%d,1\n" % t for t in range(20000)) + b"\xe9,1,1\n",
+    ])
+    def test_undecodable_bytes_fail_as_in_the_row_reader(self, tmp_path, data):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(data)
+        assert load_outcome(load_csv, path) == load_outcome(ingest._load_rows, path)
+
+    @pytest.mark.parametrize("where", ["header", "first row", "later row", "last row"])
+    def test_hands_over_a_field_longer_than_csv_accepts(self, tmp_path, where):
+        long = "x" * 300
+        header = "site_id,timestamp,value" + (f",{long}" if where == "header" else "")
+        rows = [f"s{i},{i},1" for i in range(40)]
+        row = {"first row": 0, "later row": 20, "last row": 39}.get(where)
+        if row is not None:
+            rows[row] = f"{long},{row},1"
+        path = write(tmp_path, "\n".join([header, *rows]))
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 64), mock.patch("csv.field_size_limit", return_value=250):
+            assert ingest._load_columnar(path) is None
+        assert ingest._load_columnar(path) is not None
+
+
 class TestBucketEdges:
     def test_fixed_width(self):
         edges = bucket_edges("day", (0.0, 3.5 * DAY))
@@ -116,6 +284,19 @@ class TestBucketEdges:
     def test_unknown_resolution(self):
         with pytest.raises(ConfigError):
             bucket_edges("year", (0.0, 100.0))
+
+    @pytest.mark.parametrize("resolution", ["half_hour", "day", "week"])
+    @pytest.mark.parametrize("window", [
+        (0.0, 1.0), (0.1, 3.5 * DAY), (1609459200.0, 1609459200.0 + 17519 * 1800.0),
+        (-7.25, 400 * DAY + 0.3), (1e15 + 0.5, 1e15 + 40 * DAY),
+    ])
+    def test_fixed_width_matches_python_float_arithmetic(self, resolution, window):
+        start, end = window
+        width = {"half_hour": 1800.0, "day": DAY, "week": 7 * DAY}[resolution]
+        count = max(1, math.ceil((end - start) / width))
+        edges = bucket_edges(resolution, window)
+        assert all(type(e) is float for e in edges)
+        assert edges == [start + i * width for i in range(count)] + [end]
 
 
 class TestResample:
@@ -196,6 +377,45 @@ class TestBuildResampledTable:
     def test_all_sites_needed(self):
         with pytest.raises(DataError):
             build_resampled_table([], resolutions=("day",))
+
+    def test_pairwise_disjoint_coverage_keeps_one_site(self):
+        sites = [
+            series("A", [0.0, 100.0], [1.0, 2.0]),
+            series("B", [1000.0, 1100.0], [1.0, 2.0]),
+            series("C", [2000.0, 2100.0], [1.0, 2.0]),
+        ]
+        table = build_resampled_table(sites, resolutions=("half_hour",))
+        assert table.site_ids == ["C"]
+        assert table.window == (2000.0, 2100.0)
+        assert table.dropped == [("A", "shrinks the common window"), ("B", "shrinks the common window")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=8,
+    ))
+    def test_widest_drop_matches_full_scan(self, spans):
+        # a small grid of starts and lengths makes equal starts, ends and widths common
+        pool = [
+            series(f"s{i}", sorted({float(a), float(a + n)}), [1.0] * len({a, a + n}))
+            for i, (a, n) in enumerate(spans)
+        ]
+        assert ingest._widest_drop(pool) is brute_force_widest_drop(pool)
+
+    @pytest.mark.parametrize("aggregate", ["mean", "sum"])
+    def test_rows_equal_per_site_resampling(self, aggregate):
+        sites = [self.make_site("a", 0, 100), self.make_site("b", 3, 97, level=2.0),
+                 series("c", [d * 3600.0 for d in range(24 * 100)], [1.0 + d % 5 for d in range(2400)])]
+        table = build_resampled_table(sites, resolutions=RESOLUTIONS, aggregate=aggregate)
+        for resolution in RESOLUTIONS:
+            expected = np.vstack([resample(s, resolution, table.window, aggregate) for s in sites])
+            assert table.data[resolution].tobytes() == expected.tobytes()
+
+    def test_unknown_aggregate_and_resolution(self):
+        sites = [self.make_site("a", 0, 10), self.make_site("b", 0, 10)]
+        with pytest.raises(ConfigError, match="unknown aggregate 'median'"):
+            build_resampled_table(sites, resolutions=("year",), aggregate="median")
+        with pytest.raises(ConfigError, match="unknown resolution 'year'"):
+            build_resampled_table(sites, resolutions=("day", "year"))
 
     def test_site_with_interior_outage_kept(self):
         ts = [d * DAY for d in range(0, 50) if not 20 <= d <= 25]
