@@ -15,6 +15,7 @@ Flattening the result yields ordinary clusters plus outliers.
 from __future__ import annotations
 
 import csv
+import functools
 import random
 from dataclasses import dataclass
 
@@ -168,6 +169,30 @@ class ClosedFamily:
     def index_of(self, s: ElementSet) -> int:
         return self._index[s.mask]
 
+    @functools.cached_property
+    def overlap_components(self) -> list[np.ndarray]:
+        """The family split into overlap components: two sets share one
+        when a chain of sets, each meeting the next, links them.
+
+        Each component is an ascending array of set indices; components are
+        ordered by their smallest item.  Sets in different components are
+        disjoint, so every intersecting pair lies inside one component.
+        """
+        m = len(self.sets)
+        if not m:
+            return []
+        n = self.sets[0].n
+        bits = unpack_masks([s.mask for s in self.sets], n)
+        sets, items = np.divmod(np.flatnonzero(bits), n)
+        # a set links its smallest item to each of its items, and joins that
+        # item's component; an empty set meets nothing and stays alone
+        first = bits.argmax(axis=1)
+        label = _merge(np.arange(n), first[sets], items)[first]
+        empty = bits[np.arange(m), first] == 0
+        label[empty] = n + np.flatnonzero(empty)
+        order = np.argsort(label, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, ClosedFamily) and self.sets == other.sets
 
@@ -201,7 +226,7 @@ def elementary_closed_subsets(space: PseudoclosureSpace, seeds: list[Seed]) -> C
     return ClosedFamily(ElementSet(n, m) for m in seen)
 
 
-# Row blocks are sized so that each temporary holds about this many entries:
+# Row strips are sized so that each temporary holds about this many entries:
 # besides the returned matrix, no m x m array is ever allocated.
 _BLOCK_ENTRIES = 1 << 18
 
@@ -213,15 +238,40 @@ def _row_blocks(rows: int, width: int):
         yield lo, min(lo + step, rows)
 
 
-def _incidence(family: ClosedFamily) -> np.ndarray:
-    """0/1 matrix with one row per set and one column per item.
+def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the connected components that the edges ``a[e] -- b[e]`` link.
+
+    ``label`` maps every node to the smallest node of its component so far
+    (``np.arange(count)`` before any edge); the updated map is returned.
+    Each round hooks the larger root of every edge that joins two trees to
+    the smaller one, then jumps pointers until every node points at its
+    root.  A node only ever points at a smaller node, so the smallest node
+    of a component is never hooked and ends as its root.
+    """
+    while True:
+        la, lb = label[a], label[b]
+        joins = la != lb
+        if not joins.any():
+            return label
+        a, b, la, lb = a[joins], b[joins], la[joins], lb[joins]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _incidence(family: ClosedFamily, sets: np.ndarray) -> np.ndarray:
+    """0/1 matrix with one row per set in ``sets`` and one column per item
+    that any of them holds.
 
     Its dtype keeps matmul sums of 0/1 terms exact: float32 below 2**24
-    items, float64 (exact to 2**53) beyond.
+    columns, float64 (exact to 2**53) beyond.
     """
-    n = family[0].n
-    bits = unpack_masks([s.mask for s in family], n)
-    return bits.astype(np.float32 if n < 1 << 24 else np.float64)
+    bits = unpack_masks([family[i].mask for i in sets.tolist()], family[0].n)
+    bits = bits[:, bits.any(axis=0)]
+    return bits.astype(np.float32 if bits.shape[1] < 1 << 24 else np.float64)
 
 
 def extract_adjacency(family: ClosedFamily) -> np.ndarray:
@@ -231,31 +281,30 @@ def extract_adjacency(family: ClosedFamily) -> np.ndarray:
     (|G|/|F|) * (|F&G|/|F|) and symmetrically; disjoint pairs and the
     diagonal stay 0.  Containment makes the larger set's entry at least 1.
 
-    The dense m x m float64 matrix is filled in row blocks.  For rows
-    ``lo:hi`` one matmul of the incidence matrix gives the exact
-    intersection counts with every set from ``lo`` on; they fill that strip
-    and, by symmetry, the mirrored column strip.  Each weight is formed from
-    the same two correctly rounded quotients and one product as the scalar
-    formula, so it is bit-identical to it.
+    Only pairs inside one of the family's overlap components can intersect,
+    so the dense m x m float64 matrix is filled one component at a time, in
+    row strips.  For the component's rows ``lo:hi`` one matmul of its
+    incidence matrix gives the exact intersection counts with all of its
+    sets, which fill those rows.  Each weight is formed from the same two
+    correctly rounded quotients and one product as the scalar formula, so
+    it is bit-identical to it.
     """
     m = len(family)
     sizes = np.array([len(s) for s in family], dtype=np.float64)
     if m and not sizes.min() > 0:
         raise ValueError("closed family must not contain the empty set")
     adj = np.zeros((m, m), dtype=np.float64)
-    if not m:
-        return adj
-    inc = _incidence(family)
-    for lo, hi in _row_blocks(m, m):
-        inter = inc[lo:hi] @ inc[lo:].T
-        near, far = sizes[lo:hi, None], sizes[lo:]
-        # row i -> column j reads "how strongly i attracts j"
-        strip = adj[lo:hi, lo:]
-        np.divide(inter, far, out=strip)
-        strip *= near / far
-        mirrored = inter / near
-        mirrored *= far / near
-        adj[lo:, lo:hi] = mirrored.T
+    for sets in family.overlap_components:
+        if len(sets) < 2:
+            continue
+        inc = _incidence(family, sets)
+        far = sizes[sets]
+        for lo, hi in _row_blocks(len(sets), len(sets)):
+            rows = sets[lo:hi]
+            # row i -> column j reads "how strongly i attracts j"
+            strip = (inc[lo:hi] @ inc.T) / far
+            strip *= sizes[rows, None] / far
+            adj[np.ix_(rows, sets)] = strip
     np.fill_diagonal(adj, 0.0)
     return adj
 
@@ -360,8 +409,11 @@ def extract_quasihierarchy(
     Among survivors, an edge runs from the strictly larger set of every pair
     whose relation reaches ``th_qh``; roots are the sets without a parent.
 
-    ``adjacency`` is read in row blocks, in the row-major pair order of a
-    scalar scan, without copying an m x m or survivor x survivor array.
+    ``adjacency`` must be 0 between sets that do not intersect, as
+    :func:`extract_adjacency` makes it: both scans then only read pairs
+    inside one of the family's overlap components, in row strips, without
+    copying an m x m or survivor x survivor array.  Edges come out in the
+    row-major pair order of a scan over the survivors.
     """
     check_quasihierarchy_options(th_qh, tie_break)
     m = len(family)
@@ -369,50 +421,55 @@ def extract_quasihierarchy(
         n = family[0].n if m else 0
         universe = Universe.of_size(n)
 
-    # union-find over mutually related pairs
-    parent = list(range(m))
+    sizes = np.array([len(s) for s in family], dtype=np.intp)
+    components = [sets for sets in family.overlap_components if len(sets) > 1]
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    # equivalence groups: join mutually related pairs, which intersect and
+    # so share a component, strip by strip
+    label = np.arange(m)
+    for sets in components:
+        for lo, hi in _row_blocks(len(sets), len(sets)):
+            rows, cols = sets[lo:hi], sets[lo:]
+            mutual = (adjacency[np.ix_(rows, cols)] >= th_qh) & (
+                adjacency[np.ix_(cols, rows)].T >= th_qh
+            )
+            r, c = np.nonzero(mutual)
+            upper = c > r
+            label = _merge(label, rows[r[upper]], cols[c[upper]])
 
-    for lo, hi in _row_blocks(m, m):
-        mutual = (adjacency[lo:hi, lo:] >= th_qh) & (adjacency[lo:, lo:hi].T >= th_qh)
-        rows, cols = np.nonzero(mutual)
-        upper = cols > rows
-        for i, j in zip((rows[upper] + lo).tolist(), (cols[upper] + lo).tolist()):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    rng = random.Random(tie_rng_seed)
-    survivors: list[int] = []
-    for members in groups.values():
-        best_size = max(len(family[i]) for i in members)
-        candidates = [i for i in members if len(family[i]) == best_size]
-        if tie_break == "random" and len(candidates) > 1:
-            survivors.append(candidates[rng.randrange(len(candidates))])
-        else:
-            survivors.append(min(candidates))
-    survivors.sort()
+    # the members of each equivalence group, largest first and ascending
+    # within a size; groups ordered by their smallest member
+    order = np.lexsort((-sizes, label))
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    picks = starts.copy()
+    if tie_break == "random":
+        rng = random.Random(tie_rng_seed)
+        largest = np.repeat(sizes[order[starts]], np.diff(starts, append=m))
+        tied = np.add.reduceat(sizes[order] == largest, starts)
+        for g in np.flatnonzero(tied > 1).tolist():
+            picks[g] += rng.randrange(int(tied[g]))
+    survivors = np.sort(order[picks]).tolist()
 
     # survivors ascend, so they keep the canonical order of ``family``
     pruned_family = ClosedFamily(family[i] for i in survivors)
     k = len(survivors)
-    kept = np.array(survivors, dtype=np.intp)
-    sizes = np.array([len(s) for s in pruned_family], dtype=np.intp)
-    edges: list[tuple[int, int, float]] = []
+    kept = np.zeros(m, dtype=bool)
+    kept[survivors] = True
+    position = np.cumsum(kept) - 1
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for sets in components:
+        sets = sets[kept[sets]]
+        for lo, hi in _row_blocks(len(sets), len(sets)):
+            rows = sets[lo:hi]
+            weights = adjacency[np.ix_(rows, sets)]
+            r, c = np.nonzero((weights >= th_qh) & (sizes[rows, None] > sizes[sets]))
+            found.append((position[rows[r]], position[sets[c]], weights[r, c]))
+    parents, children, weights = (np.concatenate(column) for column in zip(*found))
+    # the row-major pair order of a scan over survivors
+    order = np.lexsort((children, parents))
+    edges = list(zip(parents[order].tolist(), children[order].tolist(), weights[order].tolist()))
     has_parent = np.zeros(k, dtype=bool)
-    for lo, hi in _row_blocks(k, k):
-        weights = adjacency[np.ix_(kept[lo:hi], kept)]
-        rows, cols = np.nonzero((weights >= th_qh) & (sizes[lo:hi, None] > sizes))
-        has_parent[cols] = True
-        edges.extend(zip((rows + lo).tolist(), cols.tolist(), weights[rows, cols].tolist()))
+    has_parent[children] = True
     roots = np.flatnonzero(~has_parent).tolist()
 
     coverage_mask = 0

@@ -163,12 +163,22 @@ def _load_columnar(path) -> list[RawSeries] | None:
     ]
 
 
+def _csv_rows(fh):
+    """``csv`` rows of ``fh``; a malformed row, such as a field longer than
+    ``csv.field_size_limit()``, raises :class:`ParseError` with its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def _load_rows(path) -> list[RawSeries]:
     """The row reader: ``csv`` rows one at a time, every check with its line."""
     per_site: dict[str, tuple[list[float], list[float]]] = {}
     last_ts: dict[str, float] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if header is None:
             return []
@@ -376,7 +386,8 @@ def build_resampled_table(
     The window is the intersection of site coverages; sites that would
     shrink it below ``min_window_fraction`` of the median coverage are
     dropped first, then sites failing to fill the window's edge buckets are
-    dropped as resampling discovers them.
+    dropped as resampling discovers them.  A window that holds a single
+    bucket at some resolution raises :class:`ConfigError`.
     """
     if not sites:
         raise DataError("no sites to resample")
@@ -406,6 +417,13 @@ def build_resampled_table(
     window = (start, end)
     check_aggregate(aggregate)
     edges = {resolution: _bucket_edges(resolution, window) for resolution in resolutions}
+    for resolution, bounds in edges.items():
+        # a one-value series has no correlation to cluster on
+        if len(bounds) < 3:
+            raise ConfigError(
+                f"resolution {resolution!r}: the common window {list(window)} holds "
+                f"{len(bounds) - 1} bucket, and at least 2 are needed"
+            )
 
     vectors: dict[str, dict[str, np.ndarray]] = {}
     failed: set[str] = set()

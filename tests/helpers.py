@@ -163,6 +163,28 @@ def brute_force_adjacency(family):
     return adj
 
 
+def brute_force_overlap_components(family):
+    """Union-find over every pair of sets that share an item: the components
+    as ascending lists of set indices, ordered by their first set."""
+    m = len(family)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if family[i].mask & family[j].mask:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def brute_force_quasihierarchy(
     family, adjacency, th_qh, universe=None, tie_break="lowest_index", tie_rng_seed=0
 ):

@@ -274,6 +274,38 @@ class TestNonFiniteReadings:
         assert json.loads(err)["message"].startswith("line 11: non-finite reading")
 
 
+class TestOversizedCsvField:
+    """A field longer than ``csv.field_size_limit()`` is a parse error."""
+
+    def write_raw(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("site_id,timestamp,value\n" + "s" * 200_000 + ",0,1.0\n")
+        return raw
+
+    def test_ingest_exits_2(self, tmp_path, capsys):
+        raw = self.write_raw(tmp_path)
+        code, out, err = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": "line 2: field larger than field limit (131072)",
+        }
+        assert not (tmp_path / "o").exists()
+
+    def test_raw_series_cluster_exits_2(self, tmp_path, capsys):
+        raw = self.write_raw(tmp_path)
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "raw_series", "path": str(raw), "resolutions": ["day"], "rho": 0.5},
+            "seed_func": "random_neighbor",
+        })
+        code, out, err = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ParseError"
+        assert not (tmp_path / "o").exists()
+
+
 class TestRawSeriesOptions:
     @pytest.mark.parametrize("options", [
         {"resolutions": "half_hour"},
@@ -466,6 +498,20 @@ class TestIngestCommand:
         assert doc["sites"] == 1
         assert doc["dropped"] == [["A", "shrinks the common window"], ["B", "shrinks the common window"]]
         assert doc["window"] == [200 * 86400.0, 210 * 86400.0]
+
+    def test_single_bucket_window_exits_2_writing_nothing(self, tmp_path, capsys):
+        # A [0,100], B [1000,1100], C [2000,2100]: C's 100 s window holds one half-hour bucket
+        raw = tmp_path / "raw.csv"
+        raw.write_text("site_id,timestamp,value\nA,0,1\nA,100,2\nB,1000,1\nB,1100,2\nC,2000,1\nC,2100,2\n")
+        code, out, err = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "res"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "resolution 'half_hour': the common window [2000.0, 2100.0] holds 1 bucket, "
+                       "and at least 2 are needed",
+        }
+        assert not (tmp_path / "res").exists()
 
     def test_empty_input_exits_3(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

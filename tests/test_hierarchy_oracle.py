@@ -1,4 +1,5 @@
-"""Differential check: row-blocked adjacency and quasi-hierarchy extraction
+"""Differential check: overlap components, and the adjacency and
+quasi-hierarchy extraction that work one component at a time in row strips,
 against the pair-by-pair oracles in ``helpers``.
 
 Results must agree bit for bit: the matrix bytes, the JSON document and
@@ -7,9 +8,14 @@ the DOT rendering.
 
 import random
 
+import numpy as np
 import pytest
 
-from helpers import brute_force_adjacency, brute_force_quasihierarchy
+from helpers import (
+    brute_force_adjacency,
+    brute_force_overlap_components,
+    brute_force_quasihierarchy,
+)
 from pretopo import ClosedFamily, ElementSet, Universe, hierarchy
 from pretopo.hierarchy import extract_adjacency, extract_quasihierarchy
 
@@ -67,6 +73,65 @@ def families():
     return out
 
 
+def interleaved_components(rng, n_blocks, block, singletons):
+    """Random sets inside disjoint item blocks, plus one-item sets on items
+    of their own; canonical order interleaves the blocks' sets by size."""
+    n = n_blocks * block + singletons
+    masks = set()
+    for b in range(n_blocks):
+        items = range(b * block, (b + 1) * block)
+        for _ in range(rng.randint(2, 9)):
+            masks.add(sum(1 << x for x in rng.sample(items, rng.randint(1, block))))
+    masks |= {1 << x for x in range(n_blocks * block, n)}
+    return ClosedFamily(ElementSet(n, mask) for mask in masks)
+
+
+def disjoint_family(rng, n):
+    """A partition of the items into runs: every set is its own component."""
+    masks, lo = [], 0
+    while lo < n:
+        hi = min(n, lo + rng.randint(1, 4))
+        masks.append(sum(1 << x for x in range(lo, hi)))
+        lo = hi
+    return ClosedFamily(ElementSet(n, mask) for mask in masks)
+
+
+def giant_family(rng, n):
+    """Random sets that all hold item 0: one component."""
+    return ClosedFamily(
+        ElementSet(n, 1 | rng.getrandbits(n)) for _ in range(rng.randint(2, 30))
+    )
+
+
+def chain_family(rng, n):
+    """Runs of random length, each overlapping the next by one item: the
+    overlap graph is a path, in an order that canonical sorting scrambles."""
+    masks, lo = [], 0
+    while lo < n - 1:
+        hi = min(n, lo + rng.randint(2, 5))
+        masks.append(sum(1 << x for x in range(lo, hi)))
+        lo = hi - 1
+    return ClosedFamily(ElementSet(n, mask) for mask in masks)
+
+
+def pair_chain_family(n):
+    """{i, i+1} for every i: consecutive pairs relate by 1/2 both ways, so at
+    th_qh <= 0.5 the mutual graph is a path of equal-size, tied sets."""
+    return ClosedFamily(ElementSet(n, 0b11 << i) for i in range(n - 1))
+
+
+def shaped_families():
+    rng = random.Random(77)
+    out = []
+    for _ in range(3):
+        out.append(interleaved_components(rng, rng.randint(2, 5), rng.randint(2, 9), rng.randint(0, 6)))
+    out += [disjoint_family(rng, n) for n in (1, 9, 40)]
+    out += [giant_family(rng, n) for n in (3, 17, 70)]
+    out += [chain_family(rng, n) for n in (2, 12, 70)]
+    out += [pair_chain_family(n) for n in (2, 3, 9, 40)]
+    return out
+
+
 def assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed):
     universe = Universe.of_size(family[0].n if len(family) else 0)
     got = extract_quasihierarchy(
@@ -80,6 +145,12 @@ def assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed):
     assert got.universe_coverage == want.universe_coverage
 
 
+def assert_same_components(family):
+    got = family.overlap_components
+    assert all(np.array_equal(c, np.sort(c)) for c in got)
+    assert sorted(c.tolist() for c in got) == brute_force_overlap_components(family)
+
+
 @pytest.mark.parametrize("block_entries", [1, 37, hierarchy._BLOCK_ENTRIES])
 def test_matches_brute_force_oracle(monkeypatch, block_entries):
     monkeypatch.setattr(hierarchy, "_BLOCK_ENTRIES", block_entries)
@@ -91,10 +162,57 @@ def test_matches_brute_force_oracle(monkeypatch, block_entries):
                 assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed=f_idx)
 
 
+@pytest.mark.parametrize("block_entries", [1, 37, hierarchy._BLOCK_ENTRIES])
+def test_shaped_families_match_oracles(monkeypatch, block_entries):
+    monkeypatch.setattr(hierarchy, "_BLOCK_ENTRIES", block_entries)
+    for f_idx, family in enumerate(shaped_families()):
+        assert_same_components(family)
+        adj = extract_adjacency(family)
+        assert adj.tobytes() == brute_force_adjacency(family).tobytes()
+        for th in THRESHOLDS:
+            for tie_break in TIE_BREAKS:
+                assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed=f_idx)
+
+
+def test_components_match_oracle():
+    for family in families() + shaped_families():
+        assert_same_components(family)
+    assert ClosedFamily([]).overlap_components == []
+    # an empty set meets no other set
+    family = ClosedFamily([ElementSet(4, 0), ElementSet(4, 0b11), ElementSet(4, 0b110)])
+    assert [c.tolist() for c in family.overlap_components] == [[1, 2], [0]]
+
+
+def test_counts_of_shaped_families():
+    rng = random.Random(3)
+    family = disjoint_family(rng, 40)
+    assert len(family.overlap_components) == len(family)
+    assert len(giant_family(rng, 70).overlap_components) == 1
+    assert len(chain_family(rng, 70).overlap_components) == 1
+    family = pair_chain_family(40)
+    h = extract_quasihierarchy(family, extract_adjacency(family), 0.5, tie_break="random", tie_rng_seed=1)
+    # one equivalence group of 39 tied sets: a single, randomly drawn survivor
+    assert len(h.family) == 1 and h.roots == [0] and h.family[0] != family[0]
+
+
+def test_arbitrary_weights_on_intersecting_pairs():
+    """The passes may only assume that non-intersecting sets score 0: random
+    asymmetric weights elsewhere must give the oracle's result too."""
+    rng = np.random.default_rng(11)
+    for f_idx, family in enumerate(families() + shaped_families()):
+        adj = extract_adjacency(family)
+        adj[adj > 0] = rng.choice([0.2, 0.3, 0.5, 0.6, 0.7, 1.0, 1.5], size=int((adj > 0).sum()))
+        for th in THRESHOLDS:
+            for tie_break in TIE_BREAKS:
+                assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed=f_idx)
+
+
 def test_row_block_not_dividing_family_size(monkeypatch):
     rng = random.Random(5)
     family = ClosedFamily(ElementSet(12, m) for m in random_masks(rng, 12, 40, 0.3))
     m = len(family)
+    # the family is one overlap component, so its strips split all m sets
+    assert len(family.overlap_components) == 1
     rows = 3 if m % 3 else 4
     assert m % rows
     monkeypatch.setattr(hierarchy, "_BLOCK_ENTRIES", rows * m)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -379,15 +380,28 @@ class TestBuildResampledTable:
             build_resampled_table([], resolutions=("day",))
 
     def test_pairwise_disjoint_coverage_keeps_one_site(self):
+        # each window spans two half-hour buckets
         sites = [
-            series("A", [0.0, 100.0], [1.0, 2.0]),
-            series("B", [1000.0, 1100.0], [1.0, 2.0]),
-            series("C", [2000.0, 2100.0], [1.0, 2.0]),
+            series("A", [0.0, 3600.0], [1.0, 2.0]),
+            series("B", [10000.0, 13600.0], [1.0, 2.0]),
+            series("C", [20000.0, 23600.0], [1.0, 2.0]),
         ]
         table = build_resampled_table(sites, resolutions=("half_hour",))
         assert table.site_ids == ["C"]
-        assert table.window == (2000.0, 2100.0)
+        assert table.window == (20000.0, 23600.0)
         assert table.dropped == [("A", "shrinks the common window"), ("B", "shrinks the common window")]
+        assert table.data["half_hour"].tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("sites, resolutions, message", [
+        # the disjoint-coverage input: its 100 s window holds one half-hour bucket
+        ([series(site, [t, t + 100.0], [1.0, 2.0]) for site, t in (("A", 0.0), ("B", 1000.0), ("C", 2000.0))],
+         ("half_hour",), "resolution 'half_hour': the common window [2000.0, 2100.0] holds 1 bucket"),
+        ([series(site, [d * DAY for d in range(5)], [1.0, 2.0, 1.0, 2.0, 1.0]) for site in "ab"],
+         ("day", "week"), f"resolution 'week': the common window [0.0, {4 * DAY}] holds 1 bucket"),
+    ])
+    def test_single_bucket_window_is_a_config_error(self, sites, resolutions, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_resampled_table(sites, resolutions=resolutions)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(
