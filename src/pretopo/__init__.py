@@ -57,7 +57,6 @@ from .similarity import (
     SizeBall,
     build_basis,
     pairwise_matrix,
-    pearson,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "find_neighbors",
     "flatten",
     "pairwise_matrix",
-    "pearson",
     "pseudoclosure_from_prefilter_roundtrip",
     "quasistructural_analysis",
     "reconstruct_neighborhoods",

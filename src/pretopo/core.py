@@ -253,6 +253,18 @@ class PseudoclosureSpace:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+# Row strips are sized so that each temporary holds about this many entries:
+# besides a returned matrix, no square array is ever allocated.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(rows: int, width: int):
+    """Half-open (lo, hi) bounds splitting ``rows`` rows of ``width`` columns."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
 def unpack_masks(masks: Sequence[int], n: int) -> np.ndarray:
     """0/1 uint8 matrix with one row per mask; column i holds bit i."""
     nbytes = (n + 7) // 8

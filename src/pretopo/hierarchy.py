@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ElementSet, PseudoclosureSpace, Universe, unpack_masks
+from .core import ElementSet, PseudoclosureSpace, Universe, _row_blocks, unpack_masks
 from .errors import ConfigError
-from .similarity import Criterion, FeatureTable, distance_function, is_distance_criterion
+from .similarity import Criterion, FeatureTable, _pairwise_rows, is_distance_criterion
 
 _SCHEMA_VERSION = 1
 
@@ -85,47 +85,67 @@ def find_neighbors(
     n = space.size
     if not 0 <= first_node < n:
         raise ValueError(f"item {first_node} outside universe of size {n}")
+    return _walker(space, table, d, seed_func)(first_node)
+
+
+def _walker(
+    space: PseudoclosureSpace,
+    table: FeatureTable | None,
+    d: int,
+    seed_func: SeedFunc,
+):
+    """The ``d``-step walk of ``seed_func`` as a function of its first node;
+    whatever it reads off ``table`` is built here, once."""
     if d < 0:
         raise ValueError("neighbor count d must be >= 0")
-    path: list[int] = []
-    visited = 1 << first_node
+    n = space.size
 
     if isinstance(seed_func, ClosestNode):
         if table is None:
             raise ConfigError("closest-node walk needs a feature table")
-        dist = distance_function(table, seed_func.criterion)
-        last = first_node
-        for _ in range(d):
-            best = -1
-            best_d = float("inf")
-            for j in range(n):
-                if visited >> j & 1:
-                    continue
-                dj = dist(last, j)
-                if dj < best_d:
-                    best, best_d = j, dj
-            if best < 0:
-                break
-            path.append(best)
-            visited |= 1 << best
-            last = best
-        return path
+        # the distances the criterion's balls threshold, one row per step
+        rows = _pairwise_rows(table, seed_func.criterion)
+
+        def closest_walk(first_node: int) -> list[int]:
+            path: list[int] = []
+            visited = np.zeros(n, dtype=bool)
+            visited[first_node] = True
+            last = first_node
+            for _ in range(d):
+                row = rows(last, last + 1)[0]
+                # as a strict < scan: NaN and visited items never compete
+                row[visited | np.isnan(row)] = np.inf
+                best = int(row.argmin())  # ties go to the lowest index
+                if row[best] == np.inf:
+                    break
+                path.append(best)
+                visited[best] = True
+                last = best
+            return path
+
+        return closest_walk
 
     if isinstance(seed_func, RandomNeighbor):
-        # one stream per origin so seeds are independent of walk order
-        rng = random.Random(f"{seed_func.rng_seed}:{first_node}")
-        last = first_node
-        for _ in range(d):
-            candidates_mask = space.neighbor_mask(last) & ~visited
-            if not candidates_mask:
-                break
-            # the k-th set bit, drawn as from the ascending candidate list
-            k = rng.randrange(candidates_mask.bit_count())
-            nxt = int(np.flatnonzero(unpack_masks([candidates_mask], n)[0])[k])
-            path.append(nxt)
-            visited |= 1 << nxt
-            last = nxt
-        return path
+
+        def random_walk(first_node: int) -> list[int]:
+            # one stream per origin so seeds are independent of walk order
+            rng = random.Random(f"{seed_func.rng_seed}:{first_node}")
+            path: list[int] = []
+            visited = 1 << first_node
+            last = first_node
+            for _ in range(d):
+                candidates_mask = space.neighbor_mask(last) & ~visited
+                if not candidates_mask:
+                    break
+                # the k-th set bit, drawn as from the ascending candidate list
+                k = rng.randrange(candidates_mask.bit_count())
+                nxt = int(np.flatnonzero(unpack_masks([candidates_mask], n)[0])[k])
+                path.append(nxt)
+                visited |= 1 << nxt
+                last = nxt
+            return path
+
+        return random_walk
 
     raise ConfigError(f"unknown seed function {seed_func!r}")
 
@@ -137,11 +157,11 @@ def elementary_quasiclosures(
     seed_func: SeedFunc,
 ) -> list[Seed]:
     """One seed per item: the item plus its walked neighbors."""
-    seeds = []
-    for x in range(space.size):
-        path = find_neighbors(space, table, x, d, seed_func)
-        seeds.append(Seed(x, ElementSet.from_members(space.size, [x, *path])))
-    return seeds
+    n = space.size
+    if not n:
+        return []
+    walk = _walker(space, table, d, seed_func)
+    return [Seed(x, ElementSet.from_members(n, [x, *walk(x)])) for x in range(n)]
 
 
 class ClosedFamily:
@@ -224,18 +244,6 @@ def elementary_closed_subsets(space: PseudoclosureSpace, seeds: list[Seed]) -> C
             if grown != mask:
                 insert(grown)
     return ClosedFamily(ElementSet(n, m) for m in seen)
-
-
-# Row strips are sized so that each temporary holds about this many entries:
-# besides the returned matrix, no m x m array is ever allocated.
-_BLOCK_ENTRIES = 1 << 18
-
-
-def _row_blocks(rows: int, width: int):
-    """Half-open (lo, hi) bounds splitting ``rows`` rows of ``width`` columns."""
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
-    for lo in range(0, rows, step):
-        yield lo, min(lo + step, rows)
 
 
 def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

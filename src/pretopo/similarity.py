@@ -20,6 +20,7 @@ from .core import (
     PrefilterSpace,
     PseudoclosureSpace,
     Universe,
+    _row_blocks,
     pack_rows,
 )
 from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError
@@ -118,9 +119,17 @@ class FeatureTable:
                 return cls()
             rows = list(reader)
         cols = {name: idx for idx, name in enumerate(header)}
+
+        def series_index(name: str) -> int:
+            try:
+                return int(name.split("_", 1)[1])
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}: series column {name!r} needs an integer index", line=1
+                ) from exc
+
         series_cols = sorted(
-            (name for name in cols if name.startswith("series_")),
-            key=lambda name: int(name.split("_", 1)[1]),
+            (name for name in cols if name.startswith("series_")), key=series_index
         )
 
         def column(name: str) -> list[float]:
@@ -196,101 +205,86 @@ def is_distance_criterion(criterion: Criterion) -> bool:
     return isinstance(criterion, DISTANCE_KINDS)
 
 
-def pearson(x, y) -> float:
-    """Sample correlation of two equal-length sequences, clamped to [-1, 1].
+def _pairwise_rows(table: FeatureTable, criterion: Criterion):
+    """The criterion's pairwise matrix as a function of ``(lo, hi)`` that
+    returns rows ``lo:hi``: distances (diagonal 0) or correlations (diagonal 1).
 
-    Raises :class:`DegenerateSeriesError` when either input is constant.
+    The feature arrays are built once, here; each call allocates only its
+    own rows, so no n x n array exists unless a caller stacks them.
     """
-    n = len(x)
-    if n != len(y):
-        raise ValueError(f"length mismatch: {n} vs {len(y)}")
-    if n < 2:
-        raise ValueError("correlation needs at least two samples")
-    mx = math.fsum(x) / n
-    my = math.fsum(y) / n
-    sxx = math.fsum((v - mx) ** 2 for v in x)
-    syy = math.fsum((v - my) ** 2 for v in y)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateSeriesError("constant series has no linear signal")
-    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
-
-
-def distance_function(table: FeatureTable, criterion: Criterion):
-    """Pairwise distance callable for a distance-kind criterion."""
+    n = table.n_items
     if isinstance(criterion, EuclideanBall):
         if table.positions is None:
             raise ConfigError("euclidean criterion needs a position feature")
-        pos = table.positions
+        pts = np.asarray(table.positions, dtype=np.float64).reshape(n, -1)
 
-        def dist(i: int, j: int) -> float:
-            return math.dist(pos[i], pos[j])
+        def euclidean_rows(lo: int, hi: int) -> np.ndarray:
+            diff = pts[lo:hi, None, :] - pts[None, :, :]
+            out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            np.fill_diagonal(out[:, lo:], 0.0)
+            return out
 
-        return dist
+        return euclidean_rows
     if isinstance(criterion, SizeBall):
         if table.sizes is None:
             raise ConfigError("size criterion needs a size feature")
-        sizes = table.sizes
-        return lambda i, j: abs(sizes[i] - sizes[j])
-    raise ConfigError(f"{type(criterion).__name__} does not define a distance")
+        s = np.asarray(table.sizes, dtype=np.float64)
+        return lambda lo, hi: np.abs(s[lo:hi, None] - s[None, :])
+    if isinstance(criterion, PearsonBall):
+        data = np.asarray(table.series_channel(criterion.channel), dtype=np.float64)
+        centered = data - data.mean(axis=1, keepdims=True)
+        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
+        for i, nv in enumerate(norms):
+            if nv == 0.0:
+                raise DegenerateSeriesError("constant series has no linear signal", item=i)
 
+        def pearson_rows(lo: int, hi: int) -> np.ndarray:
+            # one matvec per row: a block matmul rounds most entries differently
+            out = np.empty((hi - lo, n), dtype=np.float64)
+            for i in range(lo, hi):
+                row = centered @ centered[i]
+                np.divide(row, norms * norms[i], out=row)
+                out[i - lo] = row
+                out[i - lo, i] = 1.0
+            np.clip(out, -1.0, 1.0, out=out)
+            return out
 
-def _series_matrix(table: FeatureTable, criterion: PearsonBall) -> np.ndarray:
-    rows = table.series_channel(criterion.channel)
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _correlation_matrix(data: np.ndarray) -> np.ndarray:
-    n = data.shape[0]
-    centered = data - data.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-    for i, nv in enumerate(norms):
-        if nv == 0.0:
-            raise DegenerateSeriesError("constant series has no linear signal", item=i)
-    out = np.ones((n, n), dtype=np.float64)
-    for i in range(n):
-        row = centered @ centered[i]
-        np.divide(row, norms * norms[i], out=row)
-        out[i, :] = row
-        out[i, i] = 1.0
-    np.clip(out, -1.0, 1.0, out=out)
-    return out
+        return pearson_rows
+    raise ConfigError(f"unknown criterion {criterion!r}")
 
 
 def pairwise_matrix(table: FeatureTable, criterion: Criterion) -> np.ndarray:
     """Symmetric matrix of distances (diagonal 0) or correlations (diagonal 1)."""
     n = table.n_items
-    if n == 0:
-        return np.zeros((0, 0))
-    if isinstance(criterion, EuclideanBall):
-        if table.positions is None:
-            raise ConfigError("euclidean criterion needs a position feature")
-        pts = np.asarray(table.positions, dtype=np.float64).reshape(n, -1)
-        diff = pts[:, None, :] - pts[None, :, :]
-        out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(out, 0.0)
-        return out
-    if isinstance(criterion, SizeBall):
-        if table.sizes is None:
-            raise ConfigError("size criterion needs a size feature")
-        s = np.asarray(table.sizes, dtype=np.float64)
-        return np.abs(s[:, None] - s[None, :])
-    if isinstance(criterion, PearsonBall):
-        return _correlation_matrix(_series_matrix(table, criterion))
-    raise ConfigError(f"unknown criterion {criterion!r}")
+    out = np.empty((n, n), dtype=np.float64)
+    if n:
+        rows = _pairwise_rows(table, criterion)
+        for lo, hi in _row_blocks(n, n):
+            out[lo:hi] = rows(lo, hi)
+    return out
 
 
 def criterion_ball_masks(table: FeatureTable, criterion: Criterion) -> list[int]:
-    """Per item, the bitmask of items inside its criterion ball (self included)."""
-    matrix = pairwise_matrix(table, criterion)
-    if isinstance(criterion, PearsonBall):
-        hits = matrix >= criterion.threshold
-    elif isinstance(criterion, EuclideanBall):
-        hits = matrix <= criterion.radius
-    else:
-        hits = matrix <= criterion.tolerance
-    np.fill_diagonal(hits, True)  # self-pair by fiat
-    return pack_rows(hits)
+    """Per item, the bitmask of items inside its criterion ball (self included).
+
+    The pairwise rows are thresholded and packed one row strip at a time.
+    """
+    n = table.n_items
+    if not n:
+        return []
+    rows = _pairwise_rows(table, criterion)
+    masks: list[int] = []
+    for lo, hi in _row_blocks(n, n):
+        block = rows(lo, hi)
+        if isinstance(criterion, PearsonBall):
+            hits = block >= criterion.threshold
+        elif isinstance(criterion, EuclideanBall):
+            hits = block <= criterion.radius
+        else:
+            hits = block <= criterion.tolerance
+        np.fill_diagonal(hits[:, lo:], True)  # self-pair by fiat
+        masks += pack_rows(hits)
+    return masks
 
 
 def check_mode(mode) -> None:

@@ -11,6 +11,8 @@ import numpy as np
 
 from pretopo import (
     ClosedFamily,
+    ConfigError,
+    DegenerateSeriesError,
     ElementSet,
     EuclideanBall,
     FilterSpace,
@@ -19,8 +21,8 @@ from pretopo import (
     PearsonBall,
     PrefilterSpace,
     QuasiHierarchy,
+    SizeBall,
     Universe,
-    pairwise_matrix,
 )
 
 
@@ -73,10 +75,67 @@ def brute_force_family(pseudoclosure, seed_masks):
     return seen
 
 
+def pearson(x, y) -> float:
+    """Sample correlation of two equal-length sequences, clamped to [-1, 1].
+
+    Raises :class:`DegenerateSeriesError` when either input is constant.
+    """
+    n = len(x)
+    if n != len(y):
+        raise ValueError(f"length mismatch: {n} vs {len(y)}")
+    if n < 2:
+        raise ValueError("correlation needs at least two samples")
+    mx = math.fsum(x) / n
+    my = math.fsum(y) / n
+    sxx = math.fsum((v - mx) ** 2 for v in x)
+    syy = math.fsum((v - my) ** 2 for v in y)
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateSeriesError("constant series has no linear signal")
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+
+
+def brute_force_pairwise_matrix(table, criterion):
+    """The whole pairwise matrix in one broadcast: an n x n x d difference
+    tensor for positions, one matrix-vector product per row for series."""
+    n = table.n_items
+    if n == 0:
+        return np.zeros((0, 0))
+    if isinstance(criterion, EuclideanBall):
+        if table.positions is None:
+            raise ConfigError("euclidean criterion needs a position feature")
+        pts = np.asarray(table.positions, dtype=np.float64).reshape(n, -1)
+        diff = pts[:, None, :] - pts[None, :, :]
+        out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(out, 0.0)
+        return out
+    if isinstance(criterion, SizeBall):
+        if table.sizes is None:
+            raise ConfigError("size criterion needs a size feature")
+        s = np.asarray(table.sizes, dtype=np.float64)
+        return np.abs(s[:, None] - s[None, :])
+    if isinstance(criterion, PearsonBall):
+        data = np.asarray(table.series_channel(criterion.channel), dtype=np.float64)
+        centered = data - data.mean(axis=1, keepdims=True)
+        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
+        for i, nv in enumerate(norms):
+            if nv == 0.0:
+                raise DegenerateSeriesError("constant series has no linear signal", item=i)
+        out = np.ones((n, n), dtype=np.float64)
+        for i in range(n):
+            row = centered @ centered[i]
+            np.divide(row, norms * norms[i], out=row)
+            out[i, :] = row
+            out[i, i] = 1.0
+        np.clip(out, -1.0, 1.0, out=out)
+        return out
+    raise ConfigError(f"unknown criterion {criterion!r}")
+
+
 def brute_force_ball_masks(table, criterion):
-    """Per item, the ball mask built bit by bit from the pairwise matrix;
-    the item itself is always a member."""
-    matrix = pairwise_matrix(table, criterion)
+    """Per item, the ball mask built bit by bit from the oracle pairwise
+    matrix; the item itself is always a member."""
+    matrix = brute_force_pairwise_matrix(table, criterion)
     if isinstance(criterion, PearsonBall):
         hits = matrix >= criterion.threshold
     elif isinstance(criterion, EuclideanBall):
@@ -90,6 +149,25 @@ def brute_force_ball_masks(table, criterion):
             mask |= 1 << int(j)
         masks.append(mask)
     return masks
+
+
+def brute_force_closest_walk(matrix, first_node, d):
+    """The closest-node walk as a scalar scan over rows of ``matrix``: each
+    step takes the first unvisited item at a strictly smaller distance."""
+    path = []
+    visited = {first_node}
+    last = first_node
+    for _ in range(d):
+        best, best_d = -1, math.inf
+        for j in range(len(matrix)):
+            if j not in visited and matrix[last][j] < best_d:
+                best, best_d = j, matrix[last][j]
+        if best < 0:
+            break
+        path.append(best)
+        visited.add(best)
+        last = best
+    return path
 
 
 def brute_force_random_walk(space, first_node, d, rng_seed):

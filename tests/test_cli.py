@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from pretopo.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(capsys, *argv):
@@ -196,6 +200,17 @@ class TestCluster:
         assert code == 2
         assert err["error"] == "ParseError"
         assert err["message"].startswith("line 3:")
+
+    @pytest.mark.parametrize("column", ["series_a", "series_", "series_1.5"])
+    def test_non_integer_series_header_exits_2(self, tmp_path, capsys, column):
+        code, err = self.features_run(
+            tmp_path, capsys, f"x,y,{column}\n0.0,0.0,1.0\n1.0,1.0,2.0\n"
+        )
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("line 1:")
+        assert repr(column) in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_short_feature_row_exits_2(self, tmp_path, capsys):
         code, err = self.features_run(tmp_path, capsys, "x,y,size\n0.0,0.0,1.0\n1.0,1.0\n")
@@ -538,3 +553,21 @@ class TestDeterminism:
                 for name in ("assignment.csv", "hierarchy.json", "hierarchy.dot")
             ) + (svg.read_bytes(),)
         assert blobs["one"] == blobs["two"]
+
+    def test_closest_walk_outputs_pinned(self, tmp_path, capsys):
+        """The shipped multi-criteria points config with two closest-node
+        steps per seed; no benchmark workload walks with d > 0."""
+        doc = json.loads((CONFIG_DIR / "points_multicriteria.json").read_text())
+        doc["d"] = 2
+        out_dir = tmp_path / "out"
+        config = write_json(tmp_path / "cfg.json", doc)
+        assert run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))[0] == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("assignment.csv", "hierarchy.json", "hierarchy.dot")
+        }
+        assert digests == {
+            "assignment.csv": "e63fbda6dd99e6ab41cd84fdd9c6fadc956cdeb182767d0f2f980dddbf65af61",
+            "hierarchy.json": "a0fe3ec43c34e8a1ab2da11ed47206b7df81fcfa1b2cabc0083abb7797101d64",
+            "hierarchy.dot": "a7513cc3b11b54944d1e82e66d991ebd0a305f660ac9d5b69bbc0228763bf6ff",
+        }

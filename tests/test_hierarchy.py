@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from helpers import (
     all_subsets,
+    brute_force_closest_walk,
     brute_force_closure,
+    brute_force_pairwise_matrix,
     brute_force_random_walk,
     random_graph_space,
     random_isotone_space,
@@ -33,6 +36,7 @@ from pretopo import (
     extract_quasihierarchy,
     find_neighbors,
     flatten,
+    hierarchy,
     quasistructural_analysis,
 )
 
@@ -90,6 +94,72 @@ class TestFindNeighbors:
     def test_shorter_path_when_universe_exhausted(self):
         path = find_neighbors(line_space(), line_table(), 0, 99, ClosestNode(EuclideanBall(1.5)))
         assert len(path) == 3
+
+
+def walk_table(rng, n, ties):
+    """Positions and sizes drawn at random, or from a few repeated values
+    so that many distances tie exactly."""
+    if ties:
+        positions = [tuple(map(float, rng.integers(0, 3, 2))) for _ in range(n)]
+        sizes = rng.integers(0, 3, n).astype(float).tolist()
+    else:
+        positions = [tuple(rng.uniform(0.0, 6.0, 2)) for _ in range(n)]
+        sizes = rng.uniform(0.0, 10.0, n).tolist()
+    return FeatureTable(positions=positions, sizes=sizes)
+
+
+class TestClosestWalkOracle:
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("criterion", [EuclideanBall(1.0), SizeBall(0.5)])
+    def test_every_origin_matches_scalar_scan(self, n, ties, criterion):
+        table = walk_table(np.random.default_rng(n), n, ties)
+        space = build_basis(table, [criterion])
+        matrix = brute_force_pairwise_matrix(table, criterion).tolist()
+        for d in (1, 2, 4):
+            seeds = elementary_quasiclosures(space, table, d, ClosestNode(criterion))
+            for x in range(n):
+                want = brute_force_closest_walk(matrix, x, d)
+                assert find_neighbors(space, table, x, d, ClosestNode(criterion)) == want
+                assert seeds[x].members.members() == sorted([x, *want])
+
+    def test_ties_go_to_lowest_index(self):
+        table = FeatureTable(positions=[(0.0, 0.0), (5.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)])
+        space = build_basis(table, [EuclideanBall(1.0)])
+        assert find_neighbors(space, table, 0, 2, ClosestNode(EuclideanBall(1.0))) == [2, 4]
+
+    def test_non_finite_distances_never_chosen(self):
+        # the NaN item is at distance NaN from everyone, the inf item at inf
+        table = FeatureTable(
+            positions=[(0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (3.0, 0.0)],
+            sizes=[1.0, math.nan, math.inf, 2.0],
+        )
+        for criterion in (EuclideanBall(1.0), SizeBall(0.5)):
+            with np.errstate(invalid="ignore"):
+                space = build_basis(table, [criterion])
+                matrix = brute_force_pairwise_matrix(table, criterion).tolist()
+                for x in range(4):
+                    path = find_neighbors(space, table, x, 3, ClosestNode(criterion))
+                    assert path == brute_force_closest_walk(matrix, x, 3)
+            assert find_neighbors(space, table, 0, 3, ClosestNode(criterion)) == [3]
+
+    def test_rows_built_once_per_seed_pass(self, monkeypatch):
+        calls = []
+        real = hierarchy._pairwise_rows
+        monkeypatch.setattr(hierarchy, "_pairwise_rows", lambda *a: calls.append(a) or real(*a))
+        seeds = elementary_quasiclosures(line_space(), line_table(), 2, ClosestNode(EuclideanBall(1.5)))
+        assert len(seeds) == 4 and len(calls) == 1
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_walk_exhausts_universe(self, ties):
+        n = 12
+        table = walk_table(np.random.default_rng(3), n, ties)
+        space = build_basis(table, [SizeBall(0.5)])
+        matrix = brute_force_pairwise_matrix(table, SizeBall(0.5)).tolist()
+        for x in range(n):
+            path = find_neighbors(space, table, x, n + 5, ClosestNode(SizeBall(0.5)))
+            assert sorted([x, *path]) == list(range(n))
+            assert path == brute_force_closest_walk(matrix, x, n + 5)
 
 
 class TestElementaryQuasiclosures:

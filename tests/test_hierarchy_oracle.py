@@ -16,7 +16,7 @@ from helpers import (
     brute_force_overlap_components,
     brute_force_quasihierarchy,
 )
-from pretopo import ClosedFamily, ElementSet, Universe, hierarchy
+from pretopo import ClosedFamily, ElementSet, Universe, core
 from pretopo.hierarchy import extract_adjacency, extract_quasihierarchy
 
 THRESHOLDS = (0.3, 0.5, 0.7, 1.0)
@@ -151,9 +151,9 @@ def assert_same_components(family):
     assert sorted(c.tolist() for c in got) == brute_force_overlap_components(family)
 
 
-@pytest.mark.parametrize("block_entries", [1, 37, hierarchy._BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [1, 37, core._BLOCK_ENTRIES])
 def test_matches_brute_force_oracle(monkeypatch, block_entries):
-    monkeypatch.setattr(hierarchy, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
     for f_idx, family in enumerate(families()):
         adj = extract_adjacency(family)
         assert adj.tobytes() == brute_force_adjacency(family).tobytes()
@@ -162,9 +162,9 @@ def test_matches_brute_force_oracle(monkeypatch, block_entries):
                 assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed=f_idx)
 
 
-@pytest.mark.parametrize("block_entries", [1, 37, hierarchy._BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [1, 37, core._BLOCK_ENTRIES])
 def test_shaped_families_match_oracles(monkeypatch, block_entries):
-    monkeypatch.setattr(hierarchy, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
     for f_idx, family in enumerate(shaped_families()):
         assert_same_components(family)
         adj = extract_adjacency(family)
@@ -215,8 +215,8 @@ def test_row_block_not_dividing_family_size(monkeypatch):
     assert len(family.overlap_components) == 1
     rows = 3 if m % 3 else 4
     assert m % rows
-    monkeypatch.setattr(hierarchy, "_BLOCK_ENTRIES", rows * m)
-    assert [hi - lo for lo, hi in hierarchy._row_blocks(m, m)][-1] == m % rows
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", rows * m)
+    assert [hi - lo for lo, hi in core._row_blocks(m, m)][-1] == m % rows
     adj = extract_adjacency(family)
     assert adj.tobytes() == brute_force_adjacency(family).tobytes()
     for th in THRESHOLDS:

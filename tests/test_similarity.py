@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_ball_masks
+from helpers import brute_force_ball_masks, brute_force_pairwise_matrix, pearson
 from pretopo import (
     ConfigError,
     DegenerateSeriesError,
@@ -16,8 +17,8 @@ from pretopo import (
     PrefilterSpace,
     SizeBall,
     build_basis,
+    core,
     pairwise_matrix,
-    pearson,
 )
 from pretopo.similarity import criterion_ball_masks
 
@@ -196,7 +197,7 @@ def unchecked(cls, **fields):
 
 
 class TestBallMasksOracle:
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 600])
     @pytest.mark.parametrize(
         "criterion", [EuclideanBall(1.5), SizeBall(0.8), PearsonBall(0.2), PearsonBall(1.0)]
     )
@@ -214,6 +215,68 @@ class TestBallMasksOracle:
         masks = criterion_ball_masks(table, criterion)
         assert masks == [1 << i for i in range(9)]
         assert masks == brute_force_ball_masks(table, criterion)
+
+
+ALL_KINDS = [EuclideanBall(1.5), SizeBall(0.8), PearsonBall(0.2)]
+
+
+class TestPairwiseRowsOracle:
+    # at the default block size, 65 items fit one row strip and 600 or
+    # 1,100 items take several
+    @pytest.mark.parametrize("n", [1, 65, 600, 1100])
+    @pytest.mark.parametrize("criterion", ALL_KINDS)
+    def test_matrix_equals_full_broadcast(self, n, criterion):
+        table = random_table(np.random.default_rng(n), n)
+        assert np.array_equal(
+            pairwise_matrix(table, criterion), brute_force_pairwise_matrix(table, criterion)
+        )
+
+    @pytest.mark.parametrize("block_entries", [1, 37])
+    @pytest.mark.parametrize("criterion", ALL_KINDS)
+    def test_small_strips_match_oracles(self, monkeypatch, block_entries, criterion):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        table = random_table(np.random.default_rng(11), 65)
+        assert np.array_equal(
+            pairwise_matrix(table, criterion), brute_force_pairwise_matrix(table, criterion)
+        )
+        assert criterion_ball_masks(table, criterion) == brute_force_ball_masks(table, criterion)
+
+    def test_correlations_clipped_to_unit_interval(self):
+        # proportional and shifted copies round to 1 + 2**-52 before the clip
+        x = np.random.default_rng(0).normal(size=6)
+        table = FeatureTable(series=[list(x), list(3.0 * x), list(x + 1.0), list(-x)])
+        matrix = pairwise_matrix(table, PearsonBall(0.5))
+        assert np.array_equal(matrix, brute_force_pairwise_matrix(table, PearsonBall(0.5)))
+        assert matrix.max() == 1.0 and matrix.min() == -1.0
+
+    def test_balls_are_closed(self):
+        # grid points and integer sizes put many pairs exactly on the radius
+        table = FeatureTable(
+            positions=[(float(i % 4), float(i // 4)) for i in range(12)],
+            sizes=[float(i % 3) for i in range(12)],
+        )
+        for criterion in (EuclideanBall(1.0), SizeBall(1.0)):
+            masks = criterion_ball_masks(table, criterion)
+            assert masks == brute_force_ball_masks(table, criterion)
+            assert masks[0] >> 1 & 1
+
+    def test_distance_to_self_is_zero_for_non_finite_position(self):
+        table = FeatureTable(positions=[(math.inf, 0.0), (0.0, 0.0)])
+        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+            matrix = pairwise_matrix(table, EuclideanBall(1.0))
+        assert matrix.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
+
+    @pytest.mark.parametrize("criterion", [EuclideanBall(0.5), SizeBall(0.01)])
+    def test_ball_masks_never_hold_a_square_matrix(self, criterion):
+        n = 3000
+        table = random_table(np.random.default_rng(2), n)
+        tracemalloc.start()
+        try:
+            criterion_ball_masks(table, criterion)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestFeatureTableValidation:
