@@ -8,7 +8,6 @@ configuration or parse problems, 3 for bad data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -19,6 +18,7 @@ from .errors import ConfigError, DataError, ParseError
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
     ClosestNode,
+    ClusteringResult,
     QuasiHierarchy,
     RandomNeighbor,
     check_quasihierarchy_options,
@@ -31,6 +31,7 @@ from .similarity import (
     FeatureTable,
     PearsonBall,
     SizeBall,
+    _csv_rows,
     build_basis,
     check_mode,
 )
@@ -112,33 +113,45 @@ def cmd_generate(args) -> int:
 
 
 def _dataset_from_config(doc: dict):
-    """Returns (table, criteria-or-None, labels-or-None)."""
+    """Check the config's dataset and criteria without reading any data.
+
+    Returns the criteria and a function that reads the dataset, returning
+    (table, item labels or None).
+    """
+    criteria_docs = doc.get("criteria", [])
+    if not isinstance(criteria_docs, list):
+        raise ConfigError(
+            f"cluster config: 'criteria' must be a list of objects, got {criteria_docs!r}"
+        )
     dataset = doc.get("dataset")
     if not isinstance(dataset, dict):
         raise ConfigError("config needs a 'dataset' object")
     kind = dataset.get("kind")
-    if kind in ("features", "raw_series") and "path" not in dataset:
-        raise ConfigError(f"{kind} dataset needs a 'path'")
+    if kind in ("features", "raw_series") and not isinstance(dataset.get("path"), str):
+        raise ConfigError(f"{kind} dataset needs a 'path' string")
+    if kind == "raw_series":
+        resolutions, aggregate, criteria = _raw_series_options(dataset)
+
+        def read_raw_series():
+            sites = ingest.load_csv(dataset["path"])
+            if not sites:
+                return FeatureTable(), None
+            table = ingest.build_resampled_table(sites, resolutions, aggregate)
+            return table.as_feature_table(), list(table.site_ids)
+
+        return criteria, read_raw_series
+    criteria = [criterion_from_dict(c) for c in criteria_docs]
     if kind == "generate":
         spec = datagen.spec_from_dict(dataset.get("spec", {}))
-        table, _ = datagen.generate(spec)
-        return table, None, None
+        return criteria, lambda: (datagen.generate(spec)[0], None)
     if kind == "features":
-        return FeatureTable.from_csv(dataset["path"]), None, None
-    if kind == "raw_series":
-        resolutions, aggregate, rho = _raw_series_options(dataset)
-        sites = ingest.load_csv(dataset["path"])
-        if not sites:
-            return FeatureTable(), [], None
-        table = ingest.build_resampled_table(sites, resolutions, aggregate)
-        criteria = ingest.build_resolution_criteria(table, rho)
-        return table.as_feature_table(), criteria, list(table.site_ids)
+        return criteria, lambda: (FeatureTable.from_csv(dataset["path"]), None)
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
 def _raw_series_options(dataset: dict):
-    """A raw_series dataset's resolutions, aggregate and rho, checked before
-    its readings are loaded."""
+    """A raw_series dataset's resolutions, aggregate and one correlation ball
+    per resolution, checked before its readings are loaded."""
     resolutions = dataset.get("resolutions", list(ingest.RESOLUTIONS))
     if (not isinstance(resolutions, list) or not resolutions
             or any(r not in ingest.RESOLUTIONS for r in resolutions)):
@@ -157,10 +170,10 @@ def _raw_series_options(dataset: dict):
             raise ConfigError(f"raw_series dataset: 'rho' has no threshold for {missing}")
         rho = {r: _number(rho[r], f"raw_series dataset: 'rho' for {r!r}") for r in resolutions}
     else:
-        rho = _number(rho, "raw_series dataset: 'rho'")
-    for threshold in rho.values() if isinstance(rho, dict) else [rho]:
-        PearsonBall(threshold=threshold)  # raises for a threshold outside (-1, 1]
-    return tuple(resolutions), aggregate, rho
+        rho = dict.fromkeys(resolutions, _number(rho, "raw_series dataset: 'rho'"))
+    # PearsonBall raises for a threshold outside (-1, 1]
+    criteria = [PearsonBall(threshold=rho[r], channel=r) for r in resolutions]
+    return tuple(resolutions), aggregate, criteria
 
 
 def _number(value, what: str, convert=float):
@@ -175,8 +188,12 @@ def _config_number(doc: dict, key: str, default, convert):
     return _number(doc.get(key, default), f"cluster config: {key!r}", convert)
 
 
-def cmd_cluster(args) -> int:
-    doc = _load_json(args.config, "cluster config")
+def run_cluster(doc: dict) -> tuple[QuasiHierarchy, ClusteringResult]:
+    """Cluster the dataset a cluster config names.
+
+    Every check that needs no data runs first, so a bad config raises
+    :class:`ConfigError` before the dataset is read.
+    """
     d = _config_number(doc, "d", 0, int)
     if d < 0:
         raise ConfigError(f"cluster config: 'd' must be >= 0, got {d}")
@@ -186,46 +203,33 @@ def cmd_cluster(args) -> int:
     check_mode(mode)
     tie_break = doc.get("equivalence_tie_break", "lowest_index")
     check_quasihierarchy_options(th_qh, tie_break)
+    output_dir = doc.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"cluster config: 'output_dir' must be a string, got {output_dir!r}")
     seed_name = doc.get("seed_func", "closest_node")
     if seed_name not in ("closest_node", "random_neighbor"):
         raise ConfigError(f"unknown seed_func {seed_name!r}")
-    criteria_docs = doc.get("criteria", [])
-    if not isinstance(criteria_docs, list):
-        raise ConfigError(
-            f"cluster config: 'criteria' must be a list of objects, got {criteria_docs!r}"
-        )
-    table, criteria, item_labels = _dataset_from_config(doc)
-    if criteria is None:
-        criteria = [criterion_from_dict(c) for c in criteria_docs]
-
-    out_dir = Path(args.out_dir if args.out_dir else doc.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if table.n_items == 0:
-        summary = {"clusters": 0, "outliers": 0, "sets": 0, "roots": 0}
-        _dump_json(
-            {"schema_version": _SCHEMA_VERSION, "threshold": th_qh,
-             "universe_size": 0, "sets": [], "edges": [], "roots": []},
-            out_dir / "hierarchy.json",
-        )
-        with open(out_dir / "assignment.csv", "w", newline="") as fh:
-            fh.write("item_id,cluster_id\r\n")
-        with open(out_dir / "hierarchy.dot", "w") as fh:
-            fh.write("digraph quasihierarchy {\n  rankdir=TB;\n}\n")
-        print(json.dumps(summary, sort_keys=True))
-        return 0
-
-    space = build_basis(table, criteria, mode, labels=item_labels)
+    criteria, read_dataset = _dataset_from_config(doc)
+    if not criteria:
+        raise ConfigError("at least one criterion is required")
     if seed_name == "closest_node":
         seed_func = ClosestNode.from_criteria(criteria)
     else:
         seed_func = RandomNeighbor(rng_seed)
 
+    table, item_labels = read_dataset()
+    space = build_basis(table, criteria, mode, labels=item_labels)
     hierarchy = quasistructural_analysis(
         space, table, d, seed_func, th_qh, tie_break=tie_break
     )
-    result = flatten(hierarchy)
+    return hierarchy, flatten(hierarchy)
 
+
+def cmd_cluster(args) -> int:
+    doc = _load_json(args.config, "cluster config")
+    hierarchy, result = run_cluster(doc)
+    out_dir = Path(args.out_dir or doc.get("output_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "assignment.csv")
     _dump_json(hierarchy.to_json_dict(), out_dir / "hierarchy.json")
     with open(out_dir / "hierarchy.dot", "w") as fh:
@@ -246,7 +250,7 @@ def cmd_cluster(args) -> int:
 def _read_two_column_csv(path, what: str) -> dict[str, str]:
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(fh)
             header = next(reader, None)
             if header is None:
                 return {}
@@ -436,14 +440,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UnicodeDecodeError as exc:
+        error, code = ParseError(f"input is not UTF-8 text ({exc})"), 2
     except (ConfigError, ParseError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        error, code = exc, 2
     except DataError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
+        error, code = exc, 3
+    print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ from .errors import ConfigError
 from .rng import SplitMix64
 from .similarity import FeatureTable
 
-_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class PointGroup:
@@ -46,12 +44,20 @@ class PointGenSpec:
 # -- waveforms ---------------------------------------------------------------
 
 
+def _check_period(period: float) -> None:
+    if not period > 0:  # also rejects NaN
+        raise ConfigError(f"waveform period must be > 0, got {period}")
+
+
 @dataclass(frozen=True)
 class Sine:
     period: float
     amplitude: float = 1.0
     phase: float = 0.0
     offset: float = 0.0
+
+    def __post_init__(self):
+        _check_period(self.period)
 
     def value(self, t: int) -> float:
         return self.offset + self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
@@ -66,6 +72,9 @@ class Square:
     phase: float = 0.0
     duty: float = 0.5
     offset: float = 0.0
+
+    def __post_init__(self):
+        _check_period(self.period)
 
     def value(self, t: int) -> float:
         frac = ((t - self.phase) % self.period) / self.period
@@ -199,8 +208,8 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
     if not isinstance(doc, dict):
         raise ConfigError("generator spec must be a JSON object")
     kind = doc.get("kind")
-    seed = int(doc.get("rng_seed", 0))
     try:
+        seed = int(doc.get("rng_seed", 0))
         if kind == "points":
             groups = tuple(
                 PointGroup(
@@ -223,7 +232,7 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
                 for c in doc["clusters"]
             )
             return SeriesGenSpec(clusters=clusters, rng_seed=seed)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed generator spec: {exc!r}") from exc
     raise ConfigError(f"generator spec kind must be 'points' or 'series', got {kind!r}")
 

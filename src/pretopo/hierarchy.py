@@ -175,7 +175,6 @@ class ClosedFamily:
     def __init__(self, sets):
         unique = {s.mask: s for s in sets}
         self.sets: list[ElementSet] = sorted(unique.values(), key=ElementSet.sort_key)
-        self._index = {s.mask: i for i, s in enumerate(self.sets)}
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -185,9 +184,6 @@ class ClosedFamily:
 
     def __getitem__(self, i: int) -> ElementSet:
         return self.sets[i]
-
-    def index_of(self, s: ElementSet) -> int:
-        return self._index[s.mask]
 
     @functools.cached_property
     def overlap_components(self) -> list[np.ndarray]:

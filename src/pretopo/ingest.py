@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .similarity import FeatureTable, PearsonBall
+from .similarity import FeatureTable, PearsonBall, _csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -161,16 +161,6 @@ def _load_columnar(path) -> list[RawSeries] | None:
         RawSeries(site, ts[a:b], values[a:b])
         for site, a, b in zip(site_ids, starts.tolist(), ends.tolist())
     ]
-
-
-def _csv_rows(fh):
-    """``csv`` rows of ``fh``; a malformed row, such as a field longer than
-    ``csv.field_size_limit()``, raises :class:`ParseError` with its line."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _load_rows(path) -> list[RawSeries]:

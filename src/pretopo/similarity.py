@@ -26,6 +26,16 @@ from .core import (
 from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError
 
 
+def _csv_rows(fh):
+    """``csv`` rows of ``fh``; a malformed row, such as a field longer than
+    ``csv.field_size_limit()``, raises :class:`ParseError` with its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 @dataclass
 class FeatureTable:
     """Per-item features. Every present feature covers all items.
@@ -112,10 +122,9 @@ class FeatureTable:
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
+            reader = _csv_rows(fh)
+            header = next(reader, None)
+            if header is None:
                 return cls()
             rows = list(reader)
         cols = {name: idx for idx, name in enumerate(header)}

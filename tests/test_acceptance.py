@@ -5,6 +5,7 @@ criterion.  The slowest gate (9, the 400-site ingestion smoke test) takes
 about 30 seconds; everything else finishes in seconds.
 """
 
+import copy
 import itertools
 import json
 import random
@@ -27,7 +28,6 @@ from pretopo import (
     ClosedFamily,
     ElementSet,
     Partition,
-    PearsonBall,
     RandomNeighbor,
     adjusted_rand_index,
     build_basis,
@@ -40,7 +40,7 @@ from pretopo import (
     pseudoclosure_from_prefilter_roundtrip,
     quasistructural_analysis,
 )
-from pretopo.cli import main as cli_main
+from pretopo.cli import main as cli_main, run_cluster
 from pretopo.datagen import Mix, SeriesCluster, SeriesGenSpec, Sine, Square, generate, generate_series, spec_from_dict
 from pretopo.ingest import build_resampled_table, build_resolution_criteria, load_csv
 
@@ -58,29 +58,15 @@ def load_config(name):
 
 
 def run_clustering(config, rho=None):
-    """Run the library pipeline for a generate-dataset config; returns
-    (labels, result)."""
-    spec = spec_from_dict(config["dataset"]["spec"])
-    table, labels = generate(spec)
-    criteria = []
+    """Run a generate-dataset config through ``run_cluster``, with every
+    pearson threshold set to ``rho`` when given; returns (labels, result)."""
+    config = copy.deepcopy(config)
     for c in config["criteria"]:
-        if c["kind"] == "pearson":
-            criteria.append(PearsonBall(rho if rho is not None else c["threshold"]))
-        else:
-            from pretopo.cli import criterion_from_dict
-
-            criteria.append(criterion_from_dict(c))
-    space = build_basis(table, criteria, config["mode"])
-    if config["seed_func"] == "random_neighbor":
-        seed_func = RandomNeighbor(config["rng_seed"])
-    else:
-        from pretopo import ClosestNode
-
-        seed_func = ClosestNode.from_criteria(criteria)
-    hierarchy = quasistructural_analysis(
-        space, table, config["d"], seed_func, config["th_qh"]
-    )
-    return labels, flatten(hierarchy)
+        if c["kind"] == "pearson" and rho is not None:
+            c["threshold"] = rho
+    _, labels = generate(spec_from_dict(config["dataset"]["spec"]))
+    _, result = run_cluster(config)
+    return labels, result
 
 
 def found_partition(result, n):

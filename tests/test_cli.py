@@ -84,6 +84,37 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["generate", "cluster"])
+    @pytest.mark.parametrize("seed", ["x", None, float("inf")])
+    def test_bad_rng_seed_exits_2(self, tmp_path, capsys, command, seed):
+        spec = dict(POINTS_SPEC, rng_seed=seed)
+        if command == "generate":
+            argv = ["--spec", write_json(tmp_path / "spec.json", spec)]
+        else:
+            config = {"dataset": {"kind": "generate", "spec": spec},
+                      "criteria": [{"kind": "euclidean", "radius": 2.0}]}
+            argv = ["--config", write_json(tmp_path / "cfg.json", config)]
+        code, out, err = run(capsys, command, *argv, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["sine", "square"])
+    @pytest.mark.parametrize("period", [0, -4.0, float("nan")])
+    def test_non_positive_period_exits_2(self, tmp_path, capsys, kind, period):
+        spec = write_json(tmp_path / "spec.json", {
+            "kind": "series",
+            "clusters": [{"count": 2, "length": 5, "shape": {"kind": kind, "period": period}}],
+        })
+        code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": f"waveform period must be > 0, got {float(period)}",
+        }
+        assert not (tmp_path / "o").exists()
+
 
 class TestCluster:
     def prepare(self, tmp_path, capsys):
@@ -148,9 +179,12 @@ class TestCluster:
         assert json.loads(err)["error"] == "ConfigError"
         assert repr(key) in json.loads(err)["message"]
 
-    @pytest.mark.parametrize(
-        "features_text", ["x,y,size\n", "x,y,size\n0.0,0.0,1.0\n"], ids=["empty", "one-item"]
-    )
+    @pytest.mark.parametrize("features_text", [
+        "x,y,size\n",
+        "x,y,size\n0.0,0.0,1.0\n",
+        # exits 3 if it is read
+        "x,y,size,series_0,series_1\n0.0,0.0,1.0,0.0,1.0\n1.0,nan,1.0,1.0,0.0\n",
+    ], ids=["empty", "one-item", "non-finite"])
     @pytest.mark.parametrize("key, value", [
         ("mode", "nope"),
         ("equivalence_tie_break", "bogus"),
@@ -160,6 +194,12 @@ class TestCluster:
         ("seed_func", "teleport"),
         ("criteria", "euclid"),
         ("criteria", {"kind": "euclidean", "radius": 2.0}),
+        ("criteria", [{"kind": "euclidean", "radius": -1}]),
+        ("criteria", []),
+        # the default closest_node walk needs a distance criterion
+        ("criteria", [{"kind": "pearson", "threshold": 0.5}]),
+        ("output_dir", 5),
+        ("dataset", {"kind": "features", "path": None}),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value
@@ -173,6 +213,25 @@ class TestCluster:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("features_text", [
+        "x,y,size\n", "x,y,size\n0.0,nan,1.0\n"
+    ], ids=["empty", "non-finite"])
+    def test_no_criteria_random_walk_exits_2_before_any_output(
+        self, tmp_path, capsys, features_text
+    ):
+        features = tmp_path / "f.csv"
+        features.write_text(features_text)
+        doc = cluster_config(str(features), str(tmp_path / "out"))
+        doc.update(criteria=[], seed_func="random_neighbor")
+        config = write_json(tmp_path / "cfg.json", doc)
+        code, out, err = run(capsys, "cluster", "--config", config)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "at least one criterion is required",
+        }
         assert not (tmp_path / "out").exists()
 
     def test_string_criteria_named_in_message(self, tmp_path, capsys):
@@ -292,9 +351,11 @@ class TestNonFiniteReadings:
 class TestOversizedCsvField:
     """A field longer than ``csv.field_size_limit()`` is a parse error."""
 
+    LONG = "s" * 200_000
+
     def write_raw(self, tmp_path):
         raw = tmp_path / "raw.csv"
-        raw.write_text("site_id,timestamp,value\n" + "s" * 200_000 + ",0,1.0\n")
+        raw.write_text("site_id,timestamp,value\n" + self.LONG + ",0,1.0\n")
         return raw
 
     def test_ingest_exits_2(self, tmp_path, capsys):
@@ -319,6 +380,102 @@ class TestOversizedCsvField:
         assert out == ""
         assert json.loads(err)["error"] == "ParseError"
         assert not (tmp_path / "o").exists()
+
+    def assert_parse_error(self, result, line):
+        code, out, err = result
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": f"line {line}: field larger than field limit (131072)",
+        }
+
+    def test_features_cluster_exits_2(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_text(f"x,y,size\n0.0,0.0,1.0\n1.0,0.0,{self.LONG}\n")
+        config = write_json(tmp_path / "cfg.json", cluster_config(str(features), str(tmp_path / "o")))
+        self.assert_parse_error(run(capsys, "cluster", "--config", config), 3)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("which", ["assignment", "labels"])
+    def test_eval_exits_2(self, tmp_path, capsys, which):
+        paths = {}
+        for name in ("assignment", "labels"):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("item_id,cluster_id\n0,0\n1,0\n")
+        paths[which].write_text(f"item_id,cluster_id\n{self.LONG},0\n")
+        result = run(capsys, "eval", "--assignment", str(paths["assignment"]),
+                     "--labels", str(paths["labels"]))
+        self.assert_parse_error(result, 2)
+
+    @pytest.mark.parametrize("which", ["assignment", "features"])
+    def test_render_svg_exits_2(self, tmp_path, capsys, which):
+        paths = {"assignment": tmp_path / "a.csv", "features": tmp_path / "f.csv"}
+        paths["assignment"].write_text("item_id,cluster_id\n0,0\n")
+        paths["features"].write_text("x,y\n0.0,0.0\n")
+        paths[which].write_text(paths[which].read_text() + self.LONG + "\n")
+        svg = tmp_path / "plot.svg"
+        result = run(capsys, "render", "--assignment", str(paths["assignment"]),
+                     "--features", str(paths["features"]), "--svg", str(svg))
+        self.assert_parse_error(result, 3)
+        assert not svg.exists()
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 are a parse error in every file a command reads."""
+
+    def write_inputs(self, work):
+        rows = ["site_id,timestamp,value"]
+        rows += [f"{site},{d * 86400},{1.0 + d % (5 + k)}"
+                 for k, site in enumerate("ab") for d in range(30)]
+        files = {
+            "spec.json": json.dumps(POINTS_SPEC),
+            "features.json": json.dumps(cluster_config("features.csv", "o")),
+            "features.csv": "x,y,size\n0.0,0.0,1.0\n1.0,0.0,1.0\n",
+            "raw.json": json.dumps({
+                "dataset": {"kind": "raw_series", "path": "raw.csv",
+                            "resolutions": ["day"], "rho": 0.5},
+                "seed_func": "random_neighbor",
+                "output_dir": "o",
+            }),
+            "raw.csv": "\n".join(rows) + "\n",
+            "assignment.csv": "item_id,cluster_id\n0,0\n1,0\n",
+            "labels.csv": "item_id,label\n0,0\n1,0\n",
+            "hierarchy.json": json.dumps({"threshold": 0.5, "universe_size": 1, "sets": [[0]],
+                                          "edges": [], "roots": [0]}),
+        }
+        for name, text in files.items():
+            (work / name).write_text(text)
+
+    @pytest.mark.parametrize("bad, argv", [
+        ("spec.json", ["generate", "--spec", "spec.json", "--out-dir", "o"]),
+        ("features.json", ["cluster", "--config", "features.json"]),
+        ("features.csv", ["cluster", "--config", "features.json"]),
+        ("raw.csv", ["cluster", "--config", "raw.json"]),
+        ("assignment.csv", ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]),
+        ("labels.csv", ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]),
+        ("features.csv", ["render", "--assignment", "assignment.csv",
+                          "--features", "features.csv", "--svg", "o"]),
+        ("hierarchy.json", ["render", "--hierarchy", "hierarchy.json", "--dot", "o"]),
+        ("raw.csv", ["ingest", "--input", "raw.csv", "--out-dir", "o", "--resolutions", "day"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, bad, argv):
+        for case in ("good", "bad"):
+            work = tmp_path / case
+            work.mkdir()
+            self.write_inputs(work)
+            monkeypatch.chdir(work)
+            if case == "good":
+                assert run(capsys, *argv)[0] == 0
+                continue
+            with open(bad, "ab") as fh:
+                fh.write(b"\xff\n")
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["error"] == "ParseError"
+            assert json.loads(err)["message"].startswith("input is not UTF-8 text")
+            assert not (work / "o").exists()
 
 
 class TestRawSeriesOptions:
@@ -349,6 +506,22 @@ class TestRawSeriesOptions:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("readings", ["", "a,0,nan\n"], ids=["empty", "non-finite"])
+    def test_closest_node_walk_exits_2_before_readings_are_read(self, tmp_path, capsys, readings):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("site_id,timestamp,value\n" + readings)
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "raw_series", "path": str(raw), "rho": 0.8},
+        })
+        code, out, err = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "no distance-kind criterion available for the closest-node walk",
+        }
         assert not (tmp_path / "o").exists()
 
     def test_rho_map_per_resolution(self, tmp_path, capsys):
@@ -571,3 +744,46 @@ class TestDeterminism:
             "hierarchy.json": "a0fe3ec43c34e8a1ab2da11ed47206b7df81fcfa1b2cabc0083abb7797101d64",
             "hierarchy.dot": "a7513cc3b11b54944d1e82e66d991ebd0a305f660ac9d5b69bbc0228763bf6ff",
         }
+
+    @pytest.mark.parametrize("name, digests", [
+        ("points_multicriteria", {
+            "assignment.csv": "f48d349c3553e8225e91a2e3ff74ea7aa90eb72038e431301c54c196aeb4bbc0",
+            "hierarchy.json": "75915fd416bdaea8510dbb4915258292c204a79485dc8f7575740411f2ab3d4a",
+            "hierarchy.dot": "d02147fbf11e2cbdd46846bc5f341c8db405b4d5269e6c7492cd7253153e7f7c",
+        }),
+        ("series_benchmark", {
+            "assignment.csv": "172bfedef6275ed0929bbb2fce8644eaa10633063d215a1b0f022cf486f83acd",
+            "hierarchy.json": "902ecedf4c2cce6c63b5d2413d125aac37e69f4fc2d2a2a0176deb82edf22909",
+            "hierarchy.dot": "51c2eca9b5ff45a818a145c1746d2cbf19a4b51c41c245b7a0c4f2f633a80fee",
+        }),
+    ])
+    def test_shipped_config_outputs_pinned(self, tmp_path, capsys, name, digests):
+        out_dir = tmp_path / "out"
+        config = str(CONFIG_DIR / f"{name}.json")
+        assert run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))[0] == 0
+        assert {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in digests
+        } == digests
+
+    @pytest.mark.parametrize("header, dataset, criteria", [
+        ("x,y,size", {"kind": "features"}, [{"kind": "euclidean", "radius": 2.0}]),
+        ("site_id,timestamp,value", {"kind": "raw_series", "rho": 0.5}, []),
+    ], ids=["features", "raw_series"])
+    def test_empty_dataset_outputs_pinned(self, tmp_path, capsys, header, dataset, criteria):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n")
+        doc = {"dataset": dict(dataset, path=str(data)), "criteria": criteria,
+               "seed_func": "random_neighbor", "th_qh": 0.75}
+        out_dir = tmp_path / "out"
+        config = write_json(tmp_path / "cfg.json", doc)
+        code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))
+        assert code == 0
+        assert out == '{"clusters": 0, "outliers": 0, "roots": 0, "sets": 0}\n'
+        assert (out_dir / "assignment.csv").read_bytes() == b"item_id,cluster_id\r\n"
+        assert (out_dir / "hierarchy.json").read_bytes() == (
+            b'{\n  "edges": [],\n  "roots": [],\n  "schema_version": 1,\n  "sets": [],\n'
+            b'  "threshold": 0.75,\n  "universe_size": 0\n}\n'
+        )
+        assert (out_dir / "hierarchy.dot").read_bytes() == (
+            b"digraph quasihierarchy {\n  rankdir=TB;\n}\n"
+        )
