@@ -255,10 +255,16 @@ def _read_two_column_csv(path, what: str) -> dict[str, str]:
             if header is None:
                 return {}
             out = {}
-            for row in reader:
+            seen_at = {}
+            for line, row in enumerate(reader, start=2):
                 if len(row) < 2:
                     raise ConfigError(f"{what}: malformed row {row!r}")
+                if row[0] in out:
+                    raise ConfigError(
+                        f"{what}: line {line}: item id {row[0]!r} repeats line {seen_at[row[0]]}"
+                    )
                 out[row[0]] = row[1]
+                seen_at[row[0]] = line
             return out
     except OSError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
@@ -358,7 +364,7 @@ def cmd_render(args) -> int:
         doc = _load_json(args.hierarchy, "hierarchy json")
         try:
             hierarchy = QuasiHierarchy.from_json_dict(doc)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"hierarchy json: {exc!r}") from exc
         with open(args.dot, "w") as fh:
             fh.write(hierarchy.to_dot(min_size=args.min_size))

@@ -11,11 +11,21 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .rng import SplitMix64
 from .similarity import FeatureTable
+
+
+def _check_finite(spec) -> None:
+    """Raise :class:`ConfigError` unless every float field of ``spec``, and
+    every float in a tuple field, is finite."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"{type(spec).__name__} {f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +38,7 @@ class PointGroup:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("group count must be >= 1")
+        _check_finite(self)
         if not self.dispersion > 0:
             raise ConfigError("dispersion must be > 0")
         lo, hi = self.size_range
@@ -58,6 +69,7 @@ class Sine:
 
     def __post_init__(self):
         _check_period(self.period)
+        _check_finite(self)
 
     def value(self, t: int) -> float:
         return self.offset + self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
@@ -75,6 +87,7 @@ class Square:
 
     def __post_init__(self):
         _check_period(self.period)
+        _check_finite(self)
 
     def value(self, t: int) -> float:
         frac = ((t - self.phase) % self.period) / self.period
@@ -85,6 +98,9 @@ class Square:
 class Trend:
     slope: float
     intercept: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self)
 
     def value(self, t: int) -> float:
         return self.intercept + self.slope * t
@@ -115,6 +131,7 @@ class SeriesCluster:
             raise ConfigError("cluster count must be >= 1")
         if self.length < 2:
             raise ConfigError("series length must be >= 2")
+        _check_finite(self)
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
 

@@ -198,13 +198,20 @@ class ClosedFamily:
         if not m:
             return []
         n = self.sets[0].n
-        bits = unpack_masks([s.mask for s in self.sets], n)
-        sets, items = np.divmod(np.flatnonzero(bits), n)
+        masks = [s.mask for s in self.sets]
+        label = np.arange(n)
+        first = np.empty(m, dtype=np.intp)
+        empty = np.empty(m, dtype=bool)
         # a set links its smallest item to each of its items, and joins that
-        # item's component; an empty set meets nothing and stays alone
-        first = bits.argmax(axis=1)
-        label = _merge(np.arange(n), first[sets], items)[first]
-        empty = bits[np.arange(m), first] == 0
+        # item's component; an empty set meets nothing and stays alone.  The
+        # sets' bits are unpacked in row blocks, never all m x n at once.
+        for lo, hi in _row_blocks(m, n):
+            bits = unpack_masks(masks[lo:hi], n)
+            sets, items = np.divmod(np.flatnonzero(bits), n)
+            first[lo:hi] = bits.argmax(axis=1)
+            empty[lo:hi] = bits[np.arange(hi - lo), first[lo:hi]] == 0
+            label = _merge(label, first[lo + sets], items)
+        label = label[first]
         label[empty] = n + np.flatnonzero(empty)
         order = np.argsort(label, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
@@ -278,6 +285,53 @@ def _incidence(family: ClosedFamily, sets: np.ndarray) -> np.ndarray:
     return bits.astype(np.float32 if bits.shape[1] < 1 << 24 else np.float64)
 
 
+def _count_strips(family: ClosedFamily, components, sizes: np.ndarray, reach=None):
+    """Exact intersection counts inside each component, in row strips.
+
+    Each component is an ascending array of set indices, so its sizes
+    ascend too.  For its rows ``lo:hi`` this yields ``(rows, cols, counts)``
+    with ``rows = sets[lo:hi]``, ``cols = sets[lo:end]`` and
+    ``counts[r, c] = |rows[r] & cols[c]|``, one matmul of the component's
+    incidence matrix: every pair of the component is met once, in the row
+    of its earlier set.  ``end`` is the component's end, or with ``reach``
+    the end of its sets no larger than ``reach`` times the strip's largest.
+    """
+    for sets in components:
+        inc = _incidence(family, sets)
+        own = sizes[sets]
+        for lo, hi in _row_blocks(len(sets), len(sets)):
+            end = len(sets)
+            if reach is not None:
+                end = int(np.searchsorted(own, own[hi - 1] * reach, side="right"))
+            yield sets[lo:hi], sets[lo:end], inc[lo:hi] @ inc[lo:end].T
+
+
+def _scored_strips(family: ClosedFamily, components, mutual_at: float | None = None):
+    """The weights of :func:`_count_strips`, as ``(rows, cols, fwd, bwd)``.
+
+    ``fwd[r, c]`` is the weight from ``rows[r]`` to ``cols[c]``,
+    (c/|G|) * (|F|/|G|) for F = rows[r] and G = cols[c], and ``bwd[r, c]``
+    the weight back, (c/|F|) * (|G|/|F|).  Each is formed from the same two
+    correctly rounded quotients and one product as the scalar formula, so
+    it is bit-identical to it.
+
+    With ``mutual_at``, columns that cannot relate to the strip's rows at
+    that threshold both ways are left out.  For |F| <= |G| the weight from
+    F is at most (|F|/|G|)**2, so a mutual pair needs |G| <= |F| / sqrt(th);
+    the band is widened by 1e-9 relative, far beyond the few roundings in a
+    weight, so it never drops a pair that scores >= th.
+    """
+    sizes = np.array([len(s) for s in family], dtype=np.float64)
+    reach = None if mutual_at is None else (1 + 1e-9) / np.sqrt(mutual_at)
+    for rows, cols, counts in _count_strips(family, components, sizes, reach):
+        s_rows, s_cols = sizes[rows, None], sizes[cols]
+        fwd = counts / s_cols
+        fwd *= s_rows / s_cols
+        bwd = counts / s_rows
+        bwd *= s_cols / s_rows
+        yield rows, cols, fwd, bwd
+
+
 def extract_adjacency(family: ClosedFamily) -> np.ndarray:
     """Relation-strength matrix over the family.
 
@@ -285,30 +339,19 @@ def extract_adjacency(family: ClosedFamily) -> np.ndarray:
     (|G|/|F|) * (|F&G|/|F|) and symmetrically; disjoint pairs and the
     diagonal stay 0.  Containment makes the larger set's entry at least 1.
 
-    Only pairs inside one of the family's overlap components can intersect,
-    so the dense m x m float64 matrix is filled one component at a time, in
-    row strips.  For the component's rows ``lo:hi`` one matmul of its
-    incidence matrix gives the exact intersection counts with all of its
-    sets, which fill those rows.  Each weight is formed from the same two
-    correctly rounded quotients and one product as the scalar formula, so
-    it is bit-identical to it.
+    This dense m x m float64 matrix is for inspection: the clustering
+    pipeline scores the same weights strip by strip and never stores it.
+    Only pairs inside one of the family's overlap components can
+    intersect; they are filled from :func:`_scored_strips`.
     """
     m = len(family)
-    sizes = np.array([len(s) for s in family], dtype=np.float64)
-    if m and not sizes.min() > 0:
+    if not all(family.sets):
         raise ValueError("closed family must not contain the empty set")
     adj = np.zeros((m, m), dtype=np.float64)
-    for sets in family.overlap_components:
-        if len(sets) < 2:
-            continue
-        inc = _incidence(family, sets)
-        far = sizes[sets]
-        for lo, hi in _row_blocks(len(sets), len(sets)):
-            rows = sets[lo:hi]
-            # row i -> column j reads "how strongly i attracts j"
-            strip = (inc[lo:hi] @ inc.T) / far
-            strip *= sizes[rows, None] / far
-            adj[np.ix_(rows, sets)] = strip
+    components = [sets for sets in family.overlap_components if len(sets) > 1]
+    for rows, cols, fwd, bwd in _scored_strips(family, components):
+        adj[np.ix_(rows, cols)] = fwd
+        adj[np.ix_(cols, rows)] = bwd.T
     np.fill_diagonal(adj, 0.0)
     return adj
 
@@ -419,6 +462,38 @@ def extract_quasihierarchy(
     copying an m x m or survivor x survivor array.  Edges come out in the
     row-major pair order of a scan over the survivors.
     """
+
+    def read_strips(components, mutual_at=None):
+        # any weights may sit on intersecting pairs: no band
+        for sets in components:
+            for lo, hi in _row_blocks(len(sets), len(sets)):
+                rows, cols = sets[lo:hi], sets[lo:]
+                yield (rows, cols, adjacency[np.ix_(rows, cols)],
+                       adjacency[np.ix_(cols, rows)].T)
+
+    return _quasihierarchy(family, read_strips, th_qh, universe, tie_break, tie_rng_seed)
+
+
+def _matrix_free_quasihierarchy(
+    family: ClosedFamily,
+    th_qh: float,
+    universe: Universe | None = None,
+    tie_break: str = "lowest_index",
+    tie_rng_seed: int = 0,
+) -> QuasiHierarchy:
+    """:func:`extract_quasihierarchy` over the weights of
+    :func:`extract_adjacency`, scored strip by strip from intersection
+    counts: no m x m array is ever allocated."""
+    return _quasihierarchy(
+        family, functools.partial(_scored_strips, family), th_qh, universe,
+        tie_break, tie_rng_seed,
+    )
+
+
+def _quasihierarchy(family, strips, th_qh, universe, tie_break, tie_rng_seed) -> QuasiHierarchy:
+    """The two passes of :func:`extract_quasihierarchy` over the weights
+    ``strips(components, mutual_at)`` yields, as :func:`_scored_strips`
+    does; nothing is stored between the passes."""
     check_quasihierarchy_options(th_qh, tie_break)
     m = len(family)
     if universe is None:
@@ -431,15 +506,10 @@ def extract_quasihierarchy(
     # equivalence groups: join mutually related pairs, which intersect and
     # so share a component, strip by strip
     label = np.arange(m)
-    for sets in components:
-        for lo, hi in _row_blocks(len(sets), len(sets)):
-            rows, cols = sets[lo:hi], sets[lo:]
-            mutual = (adjacency[np.ix_(rows, cols)] >= th_qh) & (
-                adjacency[np.ix_(cols, rows)].T >= th_qh
-            )
-            r, c = np.nonzero(mutual)
-            upper = c > r
-            label = _merge(label, rows[r[upper]], cols[c[upper]])
+    for rows, cols, fwd, bwd in strips(components, mutual_at=th_qh):
+        r, c = np.nonzero((fwd >= th_qh) & (bwd >= th_qh))
+        upper = c > r
+        label = _merge(label, rows[r[upper]], cols[c[upper]])
 
     # the members of each equivalence group, largest first and ascending
     # within a size; groups ordered by their smallest member
@@ -460,14 +530,13 @@ def extract_quasihierarchy(
     kept = np.zeros(m, dtype=bool)
     kept[survivors] = True
     position = np.cumsum(kept) - 1
+    survivor_components = [s for s in (sets[kept[sets]] for sets in components) if len(s) > 1]
     found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-    for sets in components:
-        sets = sets[kept[sets]]
-        for lo, hi in _row_blocks(len(sets), len(sets)):
-            rows = sets[lo:hi]
-            weights = adjacency[np.ix_(rows, sets)]
-            r, c = np.nonzero((weights >= th_qh) & (sizes[rows, None] > sizes[sets]))
-            found.append((position[rows[r]], position[sets[c]], weights[r, c]))
+    # a strip holds each pair once, in the row of its earlier, never larger
+    # set: the edge runs back from a strictly larger column
+    for rows, cols, _, bwd in strips(survivor_components):
+        r, c = np.nonzero((bwd >= th_qh) & (sizes[cols] > sizes[rows, None]))
+        found.append((position[cols[c]], position[rows[r]], bwd[r, c]))
     parents, children, weights = (np.concatenate(column) for column in zip(*found))
     # the row-major pair order of a scan over survivors
     order = np.lexsort((children, parents))
@@ -497,12 +566,14 @@ def quasistructural_analysis(
     th_qh: float,
     tie_break: str = "lowest_index",
 ) -> QuasiHierarchy:
-    """Run the full pipeline: seeds, closures, scores, thresholded hierarchy."""
+    """Run the full pipeline: seeds, closures, scores, thresholded hierarchy.
+
+    Scoring is matrix-free: its memory follows the overlap components'
+    strips, not m x m."""
     seeds = elementary_quasiclosures(space, table, d, seed_func)
     family = elementary_closed_subsets(space, seeds)
-    adjacency = extract_adjacency(family)
-    return extract_quasihierarchy(
-        family, adjacency, th_qh, universe=space.universe, tie_break=tie_break
+    return _matrix_free_quasihierarchy(
+        family, th_qh, universe=space.universe, tie_break=tie_break
     )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -116,11 +117,45 @@ class TestGenerate:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("edit", [
+        {"groups": [dict(POINTS_SPEC["groups"][0], dispersion=1e400)]},
+        {"groups": [dict(POINTS_SPEC["groups"][0], center=[math.nan, 0])]},
+        {"groups": [dict(POINTS_SPEC["groups"][0], size_range=[1, 1e400])]},
+        {"kind": "series", "clusters": [
+            {"count": 2, "length": 5, "shape": {"kind": "sine", "period": 4, "amplitude": 1e400}},
+        ]},
+        {"kind": "series", "clusters": [
+            {"count": 2, "length": 5, "noise_sigma": 1e400, "shape": {"kind": "sine", "period": 4}},
+        ]},
+    ], ids=["dispersion", "center", "size_range", "amplitude", "noise_sigma"])
+    def test_non_finite_spec_number_exits_2(self, tmp_path, capsys, edit):
+        spec = write_json(tmp_path / "spec.json", dict(POINTS_SPEC, **edit))
+        code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+        assert "must be finite" in json.loads(err)["message"]
+        assert not (tmp_path / "o").exists()
+
+
 class TestCluster:
     def prepare(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", POINTS_SPEC)
         run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "data"))
         return str(tmp_path / "data" / "features.csv")
+
+    def test_non_finite_generate_dataset_exits_2(self, tmp_path, capsys):
+        spec = dict(POINTS_SPEC, groups=[dict(POINTS_SPEC["groups"][0], center=[math.nan, 0])])
+        config = {"dataset": {"kind": "generate", "spec": spec},
+                  "criteria": [{"kind": "euclidean", "radius": 2.0}]}
+        argv = ["--config", write_json(tmp_path / "cfg.json", config), "--out-dir", str(tmp_path / "o")]
+        code, out, err = run(capsys, "cluster", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "PointGroup center must be finite, got (nan, 0.0)",
+        }
+        assert not (tmp_path / "o").exists()
 
     def test_end_to_end(self, tmp_path, capsys):
         features = self.prepare(tmp_path, capsys)
@@ -563,6 +598,21 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["ari"] == 0.0
 
+    @pytest.mark.parametrize("repeated", ["assignment", "labels"])
+    def test_repeated_item_id_exits_2(self, tmp_path, capsys, repeated):
+        a = tmp_path / "a.csv"
+        a.write_text("item_id,cluster_id\n0,1\n1,1\n")
+        b = tmp_path / "b.csv"
+        b.write_text("item_id,label\n0,0\n1,1\n")
+        (a if repeated == "assignment" else b).write_text("item_id,x\n0,1\n1,1\n0,2\n")
+        code, out, err = run(capsys, "eval", "--assignment", str(a), "--labels", str(b))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"{repeated} csv: line 4: item id '0' repeats line 2",
+        }
+
     def test_mismatched_ids_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("item_id,cluster_id\n0,0\n1,0\n")
@@ -627,6 +677,10 @@ class TestRender:
         {"edges": [[2, 1, 2.0], [1, 3, 3.0]]},  # child index past the end
         {"edges": [[-1, 0, 3.0]]},  # negative parent index
         {"roots": [3]},
+        # int() of an infinite index or size overflows
+        {"universe_size": 1e400},
+        {"roots": [1e400]},
+        {"edges": [[2, 1e400, 2.0]]},
     ])
     def test_hand_edited_hierarchy_exits_2(self, tmp_path, capsys, edit):
         doc = {

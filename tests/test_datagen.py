@@ -236,6 +236,27 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             spec_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("group, cluster", [
+        ({"dispersion": 1e400}, None),
+        ({"center": [math.nan, 0]}, None),
+        ({"size_range": [1, 1e400]}, None),
+        (None, {"shape": {"kind": "sine", "period": 4, "amplitude": 1e400}}),
+        (None, {"shape": {"kind": "square", "period": 4, "offset": -1e400}}),
+        (None, {"shape": {"kind": "trend", "slope": math.nan}}),
+        (None, {"noise_sigma": 1e400}),
+    ], ids=["dispersion", "center", "size_range", "amplitude", "offset", "slope", "noise_sigma"])
+    def test_non_finite_numbers_rejected(self, group, cluster):
+        if group is not None:
+            doc = {"kind": "points", "groups": [dict(
+                {"count": 2, "center": [0, 1], "dispersion": 0.5, "size_range": [1, 2]}, **group
+            )]}
+        else:
+            doc = {"kind": "series", "clusters": [dict(
+                {"count": 2, "length": 8, "shape": {"kind": "sine", "period": 4}}, **cluster
+            )]}
+        with pytest.raises(ConfigError, match="must be finite"):
+            spec_from_dict(doc)
+
     def test_spec_from_json(self):
         spec = spec_from_json('{"kind": "points", "groups": []}')
         assert isinstance(spec, PointGenSpec)

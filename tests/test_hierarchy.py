@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from pretopo import (
     SizeBall,
     Universe,
     build_basis,
+    datagen,
     elementary_closed_subsets,
     elementary_quasiclosures,
     extract_adjacency,
@@ -384,6 +386,34 @@ class TestQuasistructuralAnalysis:
             oracle_closures = {brute_force_closure(space, s.members).mask for s in seeds}
             for r in h.roots:
                 assert h.family[r].mask in oracle_closures
+
+    def test_scoring_never_holds_an_m_by_m_matrix(self):
+        # the points-dense benchmark's shape: 4 x 150 points, m ~ 3,000 sets
+        groups = [((0, 0), (1, 2)), ((10, 0), (8, 10)), ((30, 0), (8, 10)), ((10, 25), (4, 5))]
+        spec = datagen.PointGenSpec(rng_seed=1, groups=tuple(
+            datagen.PointGroup(150, center, 2.0, sizes) for center, sizes in groups
+        ))
+        table, _ = datagen.generate(spec)
+        space = build_basis(table, [EuclideanBall(1.0), SizeBall(0.5)])
+        seed_func = ClosestNode(EuclideanBall(1.0))
+        family = elementary_closed_subsets(
+            space, elementary_quasiclosures(space, table, 0, seed_func)
+        )
+        m = len(family)
+        assert m > 2500
+
+        def peak_bytes(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = m * m * 8 / 4
+        assert peak_bytes(lambda: quasistructural_analysis(space, table, 0, seed_func, 0.5)) < bound
+        # the bound does tell the two apart
+        assert peak_bytes(lambda: extract_adjacency(family)) > bound
 
 
 class TestFlatten:

@@ -1,12 +1,14 @@
 """Differential check: overlap components, and the adjacency and
 quasi-hierarchy extraction that work one component at a time in row strips,
-against the pair-by-pair oracles in ``helpers``.
+against the pair-by-pair oracles in ``helpers``; the matrix-free scorer of
+``quasistructural_analysis`` included.
 
 Results must agree bit for bit: the matrix bytes, the JSON document and
 the DOT rendering.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,11 @@ from helpers import (
     brute_force_quasihierarchy,
 )
 from pretopo import ClosedFamily, ElementSet, Universe, core
-from pretopo.hierarchy import extract_adjacency, extract_quasihierarchy
+from pretopo.hierarchy import (
+    _matrix_free_quasihierarchy,
+    extract_adjacency,
+    extract_quasihierarchy,
+)
 
 THRESHOLDS = (0.3, 0.5, 0.7, 1.0)
 TIE_BREAKS = ("lowest_index", "random")
@@ -174,6 +180,46 @@ def test_shaped_families_match_oracles(monkeypatch, block_entries):
                 assert_same_hierarchy(family, adj, th, tie_break, tie_rng_seed=f_idx)
 
 
+@pytest.mark.parametrize("block_entries", [1, 37, core._BLOCK_ENTRIES])
+def test_matrix_free_scoring_matches_oracle(monkeypatch, block_entries):
+    """The scorer ``quasistructural_analysis`` runs, which stores no matrix,
+    against the oracle hierarchy over the oracle weights."""
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+    for f_idx, family in enumerate(families() + shaped_families()):
+        universe = Universe.of_size(family[0].n if len(family) else 0)
+        adj = brute_force_adjacency(family)
+        for th in (0.25,) + THRESHOLDS:
+            for tie_break in TIE_BREAKS:
+                kwargs = dict(universe=universe, tie_break=tie_break, tie_rng_seed=f_idx)
+                got = _matrix_free_quasihierarchy(family, th, **kwargs)
+                want = brute_force_quasihierarchy(family, adj, th, **kwargs)
+                assert got.to_json_dict() == want.to_json_dict()
+                assert got.to_dot() == want.to_dot()
+                assert got.universe_coverage == want.universe_coverage
+
+
+def test_mutual_band_edge(monkeypatch):
+    """A subset F of G scores (|F|/|G|)**2 towards G, as rounded, the edge of
+    the band of columns scanned for mutual pairs: at exactly that threshold
+    the pair is mutual, one ulp above it is a parent edge."""
+    # one row per strip, so F's row alone sets the band
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    family = ClosedFamily([ElementSet(4, 0b11), ElementSet(4, 0b1111)])
+    adj = extract_adjacency(family)
+    assert (adj[0, 1], adj[1, 0]) == (0.25, 2.0)
+    assert _matrix_free_quasihierarchy(family, 0.25).family.sets == [family[1]]
+    n = 30
+    for big in range(2, n + 1):
+        for small in range(1, big):
+            family = ClosedFamily([ElementSet(n, (1 << small) - 1), ElementSet(n, (1 << big) - 1)])
+            adj = brute_force_adjacency(family)
+            edge = (small / big) * (small / big)
+            for th in (edge, np.nextafter(edge, 2.0)):
+                got = _matrix_free_quasihierarchy(family, th).to_json_dict()
+                assert got == brute_force_quasihierarchy(family, adj, th).to_json_dict()
+                assert len(got["sets"]) == (1 if th == edge else 2)
+
+
 def test_components_match_oracle():
     for family in families() + shaped_families():
         assert_same_components(family)
@@ -193,6 +239,23 @@ def test_counts_of_shaped_families():
     h = extract_quasihierarchy(family, extract_adjacency(family), 0.5, tie_break="random", tie_rng_seed=1)
     # one equivalence group of 39 tied sets: a single, randomly drawn survivor
     assert len(h.family) == 1 and h.roots == [0] and h.family[0] != family[0]
+
+
+def test_components_never_unpack_all_bits():
+    """The m x n bits are unpacked one row block at a time."""
+    rng = random.Random(4)
+    n = 8000
+    family = ClosedFamily(
+        ElementSet.from_members(n, rng.sample(range(n), 160)) for _ in range(2000)
+    )
+    tracemalloc.start()
+    try:
+        components = family.overlap_components
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(components) == 1
+    assert peak < len(family) * n / 4
 
 
 def test_arbitrary_weights_on_intersecting_pairs():
