@@ -285,17 +285,29 @@ def _incidence(family: ClosedFamily, sets: np.ndarray) -> np.ndarray:
     return bits.astype(np.float32 if bits.shape[1] < 1 << 24 else np.float64)
 
 
-def _count_strips(family: ClosedFamily, components, sizes: np.ndarray, reach=None):
-    """Exact intersection counts inside each component, in row strips.
+def _scored_strips(family: ClosedFamily, components, mutual_at: float | None = None):
+    """The weights inside each component, in row strips of exact
+    intersection counts.
 
     Each component is an ascending array of set indices, so its sizes
-    ascend too.  For its rows ``lo:hi`` this yields ``(rows, cols, counts)``
-    with ``rows = sets[lo:hi]``, ``cols = sets[lo:end]`` and
-    ``counts[r, c] = |rows[r] & cols[c]|``, one matmul of the component's
-    incidence matrix: every pair of the component is met once, in the row
-    of its earlier set.  ``end`` is the component's end, or with ``reach``
-    the end of its sets no larger than ``reach`` times the strip's largest.
+    ascend too.  For its rows ``lo:hi`` this yields ``(rows, cols, fwd,
+    bwd)`` with ``rows = sets[lo:hi]`` and ``cols = sets[lo:end]``, from one
+    matmul of the component's incidence matrix: every pair of the component
+    is met once, in the row of its earlier set.  ``fwd[r, c]`` is the weight
+    from F = rows[r] to G = cols[c], (|F&G|/|G|) * (|F|/|G|), and
+    ``bwd[r, c]`` the weight back, (|F&G|/|F|) * (|G|/|F|).  Each is formed
+    from the same two correctly rounded quotients and one product as the
+    scalar formula, so it is bit-identical to it.
+
+    ``end`` is the component's end; with ``mutual_at``, columns that cannot
+    relate to the strip's rows at that threshold both ways are left out.
+    For |F| <= |G| the weight from F is at most (|F|/|G|)**2, so a mutual
+    pair needs |G| <= |F| / sqrt(th); the band is widened by 1e-9 relative,
+    far beyond the few roundings in a weight, so it never drops a pair that
+    scores >= th.
     """
+    sizes = np.array([len(s) for s in family], dtype=np.float64)
+    reach = None if mutual_at is None else (1 + 1e-9) / np.sqrt(mutual_at)
     for sets in components:
         inc = _incidence(family, sets)
         own = sizes[sets]
@@ -303,33 +315,14 @@ def _count_strips(family: ClosedFamily, components, sizes: np.ndarray, reach=Non
             end = len(sets)
             if reach is not None:
                 end = int(np.searchsorted(own, own[hi - 1] * reach, side="right"))
-            yield sets[lo:hi], sets[lo:end], inc[lo:hi] @ inc[lo:end].T
-
-
-def _scored_strips(family: ClosedFamily, components, mutual_at: float | None = None):
-    """The weights of :func:`_count_strips`, as ``(rows, cols, fwd, bwd)``.
-
-    ``fwd[r, c]`` is the weight from ``rows[r]`` to ``cols[c]``,
-    (c/|G|) * (|F|/|G|) for F = rows[r] and G = cols[c], and ``bwd[r, c]``
-    the weight back, (c/|F|) * (|G|/|F|).  Each is formed from the same two
-    correctly rounded quotients and one product as the scalar formula, so
-    it is bit-identical to it.
-
-    With ``mutual_at``, columns that cannot relate to the strip's rows at
-    that threshold both ways are left out.  For |F| <= |G| the weight from
-    F is at most (|F|/|G|)**2, so a mutual pair needs |G| <= |F| / sqrt(th);
-    the band is widened by 1e-9 relative, far beyond the few roundings in a
-    weight, so it never drops a pair that scores >= th.
-    """
-    sizes = np.array([len(s) for s in family], dtype=np.float64)
-    reach = None if mutual_at is None else (1 + 1e-9) / np.sqrt(mutual_at)
-    for rows, cols, counts in _count_strips(family, components, sizes, reach):
-        s_rows, s_cols = sizes[rows, None], sizes[cols]
-        fwd = counts / s_cols
-        fwd *= s_rows / s_cols
-        bwd = counts / s_rows
-        bwd *= s_cols / s_rows
-        yield rows, cols, fwd, bwd
+            rows, cols = sets[lo:hi], sets[lo:end]
+            counts = inc[lo:hi] @ inc[lo:end].T
+            s_rows, s_cols = own[lo:hi, None], own[lo:end]
+            fwd = counts / s_cols
+            fwd *= s_rows / s_cols
+            bwd = counts / s_rows
+            bwd *= s_cols / s_rows
+            yield rows, cols, fwd, bwd
 
 
 def extract_adjacency(family: ClosedFamily) -> np.ndarray:

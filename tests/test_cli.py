@@ -653,6 +653,22 @@ class TestRender:
         assert code == 0
         assert "#000000" in svg_path.read_text()
 
+    def test_repeated_item_id_exits_2(self, tmp_path, capsys):
+        features_csv = tmp_path / "f.csv"
+        features_csv.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        assignment = tmp_path / "a.csv"
+        assignment.write_text("item_id,cluster_id\n0,0\n1,0\n0,1\n")
+        svg_path = tmp_path / "plot.svg"
+        code, out, err = run(capsys, "render", "--assignment", str(assignment),
+                             "--features", str(features_csv), "--svg", str(svg_path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "assignment csv: line 4: item id '0' repeats line 2",
+        }
+        assert not svg_path.exists()
+
     def test_dot_chain_and_size_filter(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
