@@ -57,6 +57,8 @@ def _load_json(path, what: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: input is not UTF-8 text ({exc})") from None
     except OSError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -4,6 +4,14 @@ Point groups are isotropic Gaussian blobs with uniformly drawn item sizes;
 series clusters share a base waveform plus independent Gaussian noise.  All
 sampling runs on the pinned generator from :mod:`pretopo.rng`, so a spec and
 a seed always reproduce the same table bit for bit.
+
+The generator is counter-based: draw k of a spec's stream is
+mix(rng_seed + k·0x9E3779B97F4A7C15 mod 2⁶⁴).  A generator keeps one count of
+the draws made so far and computes each group's or cluster's draws as one
+numpy block (series clusters in row blocks) starting there.  The order is
+part of the format: per point an x normal, a y normal, then a size uniform
+(five draws); per series reading one normal (two draws); a cluster with
+``noise_sigma == 0`` draws nothing.
 """
 
 from __future__ import annotations
@@ -13,8 +21,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
+from .core import _row_blocks
 from .errors import ConfigError
-from .rng import SplitMix64
+from .rng import normals, splitmix64, uniforms
 from .similarity import FeatureTable
 
 
@@ -112,6 +123,10 @@ class Mix:
 
     components: tuple["Waveform", ...]
 
+    def __post_init__(self):
+        if not self.components:
+            raise ConfigError("mix waveform needs at least one component")
+
     def value(self, t: int) -> float:
         return sum(c.value(t) for c in self.components)
 
@@ -150,41 +165,71 @@ class SeriesGenSpec:
 # -- generators --------------------------------------------------------------
 
 
+def _overflow(what: str) -> ConfigError:
+    return ConfigError(f"{what}: spec numbers overflow to a non-finite value")
+
+
+def _check_drawn(what: str, *arrays: np.ndarray) -> None:
+    """Raise :class:`ConfigError` if a generated value is not finite: finite
+    spec numbers can still overflow once combined."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise _overflow(what)
+
+
 def generate_points(spec: PointGenSpec) -> tuple[FeatureTable, list[int]]:
     """Draw every group's points and sizes; labels record the group index.
 
     Per point the stream consumes exactly two normals (x, y offsets) and one
-    uniform (the size), in that order.
+    uniform (the size), in that order: five draws.
     """
-    rng = SplitMix64(spec.rng_seed)
     positions: list[tuple[float, float]] = []
     sizes: list[float] = []
     labels: list[int] = []
-    for g_idx, g in enumerate(spec.groups):
-        cx, cy = g.center
-        lo, hi = g.size_range
-        for _ in range(g.count):
-            x = cx + g.dispersion * rng.gauss()
-            y = cy + g.dispersion * rng.gauss()
-            positions.append((x, y))
-            sizes.append(rng.uniform(lo, hi))
-            labels.append(g_idx)
+    drawn = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g_idx, g in enumerate(spec.groups):
+            cx, cy = g.center
+            raw = splitmix64(spec.rng_seed, drawn, 5 * g.count).reshape(g.count, 5)
+            drawn += raw.size
+            x = cx + g.dispersion * normals(raw[:, 0:2])
+            y = cy + g.dispersion * normals(raw[:, 2:4])
+            s = uniforms(raw[:, 4], *g.size_range)
+            _check_drawn(f"point group {g_idx}", x, y, s)
+            positions.extend(zip(x.tolist(), y.tolist()))
+            sizes.extend(s.tolist())
+            labels.extend([g_idx] * g.count)
     return FeatureTable(positions=positions, sizes=sizes), labels
 
 
 def generate_series(spec: SeriesGenSpec) -> tuple[FeatureTable, list[int]]:
-    """Draw every cluster's series: base waveform plus pointwise noise."""
-    rng = SplitMix64(spec.rng_seed)
+    """Draw every cluster's series: base waveform plus pointwise noise.
+
+    A noisy cluster is drawn in blocks of whole series, so the stream for a
+    large cluster is never held at once.
+    """
     series: list[list[float]] = []
     labels: list[int] = []
-    for c_idx, cluster in enumerate(spec.clusters):
-        base = [cluster.shape.value(t) for t in range(cluster.length)]
-        for _ in range(cluster.count):
-            if cluster.noise_sigma:
-                series.append([b + rng.gauss(0.0, cluster.noise_sigma) for b in base])
+    drawn = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c_idx, cluster in enumerate(spec.clusters):
+            what = f"series cluster {c_idx}"
+            try:
+                base = np.array([cluster.shape.value(t) for t in range(cluster.length)])
+            except ValueError as exc:  # math.sin of an angle that overflowed
+                raise _overflow(what) from exc
+            if not cluster.noise_sigma:
+                _check_drawn(what, base)
+                series.extend(base.tolist() for _ in range(cluster.count))
             else:
-                series.append(list(base))
-            labels.append(c_idx)
+                width = 2 * cluster.length  # draws per series
+                for lo, hi in _row_blocks(cluster.count, width):
+                    raw = splitmix64(spec.rng_seed, drawn + lo * width, (hi - lo) * width)
+                    noise = normals(raw.reshape(hi - lo, cluster.length, 2), 0.0, cluster.noise_sigma)
+                    rows = base + noise
+                    _check_drawn(what, rows)
+                    series.extend(rows.tolist())
+                drawn += cluster.count * width
+            labels.extend([c_idx] * cluster.count)
     return FeatureTable(series=series), labels
 
 

@@ -28,12 +28,16 @@ from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError
 
 def _csv_rows(fh):
     """``csv`` rows of ``fh``; a malformed row, such as a field longer than
-    ``csv.field_size_limit()``, raises :class:`ParseError` with its line."""
+    ``csv.field_size_limit()``, raises :class:`ParseError` with the file's
+    name and the row's line, and bytes that are not UTF-8 one with the
+    file's name."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(f"{fh.name}: {exc}", line=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{fh.name}: input is not UTF-8 text ({exc})") from None
 
 
 @dataclass

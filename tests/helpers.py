@@ -15,6 +15,7 @@ from pretopo import (
     DegenerateSeriesError,
     ElementSet,
     EuclideanBall,
+    FeatureTable,
     FilterSpace,
     GraphSpace,
     NeighborhoodBasis,
@@ -342,3 +343,64 @@ def brute_force_widest_drop(pool):
         if w1 - w0 > best_width:
             best_site, best_width = candidate, w1 - w0
     return best_site
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Scalar splitmix64, one Python big-int step per draw: the oracle for
+    the counter-based blocks of :mod:`pretopo.rng`."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        u = (self.next_u64() >> 11) / float(1 << 53)
+        return lo + u * (hi - lo)
+
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        u1 = ((self.next_u64() >> 11) + 1) / float(1 << 53)  # in (0, 1], log-safe
+        u2 = (self.next_u64() >> 11) / float(1 << 53)
+        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return mu + sigma * z
+
+
+def scalar_generate_points(spec):
+    """``datagen.generate_points`` as one scalar draw at a time."""
+    rng = SplitMix64(spec.rng_seed)
+    positions, sizes, labels = [], [], []
+    for g_idx, g in enumerate(spec.groups):
+        cx, cy = g.center
+        lo, hi = g.size_range
+        for _ in range(g.count):
+            x = cx + g.dispersion * rng.gauss()
+            y = cy + g.dispersion * rng.gauss()
+            positions.append((x, y))
+            sizes.append(rng.uniform(lo, hi))
+            labels.append(g_idx)
+    return FeatureTable(positions=positions, sizes=sizes), labels
+
+
+def scalar_generate_series(spec):
+    """``datagen.generate_series`` as one scalar draw at a time."""
+    rng = SplitMix64(spec.rng_seed)
+    series, labels = [], []
+    for c_idx, cluster in enumerate(spec.clusters):
+        base = [cluster.shape.value(t) for t in range(cluster.length)]
+        for _ in range(cluster.count):
+            if cluster.noise_sigma:
+                series.append([b + rng.gauss(0.0, cluster.noise_sigma) for b in base])
+            else:
+                series.append(list(base))
+            labels.append(c_idx)
+    return FeatureTable(series=series), labels

@@ -137,6 +137,76 @@ class TestGenerate:
         assert "must be finite" in json.loads(err)["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "series", "clusters": [{"count": 2, "length": 5, "shape": {
+            "kind": "sine", "period": 4, "amplitude": 1e308, "offset": 1e308}}]},
+         "series cluster 0: spec numbers overflow to a non-finite value"),
+        ({"kind": "series", "clusters": [{"count": 2, "length": 5, "shape": {
+            "kind": "sine", "period": 4, "phase": -1e308}}]},
+         "series cluster 0: spec numbers overflow to a non-finite value"),
+        ({"kind": "series", "clusters": [
+            {"count": 2, "length": 5, "shape": {"kind": "trend", "slope": 1.0}},
+            {"count": 2, "length": 5, "noise_sigma": 1e308,
+             "shape": {"kind": "sine", "period": 4, "offset": 1e308}}]},
+         "series cluster 1: spec numbers overflow to a non-finite value"),
+        ({"kind": "points", "groups": [
+            POINTS_SPEC["groups"][0],
+            {"count": 8, "center": [1e308, 0], "dispersion": 1e308, "size_range": [1, 2]}]},
+         "point group 1: spec numbers overflow to a non-finite value"),
+        ({"kind": "series", "clusters": [{"count": 2, "length": 5, "shape": {
+            "kind": "mix", "components": []}}]},
+         "mix waveform needs at least one component"),
+    ], ids=["sine-sum", "sine-angle", "noise", "points", "empty-mix"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spec_overflowing_once_combined_exits_2(self, tmp_path, capsys, spec, message):
+        """Finite spec numbers whose generated values are not finite."""
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        code, out, err = run(capsys, "generate", "--spec", spec_path, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, seed, digests", [
+        ("points_multicriteria", None, (
+            "b3856955e92eed56c238a4f517fc0118420f8d3f8001f35c82b5d73b9a1befb8",
+            "734abcdaa41c2391bb3e64444d05c2e52ca02781766923824ee3235fdb3994ef")),
+        ("series_benchmark", None, (
+            "bd253d8459088848077b16f1938c9c864ba0b56a7d6677ea12842b4bb0d52fbc",
+            "d8de2547f3cf4e8f78790d3a86f89549c0fd875705642e023111f8f48e084107")),
+        ("points-dense", 8, (
+            "3cd801ea2fdad0cc77486d07062dea3cfbd6dab01abffc744f8eca61ddf3812f",
+            "38c380614ae52bd6d699c7b0774802b4012f559cd55383b97507108f12b16fb5")),
+        ("points-dense", 15, (
+            "3f8e51d253479d511fd8a2d9e1902b12f1ec9531fafce993c900c2f2d25e816b",
+            "38c380614ae52bd6d699c7b0774802b4012f559cd55383b97507108f12b16fb5")),
+        ("series_benchmark", 2021, (
+            "c15dd9095c15352463db33f5607802fc5f10b8af05e2372da7e5f7ecbf8ce409",
+            "443c87c5bf390b1e3e33f10c90f22c812ec8d82896cec63c315f49c704d44d09")),
+    ], ids=["points_multicriteria", "series_benchmark", "points-dense-8", "points-dense-15",
+            "series-walk-2021"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_outputs_pinned(self, tmp_path, capsys, name, seed, digests):
+        """The shipped configs' specs and the benchmark's generated inputs,
+        byte for byte."""
+        if name == "points-dense":  # 4 groups of 150 points
+            groups = [((0, 0), (1, 2)), ((10, 0), (8, 10)), ((30, 0), (8, 10)), ((10, 25), (4, 5))]
+            doc = {"kind": "points", "rng_seed": seed, "groups": [
+                {"count": 150, "center": list(c), "dispersion": 2.0, "size_range": list(r)}
+                for c, r in groups]}
+        else:
+            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())["dataset"]["spec"]
+        if name == "series_benchmark" and seed is not None:  # series-walk: 200 series per shape
+            doc["rng_seed"] = seed
+            for cluster in doc["clusters"]:
+                cluster["count"] = 200
+        spec_path = write_json(tmp_path / "spec.json", doc)
+        assert run(capsys, "generate", "--spec", spec_path, "--out-dir", str(tmp_path / "o"))[0] == 0
+        assert tuple(
+            hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest()
+            for f in ("features.csv", "labels.csv")
+        ) == digests
+
 
 class TestCluster:
     def prepare(self, tmp_path, capsys):
@@ -154,6 +224,21 @@ class TestCluster:
         assert out == ""
         assert json.loads(err) == {
             "error": "ConfigError", "message": "PointGroup center must be finite, got (nan, 0.0)",
+        }
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_generate_dataset_exits_2(self, tmp_path, capsys):
+        spec = dict(POINTS_SPEC, groups=[dict(POINTS_SPEC["groups"][0], center=[1e308, 0],
+                                              dispersion=1e308)])
+        config = {"dataset": {"kind": "generate", "spec": spec},
+                  "criteria": [{"kind": "euclidean", "radius": 2.0}]}
+        argv = ["--config", write_json(tmp_path / "cfg.json", config), "--out-dir", str(tmp_path / "o")]
+        code, out, err = run(capsys, "cluster", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "point group 0: spec numbers overflow to a non-finite value",
         }
         assert not (tmp_path / "o").exists()
 
@@ -400,7 +485,7 @@ class TestOversizedCsvField:
         assert out == ""
         assert json.loads(err) == {
             "error": "ParseError",
-            "message": "line 2: field larger than field limit (131072)",
+            "message": f"line 2: {raw}: field larger than field limit (131072)",
         }
         assert not (tmp_path / "o").exists()
 
@@ -416,20 +501,20 @@ class TestOversizedCsvField:
         assert json.loads(err)["error"] == "ParseError"
         assert not (tmp_path / "o").exists()
 
-    def assert_parse_error(self, result, line):
+    def assert_parse_error(self, result, line, path):
         code, out, err = result
         assert code == 2
         assert out == ""
         assert json.loads(err) == {
             "error": "ParseError",
-            "message": f"line {line}: field larger than field limit (131072)",
+            "message": f"line {line}: {path}: field larger than field limit (131072)",
         }
 
     def test_features_cluster_exits_2(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
         features.write_text(f"x,y,size\n0.0,0.0,1.0\n1.0,0.0,{self.LONG}\n")
         config = write_json(tmp_path / "cfg.json", cluster_config(str(features), str(tmp_path / "o")))
-        self.assert_parse_error(run(capsys, "cluster", "--config", config), 3)
+        self.assert_parse_error(run(capsys, "cluster", "--config", config), 3, features)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("which", ["assignment", "labels"])
@@ -441,7 +526,7 @@ class TestOversizedCsvField:
         paths[which].write_text(f"item_id,cluster_id\n{self.LONG},0\n")
         result = run(capsys, "eval", "--assignment", str(paths["assignment"]),
                      "--labels", str(paths["labels"]))
-        self.assert_parse_error(result, 2)
+        self.assert_parse_error(result, 2, paths[which])
 
     @pytest.mark.parametrize("which", ["assignment", "features"])
     def test_render_svg_exits_2(self, tmp_path, capsys, which):
@@ -452,7 +537,7 @@ class TestOversizedCsvField:
         svg = tmp_path / "plot.svg"
         result = run(capsys, "render", "--assignment", str(paths["assignment"]),
                      "--features", str(paths["features"]), "--svg", str(svg))
-        self.assert_parse_error(result, 3)
+        self.assert_parse_error(result, 3, paths[which])
         assert not svg.exists()
 
 
@@ -509,7 +594,7 @@ class TestNonUtf8Input:
             assert code == 2
             assert out == ""
             assert json.loads(err)["error"] == "ParseError"
-            assert json.loads(err)["message"].startswith("input is not UTF-8 text")
+            assert json.loads(err)["message"].startswith(f"{bad}: input is not UTF-8 text")
             assert not (work / "o").exists()
 
 

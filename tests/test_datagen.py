@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from helpers import SplitMix64, scalar_generate_points, scalar_generate_series
+from pretopo import core
 from pretopo.errors import ConfigError
 from pretopo.datagen import (
     Mix,
@@ -19,21 +21,28 @@ from pretopo.datagen import (
     spec_from_json,
     waveform_from_dict,
 )
-from pretopo.rng import SplitMix64
+from pretopo.rng import normals, splitmix64, uniforms
 from pretopo.similarity import PearsonBall, pairwise_matrix
+
+# splitmix64 test vectors as published with the original algorithm
+PUBLISHED = {
+    1234567: [6457827717110365317, 3203168211198807973, 9817491932198370423],
+    0: [16294208416658607535],
+}
+# Edge seeds: zero, all ones, the top bit alone and the increment itself;
+# -1 checks that a seed is taken modulo 2**64.
+SEEDS = [0, 1, 5, 777, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, -1]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
 
 
 class TestSplitMix64:
     def test_published_reference_stream(self):
-        # splitmix64 test vectors as published with the original algorithm
-        r = SplitMix64(1234567)
-        assert [r.next_u64() for _ in range(3)] == [
-            6457827717110365317,
-            3203168211198807973,
-            9817491932198370423,
-        ]
-        r0 = SplitMix64(0)
-        assert r0.next_u64() == 16294208416658607535
+        for seed, stream in PUBLISHED.items():
+            r = SplitMix64(seed)
+            assert [r.next_u64() for _ in stream] == stream
 
     def test_uniform_range_and_determinism(self):
         a, b = SplitMix64(5), SplitMix64(5)
@@ -60,6 +69,97 @@ class TestSplitMix64:
             u2 = (mirror.next_u64() >> 11) / float(1 << 53)
             expected = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
             assert r.gauss() == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockStream:
+    """The counter-based blocks of ``pretopo.rng`` against the scalar oracle,
+    bit for bit."""
+
+    def test_published_reference_stream(self):
+        for seed, stream in PUBLISHED.items():
+            assert splitmix64(seed, 0, len(stream)).tolist() == stream
+        assert splitmix64(1234567, 1, 2).tolist() == PUBLISHED[1234567][1:]
+        assert splitmix64(1234567, 3, 0).tolist() == []
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start", [1, 37, 1000])
+    def test_raw_matches_oracle(self, seed, start):
+        r = SplitMix64(seed)
+        expected = [r.next_u64() for _ in range(start + 300)][start:]
+        block = splitmix64(seed, start, 300)
+        assert block.dtype == "uint64"
+        assert block.tolist() == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0, 3.5), (4.0, 4.0)])
+    def test_uniforms_match_oracle(self, seed, lo, hi):
+        r = SplitMix64(seed)
+        for _ in range(11):
+            r.next_u64()
+        expected = [r.uniform(lo, hi) for _ in range(500)]
+        assert hexes(uniforms(splitmix64(seed, 11, 500), lo, hi)) == hexes(expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.0, 0.2), (-3.0, 2.5)])
+    def test_normals_match_oracle(self, seed, mu, sigma):
+        r = SplitMix64(seed)
+        for _ in range(7):
+            r.next_u64()
+        expected = [r.gauss(mu, sigma) for _ in range(1000)]
+        got = normals(splitmix64(seed, 7, 2000).reshape(1000, 2), mu, sigma)
+        assert hexes(got) == hexes(expected)
+        grid = normals(splitmix64(seed, 7, 2000).reshape(10, 100, 2), mu, sigma)
+        assert grid.shape == (10, 100)
+        assert hexes(grid.ravel()) == hexes(expected)
+
+    def test_negative_zero_normal_reads_zero(self):
+        # draw 1 of this seed is 2**64 - 1, so u1 == 1.0, log(u1) == 0.0 and
+        # the Box-Muller product is -0.0; mu + sigma * z with mu == 0.0 turns
+        # it into 0.0
+        seed = 0x31628AF67B2131AB
+        assert splitmix64(seed, 0, 1).tolist() == [2**64 - 1]
+        got = normals(splitmix64(seed, 0, 2).reshape(1, 2))
+        assert hexes(got) == hexes([SplitMix64(seed).gauss()]) == ["0x0.0p+0"]
+
+    @pytest.fixture(params=[1, 37, None], ids=["block1", "block37", "default"])
+    def block_entries(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", request.param)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_series_match_oracle(self, seed, block_entries):
+        # the zero-noise cluster draws nothing, so the third cluster's noise
+        # continues the first cluster's stream; at 37 entries a block holds
+        # three series of 6 readings (12 draws each)
+        spec = SeriesGenSpec(
+            clusters=(
+                SeriesCluster(5, 6, Sine(period=4.0, amplitude=2.0), 0.3),
+                SeriesCluster(3, 6, Trend(slope=-0.25, intercept=1.0), 0.0),
+                SeriesCluster(4, 6, Mix((Square(period=3.0), Trend(slope=0.1))), 1.5),
+            ),
+            rng_seed=seed,
+        )
+        table, labels = generate_series(spec)
+        oracle, oracle_labels = scalar_generate_series(spec)
+        assert labels == oracle_labels
+        assert [hexes(s) for s in table.series] == [hexes(s) for s in oracle.series]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_points_match_oracle(self, seed, block_entries):
+        spec = PointGenSpec(
+            groups=(
+                PointGroup(7, (0.0, 0.0), 1.0, (1.0, 2.0)),
+                PointGroup(1, (-30.0, 5.0), 0.001, (3.0, 3.0)),
+                PointGroup(12, (10.0, -2.0), 2.5, (4.0, 9.0)),
+            ),
+            rng_seed=seed,
+        )
+        table, labels = generate_points(spec)
+        oracle, oracle_labels = scalar_generate_points(spec)
+        assert labels == oracle_labels
+        assert [hexes(p) for p in table.positions] == [hexes(p) for p in oracle.positions]
+        assert hexes(table.sizes) == hexes(oracle.sizes)
 
 
 class TestGeneratePoints:
@@ -256,6 +356,14 @@ class TestSpecParsing:
             )]}
         with pytest.raises(ConfigError, match="must be finite"):
             spec_from_dict(doc)
+
+    def test_empty_mix_rejected(self):
+        with pytest.raises(ConfigError, match="at least one component"):
+            Mix(())
+        with pytest.raises(ConfigError, match="at least one component"):
+            spec_from_dict({"kind": "series", "clusters": [
+                {"count": 2, "length": 8, "shape": {"kind": "mix", "components": []}},
+            ]})
 
     def test_spec_from_json(self):
         spec = spec_from_json('{"kind": "points", "groups": []}')
