@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, ingest
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, read_number
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
     ClosestNode,
@@ -79,12 +79,13 @@ def criterion_from_dict(doc) -> Criterion:
     kind = doc.get("kind")
     try:
         if kind == "euclidean":
-            return EuclideanBall(radius=float(doc["radius"]))
+            return EuclideanBall(radius=read_number(doc["radius"], "euclidean 'radius'"))
         if kind == "size":
-            return SizeBall(tolerance=float(doc["tolerance"]))
+            return SizeBall(tolerance=read_number(doc["tolerance"], "size 'tolerance'"))
         if kind == "pearson":
             return PearsonBall(
-                threshold=float(doc["threshold"]), channel=doc.get("channel")
+                threshold=read_number(doc["threshold"], "pearson 'threshold'"),
+                channel=doc.get("channel"),
             )
     except KeyError as exc:
         raise ConfigError(f"criterion {kind!r} is missing {exc}") from exc
@@ -132,7 +133,7 @@ def _dataset_from_config(doc: dict):
     if kind in ("features", "raw_series") and not isinstance(dataset.get("path"), str):
         raise ConfigError(f"{kind} dataset needs a 'path' string")
     if kind == "raw_series":
-        resolutions, aggregate, criteria = _raw_series_options(dataset)
+        resolutions, aggregate, criteria = ingest.raw_series_options(dataset)
 
         def read_raw_series():
             sites = ingest.load_csv(dataset["path"])
@@ -151,43 +152,8 @@ def _dataset_from_config(doc: dict):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _raw_series_options(dataset: dict):
-    """A raw_series dataset's resolutions, aggregate and one correlation ball
-    per resolution, checked before its readings are loaded."""
-    resolutions = dataset.get("resolutions", list(ingest.RESOLUTIONS))
-    if (not isinstance(resolutions, list) or not resolutions
-            or any(r not in ingest.RESOLUTIONS for r in resolutions)):
-        raise ConfigError(
-            f"raw_series dataset: 'resolutions' must be a non-empty list of "
-            f"{', '.join(ingest.RESOLUTIONS)}; got {resolutions!r}"
-        )
-    aggregate = dataset.get("aggregate", "mean")
-    ingest.check_aggregate(aggregate)
-    rho = dataset.get("rho")
-    if rho is None:
-        raise ConfigError("raw_series dataset needs 'rho' (scalar or per-resolution map)")
-    if isinstance(rho, dict):
-        missing = [r for r in resolutions if r not in rho]
-        if missing:
-            raise ConfigError(f"raw_series dataset: 'rho' has no threshold for {missing}")
-        rho = {r: _number(rho[r], f"raw_series dataset: 'rho' for {r!r}") for r in resolutions}
-    else:
-        rho = dict.fromkeys(resolutions, _number(rho, "raw_series dataset: 'rho'"))
-    # PearsonBall raises for a threshold outside (-1, 1]
-    criteria = [PearsonBall(threshold=rho[r], channel=r) for r in resolutions]
-    return tuple(resolutions), aggregate, criteria
-
-
-def _number(value, what: str, convert=float):
-    """``convert(value)``, reporting a value it rejects as a config error."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
-
-
 def _config_number(doc: dict, key: str, default, convert):
-    return _number(doc.get(key, default), f"cluster config: {key!r}", convert)
+    return read_number(doc.get(key, default), f"cluster config: {key!r}", convert)
 
 
 def run_cluster(doc: dict) -> tuple[QuasiHierarchy, ClusteringResult]:
@@ -438,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resolutions", nargs="+", default=list(ingest.RESOLUTIONS),
                    choices=list(ingest.RESOLUTIONS))
-    p.add_argument("--aggregate", default="mean", choices=["mean", "sum"])
+    p.add_argument("--aggregate", default="mean", choices=ingest.AGGREGATES)
     p.set_defaults(func=cmd_ingest)
 
     return parser

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import _row_blocks
-from .errors import ConfigError
+from .errors import ConfigError, read_number
 from .rng import normals, splitmix64, uniforms
 from .similarity import FeatureTable
 
@@ -271,11 +271,11 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
         raise ConfigError("generator spec must be a JSON object")
     kind = doc.get("kind")
     try:
-        seed = int(doc.get("rng_seed", 0))
+        seed = read_number(doc.get("rng_seed", 0), "generator spec: 'rng_seed'", int)
         if kind == "points":
             groups = tuple(
                 PointGroup(
-                    count=int(g["count"]),
+                    count=read_number(g["count"], "generator spec: 'count'", int),
                     center=(float(g["center"][0]), float(g["center"][1])),
                     dispersion=float(g["dispersion"]),
                     size_range=(float(g["size_range"][0]), float(g["size_range"][1])),
@@ -286,8 +286,8 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
         if kind == "series":
             clusters = tuple(
                 SeriesCluster(
-                    count=int(c["count"]),
-                    length=int(c["length"]),
+                    count=read_number(c["count"], "generator spec: 'count'", int),
+                    length=read_number(c["length"], "generator spec: 'length'", int),
                     shape=waveform_from_dict(c["shape"]),
                     noise_sigma=float(c.get("noise_sigma", 0.0)),
                 )

@@ -9,6 +9,19 @@ class ConfigError(PretopoError):
     """Invalid configuration: bad thresholds, missing features, mismatched inputs."""
 
 
+def read_number(value, what: str, convert=float):
+    """``convert(value)``, reporting a value it rejects as a config error;
+    an ``int`` target rejects a float with a fractional part
+    rather than truncating it."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if convert is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 class DataError(PretopoError):
     """Input data violates a contract (ordering, ranges, coverage)."""
 

@@ -358,7 +358,14 @@ class QuasiHierarchy:
     threshold: float
     parent_edges: list[tuple[int, int, float]]
     roots: list[int]
-    universe_coverage: ElementSet
+
+    @property
+    def universe_coverage(self) -> ElementSet:
+        """The items that belong to at least one set of the family."""
+        mask = 0
+        for s in self.family:
+            mask |= s.mask
+        return ElementSet(self.universe.size, mask)
 
     def children_of(self, idx: int) -> list[int]:
         return [c for p, c, _ in self.parent_edges if p == idx]
@@ -411,16 +418,12 @@ class QuasiHierarchy:
             raise ConfigError(
                 f"hierarchy json: set index {bad[0]} out of range for {m} sets"
             )
-        coverage_mask = 0
-        for s in family:
-            coverage_mask |= s.mask
         return cls(
             universe=universe,
             family=family,
             threshold=float(doc["threshold"]),
             parent_edges=edges,
             roots=roots,
-            universe_coverage=ElementSet(n, coverage_mask),
         )
 
 
@@ -537,17 +540,12 @@ def _quasihierarchy(family, strips, th_qh, universe, tie_break, tie_rng_seed) ->
     has_parent = np.zeros(k, dtype=bool)
     has_parent[children] = True
     roots = np.flatnonzero(~has_parent).tolist()
-
-    coverage_mask = 0
-    for s in pruned_family:
-        coverage_mask |= s.mask
     return QuasiHierarchy(
         universe=universe,
         family=pruned_family,
         threshold=th_qh,
         parent_edges=edges,
         roots=roots,
-        universe_coverage=ElementSet(universe.size, coverage_mask),
     )
 
 

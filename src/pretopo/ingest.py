@@ -18,12 +18,16 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, read_number
 from .similarity import FeatureTable, PearsonBall, _csv_rows
 
 logger = logging.getLogger(__name__)
 
 RESOLUTIONS = ("half_hour", "day", "week", "month")
+AGGREGATES = ("mean", "sum")
+# Sites are dropped before resampling until the common window spans at least
+# this share of the median site coverage.
+_MIN_WINDOW_FRACTION = 0.8
 _FIXED_WIDTH = {"half_hour": 1800.0, "day": 86400.0, "week": 604800.0}
 _RAW_DTYPE = np.dtype([("site_id", object), ("timestamp", np.float64), ("value", np.float64)])
 # Characters of text parsed per np.loadtxt call.  It bounds the site-id
@@ -254,9 +258,8 @@ def _bucket_edges(resolution: str, window: tuple[float, float]) -> np.ndarray:
     return np.append(start + np.arange(count) * width, end)
 
 
-def check_aggregate(aggregate: str) -> None:
-    """Raise :class:`ConfigError` unless ``aggregate`` is ``mean`` or ``sum``."""
-    if aggregate not in ("mean", "sum"):
+def _check_aggregate(aggregate: str) -> None:
+    if aggregate not in AGGREGATES:
         raise ConfigError(f"unknown aggregate {aggregate!r}")
 
 
@@ -273,7 +276,7 @@ def resample(
     interpolated from their neighbors; an empty leading or trailing bucket
     means the site does not cover the window and raises :class:`DataError`.
     """
-    check_aggregate(aggregate)
+    _check_aggregate(aggregate)
     return _resample(series, _bucket_edges(resolution, window), aggregate)
 
 
@@ -365,35 +368,31 @@ def _widest_drop(pool: list[RawSeries]) -> RawSeries:
     return pool[max(indices, key=widths.__getitem__)]
 
 
+def _common_window(pool: list[RawSeries]) -> tuple[float, float]:
+    return max(s.coverage[0] for s in pool), min(s.coverage[1] for s in pool)
+
+
 def build_resampled_table(
     sites: list[RawSeries],
     resolutions: tuple[str, ...] = RESOLUTIONS,
     aggregate: str = "mean",
-    min_window_fraction: float = 0.8,
 ) -> ResampledTable:
     """Align sites on a common window and resample at every resolution.
 
     The window is the intersection of site coverages; sites that would
-    shrink it below ``min_window_fraction`` of the median coverage are
-    dropped first, then sites failing to fill the window's edge buckets are
-    dropped as resampling discovers them.  A window that holds a single
-    bucket at some resolution raises :class:`ConfigError`.
+    shrink it below 80 % of the median coverage are dropped first, then
+    sites failing to fill the window's edge buckets are dropped as
+    resampling discovers them.  A window that holds a single bucket at some
+    resolution raises :class:`ConfigError`.
     """
     if not sites:
         raise DataError("no sites to resample")
     dropped: list[tuple[str, str]] = []
     pool = list(sites)
-    spans = {s.site_id: s.coverage[1] - s.coverage[0] for s in pool}
-    median_span = statistics.median(spans.values())
-    target = min_window_fraction * median_span
-
-    def window_of(current: list[RawSeries]) -> tuple[float, float]:
-        start = max(s.coverage[0] for s in current)
-        end = min(s.coverage[1] for s in current)
-        return start, end
-
+    spans = [s.coverage[1] - s.coverage[0] for s in pool]
+    target = _MIN_WINDOW_FRACTION * statistics.median(spans)
     while len(pool) > 1:
-        start, end = window_of(pool)
+        start, end = _common_window(pool)
         if end - start >= target:
             break
         best_site = _widest_drop(pool)
@@ -401,11 +400,10 @@ def build_resampled_table(
         dropped.append((best_site.site_id, "shrinks the common window"))
         logger.warning("dropping site %s: shrinks the common window", best_site.site_id)
 
-    start, end = window_of(pool)
-    if end <= start:
+    window = _common_window(pool)
+    if window[1] <= window[0]:
         raise DataError("sites share no common time window")
-    window = (start, end)
-    check_aggregate(aggregate)
+    _check_aggregate(aggregate)
     edges = {resolution: _bucket_edges(resolution, window) for resolution in resolutions}
     for resolution, bounds in edges.items():
         # a one-value series has no correlation to cluster on
@@ -415,28 +413,38 @@ def build_resampled_table(
                 f"{len(bounds) - 1} bucket, and at least 2 are needed"
             )
 
-    vectors: dict[str, dict[str, np.ndarray]] = {}
-    failed: set[str] = set()
+    kept: list[str] = []
+    rows: list[list[np.ndarray]] = []  # per kept site, one vector per resolution
     for s in pool:
-        per_res = {}
         try:
-            for resolution in resolutions:
-                per_res[resolution] = _resample(s, edges[resolution], aggregate)
+            rows.append([_resample(s, edges[resolution], aggregate) for resolution in resolutions])
         except DataError as exc:
-            failed.add(s.site_id)
             dropped.append((s.site_id, str(exc)))
             logger.warning("dropping site %s: %s", s.site_id, exc)
             continue
-        vectors[s.site_id] = per_res
-
-    kept = [s.site_id for s in pool if s.site_id not in failed]
+        kept.append(s.site_id)
     if not kept:
         raise DataError("every site was dropped during resampling")
     data = {
-        resolution: np.vstack([vectors[site][resolution] for site in kept])
-        for resolution in resolutions
+        resolution: np.vstack([row[k] for row in rows])
+        for k, resolution in enumerate(resolutions)
     }
     return ResampledTable(site_ids=kept, data=data, window=window, dropped=dropped)
+
+
+def raw_series_options(dataset: dict) -> tuple[tuple[str, ...], str, list[PearsonBall]]:
+    """A raw_series dataset's resolutions, aggregate and one correlation ball
+    per resolution, checked before its readings are loaded."""
+    resolutions = dataset.get("resolutions", list(RESOLUTIONS))
+    if (not isinstance(resolutions, list) or not resolutions
+            or any(r not in RESOLUTIONS for r in resolutions)):
+        raise ConfigError(
+            f"raw_series dataset: 'resolutions' must be a non-empty list of "
+            f"{', '.join(RESOLUTIONS)}; got {resolutions!r}"
+        )
+    aggregate = dataset.get("aggregate", "mean")
+    _check_aggregate(aggregate)
+    return tuple(resolutions), aggregate, _resolution_balls(resolutions, dataset.get("rho"))
 
 
 def build_resolution_criteria(
@@ -446,8 +454,22 @@ def build_resolution_criteria(
     """One correlation criterion per resolution, bound to its channel."""
     if not table.site_ids or not table.data:
         raise ConfigError("resampled table is empty")
-    criteria = []
-    for resolution in table.resolutions:
-        threshold = rho[resolution] if isinstance(rho, dict) else rho
-        criteria.append(PearsonBall(threshold=float(threshold), channel=resolution))
-    return criteria
+    return _resolution_balls(table.resolutions, rho)
+
+
+def _resolution_balls(resolutions, rho) -> list[PearsonBall]:
+    """A ``PearsonBall`` per resolution from ``rho``, a threshold for all or
+    a map with one for each resolution."""
+    if rho is None:
+        raise ConfigError("raw_series dataset needs 'rho' (scalar or per-resolution map)")
+    if isinstance(rho, dict):
+        missing = [r for r in resolutions if r not in rho]
+        if missing:
+            raise ConfigError(f"raw_series dataset: 'rho' has no threshold for {missing}")
+        thresholds = [
+            read_number(rho[r], f"raw_series dataset: 'rho' for {r!r}") for r in resolutions
+        ]
+    else:
+        thresholds = [read_number(rho, "raw_series dataset: 'rho'")] * len(resolutions)
+    # PearsonBall raises for a threshold outside (-1, 1]
+    return [PearsonBall(threshold=t, channel=r) for r, t in zip(resolutions, thresholds)]

@@ -313,17 +313,12 @@ def brute_force_quasihierarchy(
             if i != j and pruned_adj[i, j] >= th_qh and si > len(pruned_family[j]):
                 edges.append((i, j, float(pruned_adj[i, j])))
                 has_parent[j] = True
-
-    coverage_mask = 0
-    for s in pruned_family:
-        coverage_mask |= s.mask
     return QuasiHierarchy(
         universe=universe,
         family=pruned_family,
         threshold=th_qh,
         parent_edges=edges,
         roots=[i for i in range(k) if not has_parent[i]],
-        universe_coverage=ElementSet(universe.size, coverage_mask),
     )
 
 

@@ -86,7 +86,7 @@ class TestGenerate:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["generate", "cluster"])
-    @pytest.mark.parametrize("seed", ["x", None, float("inf")])
+    @pytest.mark.parametrize("seed", ["x", None, float("inf"), 1.9])
     def test_bad_rng_seed_exits_2(self, tmp_path, capsys, command, seed):
         spec = dict(POINTS_SPEC, rng_seed=seed)
         if command == "generate":
@@ -99,6 +99,21 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"groups": [dict(POINTS_SPEC["groups"][0], count=20.7)]},
+         "generator spec: 'count' must be an integer, got 20.7"),
+        ({"kind": "series", "clusters": [
+            {"count": 2, "length": 60.5, "shape": {"kind": "sine", "period": 4}}]},
+         "generator spec: 'length' must be an integer, got 60.5"),
+    ], ids=["count", "length"])
+    def test_fractional_integer_exits_2(self, tmp_path, capsys, edit, message):
+        spec = write_json(tmp_path / "spec.json", dict(POINTS_SPEC, **edit))
+        code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["sine", "square"])
@@ -288,6 +303,8 @@ class TestCluster:
         ("th_qh", "abc"),
         ("th_qh", [0.5]),
         ("rng_seed", "x"),
+        ("d", 1.5),
+        ("rng_seed", 2.5),
     ])
     def test_bad_scalar_exits_2(self, tmp_path, capsys, key, value):
         features = self.prepare(tmp_path, capsys)
@@ -320,6 +337,10 @@ class TestCluster:
         ("criteria", [{"kind": "pearson", "threshold": 0.5}]),
         ("output_dir", 5),
         ("dataset", {"kind": "features", "path": None}),
+        ("criteria", [{"kind": "euclidean", "radius": "abc"}]),
+        ("criteria", [{"kind": "size", "tolerance": None}]),
+        ("criteria", [{"kind": "euclidean", "radius": 2.0},
+                      {"kind": "pearson", "threshold": [0.5]}]),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value
@@ -809,7 +830,48 @@ class TestRender:
         assert code == 2
 
 
+def write_pinned_readings(path):
+    """Daily readings of six sites over days 1-119, three with a weekly and
+    three with an 11-day rhythm, plus two sites that ingestion drops: "late"
+    (days 100-119) shrinks the common window, and "gap" (day 0, then days
+    3-119) leaves the window's first day bucket empty."""
+    rows = ["site_id,timestamp,value"]
+    for k in range(6):
+        period = 7 if k < 3 else 11
+        rows += [
+            f"s{k},{d * 86400},"
+            f"{1.0 + 0.3 * (d % period) + 0.01 * (d * (k + 2) % 9) + 0.001 * d * (k + 1)}"
+            for d in range(1, 120)
+        ]
+    rows += [f"late,{d * 86400},{1.0 + d % 7}" for d in range(100, 120)]
+    rows += [f"gap,{d * 86400},{1.0 + d % 7}" for d in [0, *range(3, 120)]]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def sha256_of(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
 class TestIngestCommand:
+    def test_outputs_pinned(self, tmp_path, capsys):
+        raw = write_pinned_readings(tmp_path / "raw.csv")
+        code, out, _ = run(capsys, "ingest", "--input", raw, "--out-dir", str(tmp_path / "res"),
+                           "--resolutions", "day", "week", "month")
+        assert code == 0
+        assert json.loads(out)["dropped"] == [
+            ["late", "shrinks the common window"],
+            ["gap", "site 'gap' leaves a leading or trailing bucket empty"],
+        ]
+        assert sha256_of(tmp_path / "res", (
+            "sites.csv", "features_day.csv", "features_week.csv", "features_month.csv",
+        )) == {
+            "sites.csv": "61c737eb3d9852a12f9ab3908e3020ee0d61462c49c63101faa5a4250b2f661c",
+            "features_day.csv": "3e719a76d13a21b99ce3cbc9b08e11d801edbc72267948c456d3bcc03988d1af",
+            "features_week.csv": "c113a8cc65157f7750eeeeee76fb6b663faaafa9aa36d68b55943f56caaa4c09",
+            "features_month.csv": "bd290e280333a18b1560957c8717bc29d6cc2318b51d7b683231ae8e8e9cc851",
+        }
+
     def test_resample_to_csvs(self, tmp_path, capsys):
         rows = ["site_id,timestamp,value"]
         for site in ("a", "b"):
@@ -898,6 +960,24 @@ class TestDeterminism:
             "assignment.csv": "e63fbda6dd99e6ab41cd84fdd9c6fadc956cdeb182767d0f2f980dddbf65af61",
             "hierarchy.json": "a0fe3ec43c34e8a1ab2da11ed47206b7df81fcfa1b2cabc0083abb7797101d64",
             "hierarchy.dot": "a7513cc3b11b54944d1e82e66d991ebd0a305f660ac9d5b69bbc0228763bf6ff",
+        }
+
+    def test_raw_series_outputs_pinned(self, tmp_path, capsys):
+        """Two resolutions with a per-resolution ``rho`` and two dropped sites."""
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "raw_series", "path": write_pinned_readings(tmp_path / "raw.csv"),
+                        "resolutions": ["day", "week"], "aggregate": "sum",
+                        "rho": {"day": 0.5, "week": 0.4}},
+            "seed_func": "random_neighbor", "d": 1, "th_qh": 0.5, "rng_seed": 3,
+        })
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))
+        assert code == 0
+        assert json.loads(out) == {"clusters": 2, "outliers": 2, "roots": 1, "sets": 3}
+        assert sha256_of(out_dir, ("assignment.csv", "hierarchy.json", "hierarchy.dot")) == {
+            "assignment.csv": "11ee355c98b9b33eb6ab79aacc1a501cf88467a97a280e4ee581ba1cff5b28c9",
+            "hierarchy.json": "abb2969e8151cfd5112c919c440602c225b32433933d259acac008ad01e8c871",
+            "hierarchy.dot": "bfb83c58ab2daf045d3afa8e5dfec447c5fe36a2dc5f2db5f3be8c1adae00552",
         }
 
     @pytest.mark.parametrize("name, digests", [

@@ -326,6 +326,15 @@ class TestSpecParsing:
         spec = spec_from_dict(doc)
         assert isinstance(spec.clusters[0].shape, Mix)
 
+    def test_integral_floats_read_as_integers(self):
+        doc = {"kind": "series", "rng_seed": 7, "clusters": [
+            {"count": 3, "length": 8, "shape": {"kind": "sine", "period": 4}}]}
+        as_floats = dict(doc, rng_seed=7.0,
+                         clusters=[dict(doc["clusters"][0], count=3.0, length=8.0)])
+        spec = spec_from_dict(as_floats)
+        assert spec == spec_from_dict(doc)
+        assert type(spec.rng_seed) is int and type(spec.clusters[0].count) is int
+
     def test_bad_specs(self):
         with pytest.raises(ConfigError):
             spec_from_dict({"kind": "nope"})

@@ -453,6 +453,17 @@ class TestResolutionCriteria:
         criteria = build_resolution_criteria(table, {"day": 0.6, "month": 0.9})
         assert [(c.channel, c.threshold) for c in criteria] == [("day", 0.6), ("month", 0.9)]
 
+    @pytest.mark.parametrize("rho, message", [
+        ({"day": 0.6}, "'rho' has no threshold for ['month']"),
+        ("abc", "'rho' must be a number, got 'abc'"),
+        (None, "needs 'rho'"),
+    ], ids=["missing-resolution", "not-a-number", "none"])
+    def test_bad_rho_is_a_config_error(self, rho, message):
+        sites = [TestBuildResampledTable().make_site(s, 0, 400) for s in ("a", "b")]
+        table = build_resampled_table(sites, resolutions=("day", "month"))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_resolution_criteria(table, rho)
+
     def test_similar_daily_dissimilar_monthly_pair_split_in_prefilter_mode(self):
         # both sites share a weekly rhythm (daily-scale similarity) but have
         # opposite annual drifts, so the month-scale criterion must keep each
