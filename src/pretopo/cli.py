@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, ingest
+from .core import _SCHEMA_VERSION
 from .errors import ConfigError, DataError, ParseError, read_number
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
@@ -36,8 +37,6 @@ from .similarity import (
     check_mode,
 )
 
-_SCHEMA_VERSION = 1
-
 _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -47,8 +46,8 @@ _OUTLIER_COLOR = "#000000"
 
 def _check_schema_version(doc: dict, what: str) -> None:
     version = doc.get("schema_version", _SCHEMA_VERSION)
-    if version != _SCHEMA_VERSION:
-        raise ConfigError(f"{what}: unsupported schema_version {version}")
+    if isinstance(version, bool) or version != _SCHEMA_VERSION:
+        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
 
 
 def _load_json(path, what: str) -> dict:

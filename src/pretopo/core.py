@@ -76,6 +76,14 @@ class Universe:
         return ElementSet.from_members(self.size, members)
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class ElementSet:
     """An immutable subset of a universe, stored as a bitmask.
 
@@ -107,11 +115,7 @@ class ElementSet:
         return list(self)
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return _set_bits(self.mask)
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool(self.mask >> i & 1)
@@ -191,8 +195,11 @@ class PseudoclosureSpace:
     """Base class: a universe plus a pseudoclosure operator.
 
     Subclasses implement :meth:`_pseudoclosure_mask`; everything else
-    (closure iteration, interior, diagnostics) is generic.  Instances are
-    immutable after construction and safe to share across threads.
+    (closure iteration, interior, diagnostics) is generic.  A subclass may
+    also override :meth:`grow` to carry what it computed for a set (its
+    reach) forward to the set's supersets, so that iterating the operator
+    pays only for the members each step adds.  Instances are immutable
+    after construction and safe to share across threads.
     """
 
     kind = "abstract"
@@ -206,6 +213,18 @@ class PseudoclosureSpace:
 
     def _pseudoclosure_mask(self, mask: int) -> int:
         raise NotImplementedError
+
+    def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, object]:
+        """``a(mask)`` as a bitmask, plus the reach that produced it.
+
+        ``parent`` must be a subset of ``mask`` and ``parent_reach`` the
+        reach this method returned for it; ``None`` stands for the empty
+        parent.  A space that overrides this carries its reach forward, so
+        the call costs only the members in ``mask & ~parent``.  The default
+        re-evaluates the operator from all of ``mask`` and returns ``None``
+        as the reach.
+        """
+        return self._pseudoclosure_mask(mask), None
 
     def _require(self, a: ElementSet):
         if a.n != self.size:
@@ -225,12 +244,12 @@ class PseudoclosureSpace:
         at most ``size`` iterations.
         """
         self._require(a)
-        mask = a.mask
+        mask, parent, reach = a.mask, 0, None
         while True:
-            grown = self._pseudoclosure_mask(mask)
+            grown, reach = self.grow(mask, parent, reach)
             if grown == mask:
                 return ElementSet(self.size, mask)
-            mask = grown
+            mask, parent = grown, mask
 
     def interior(self, a: ElementSet) -> ElementSet:
         """Dual operator: complement of the pseudoclosure of the complement."""
@@ -287,7 +306,9 @@ class PrefilterSpace(PseudoclosureSpace):
     Basis set j of x meets A exactly when x lies in T_j(y) = {x : y in
     basis_j(x)} for some y in A.  So a(A) is the intersection over slots j
     of short_j | (union of T_j(y) over y in A), where short_j holds the
-    items with no basis set j.  One call costs |A| big-integer ORs per slot.
+    items with no basis set j.  One call costs |A| big-integer ORs per slot;
+    :meth:`grow` keeps each slot's union, its reach, so that a superset of
+    an evaluated set pays only for its new members.
     """
 
     kind = "prefilter"
@@ -335,6 +356,21 @@ class PrefilterSpace(PseudoclosureSpace):
                 reach |= transposed[y]
             out &= reach
         return out
+
+    def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, tuple[int, ...]]:
+        """``a(mask)`` and the reach tuple, one entry per basis slot:
+        reach_j(mask) = reach_j(parent) | T_j(y) for each added member y."""
+        if parent_reach is None:
+            parent, parent_reach = 0, [short for _, short in self._slots]
+        added = list(_set_bits(mask & ~parent))
+        out = self.universe.full_mask
+        reach = []
+        for (transposed, _), slot_reach in zip(self._slots, parent_reach):
+            for y in added:
+                slot_reach |= transposed[y]
+            reach.append(slot_reach)
+            out &= slot_reach
+        return out, tuple(reach)
 
     def neighborhoods_of(self, x: int) -> list[ElementSet]:
         return list(self.basis.sets[x])
@@ -408,6 +444,17 @@ class GraphSpace(PseudoclosureSpace):
             out |= succ[low.bit_length() - 1]
             rest ^= low
         return out
+
+    def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, int]:
+        """``a(mask)`` and its reach, the union of the members' successors;
+        only the members in ``mask & ~parent`` are added to the parent's."""
+        if parent_reach is None:
+            parent, parent_reach = 0, 0
+        reach = parent_reach
+        succ = self._succ_masks
+        for y in _set_bits(mask & ~parent):
+            reach |= succ[y]
+        return mask | reach, reach
 
     def neighborhoods_of(self, x: int) -> list[ElementSet]:
         # x lies in i(V) exactly when V contains x and all of x's predecessors,

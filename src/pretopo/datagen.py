@@ -236,66 +236,94 @@ def generate_series(spec: SeriesGenSpec) -> tuple[FeatureTable, list[int]]:
 # -- JSON specs and CSV outputs ----------------------------------------------
 
 
+def _objects(value, what: str) -> list:
+    """``value`` if it is a list of JSON objects, else a config error."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ConfigError(f"{what} must be a list of objects, got {value!r}")
+    return value
+
+
+def _number(doc: dict, key: str, what: str, convert=float, default=None):
+    """``doc[key]`` read as a number, or ``default`` when one is given and
+    the key is absent; errors name the key after ``what``."""
+    value = doc[key] if default is None else doc.get(key, default)
+    return read_number(value, f"{what}: {key!r}", convert)
+
+
+def _number_pair(value, what: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be a list of two numbers, got {value!r}")
+    return read_number(value[0], what), read_number(value[1], what)
+
+
 def waveform_from_dict(doc: dict) -> Waveform:
     try:
         kind = doc["kind"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"waveform spec needs a 'kind': {doc!r}") from exc
+    what = f"{kind} waveform"
     try:
         if kind == "sine":
             return Sine(
-                period=float(doc["period"]),
-                amplitude=float(doc.get("amplitude", 1.0)),
-                phase=float(doc.get("phase", 0.0)),
-                offset=float(doc.get("offset", 0.0)),
+                period=_number(doc, "period", what),
+                amplitude=_number(doc, "amplitude", what, default=1.0),
+                phase=_number(doc, "phase", what, default=0.0),
+                offset=_number(doc, "offset", what, default=0.0),
             )
         if kind == "square":
             return Square(
-                period=float(doc["period"]),
-                amplitude=float(doc.get("amplitude", 1.0)),
-                phase=float(doc.get("phase", 0.0)),
-                duty=float(doc.get("duty", 0.5)),
-                offset=float(doc.get("offset", 0.0)),
+                period=_number(doc, "period", what),
+                amplitude=_number(doc, "amplitude", what, default=1.0),
+                phase=_number(doc, "phase", what, default=0.0),
+                duty=_number(doc, "duty", what, default=0.5),
+                offset=_number(doc, "offset", what, default=0.0),
             )
         if kind == "trend":
-            return Trend(slope=float(doc["slope"]), intercept=float(doc.get("intercept", 0.0)))
+            return Trend(
+                slope=_number(doc, "slope", what),
+                intercept=_number(doc, "intercept", what, default=0.0),
+            )
         if kind == "mix":
-            return Mix(tuple(waveform_from_dict(c) for c in doc["components"]))
+            components = _objects(doc["components"], f"{what}: 'components'")
+            return Mix(tuple(waveform_from_dict(c) for c in components))
     except KeyError as exc:
         raise ConfigError(f"waveform spec {kind!r} is missing {exc}") from exc
     raise ConfigError(f"unknown waveform kind {kind!r}")
 
 
 def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
+    """The generator spec a JSON object describes; a field of the wrong type
+    or shape is a :class:`ConfigError` that names the field."""
     if not isinstance(doc, dict):
         raise ConfigError("generator spec must be a JSON object")
     kind = doc.get("kind")
+    what = "generator spec"
     try:
-        seed = read_number(doc.get("rng_seed", 0), "generator spec: 'rng_seed'", int)
+        seed = _number(doc, "rng_seed", what, int, 0)
         if kind == "points":
             groups = tuple(
                 PointGroup(
-                    count=read_number(g["count"], "generator spec: 'count'", int),
-                    center=(float(g["center"][0]), float(g["center"][1])),
-                    dispersion=float(g["dispersion"]),
-                    size_range=(float(g["size_range"][0]), float(g["size_range"][1])),
+                    count=_number(g, "count", what, int),
+                    center=_number_pair(g["center"], f"{what}: 'center'"),
+                    dispersion=_number(g, "dispersion", what),
+                    size_range=_number_pair(g["size_range"], f"{what}: 'size_range'"),
                 )
-                for g in doc["groups"]
+                for g in _objects(doc["groups"], f"{what}: 'groups'")
             )
             return PointGenSpec(groups=groups, rng_seed=seed)
         if kind == "series":
             clusters = tuple(
                 SeriesCluster(
-                    count=read_number(c["count"], "generator spec: 'count'", int),
-                    length=read_number(c["length"], "generator spec: 'length'", int),
+                    count=_number(c, "count", what, int),
+                    length=_number(c, "length", what, int),
                     shape=waveform_from_dict(c["shape"]),
-                    noise_sigma=float(c.get("noise_sigma", 0.0)),
+                    noise_sigma=_number(c, "noise_sigma", what, default=0.0),
                 )
-                for c in doc["clusters"]
+                for c in _objects(doc["clusters"], f"{what}: 'clusters'")
             )
             return SeriesGenSpec(clusters=clusters, rng_seed=seed)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed generator spec: {exc!r}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"generator spec is missing {exc}") from exc
     raise ConfigError(f"generator spec kind must be 'points' or 'series', got {kind!r}")
 
 

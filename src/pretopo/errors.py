@@ -12,7 +12,10 @@ class ConfigError(PretopoError):
 def read_number(value, what: str, convert=float):
     """``convert(value)``, reporting a value it rejects as a config error;
     an ``int`` target rejects a float with a fractional part
-    rather than truncating it."""
+    rather than truncating it.  A JSON boolean is not a number, so
+    ``True`` and ``False`` are rejected too."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         number = convert(value)
     except (TypeError, ValueError, OverflowError) as exc:

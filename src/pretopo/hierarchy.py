@@ -21,11 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ElementSet, PseudoclosureSpace, Universe, _row_blocks, unpack_masks
+from .core import (
+    _SCHEMA_VERSION,
+    ElementSet,
+    PseudoclosureSpace,
+    Universe,
+    _row_blocks,
+    unpack_masks,
+)
 from .errors import ConfigError
 from .similarity import Criterion, FeatureTable, _pairwise_rows, is_distance_criterion
-
-_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -228,24 +233,29 @@ def elementary_closed_subsets(space: PseudoclosureSpace, seeds: list[Seed]) -> C
 
     Sets are bucketed by cardinality and processed smallest-first; since a
     strict expansion always lands in a strictly larger bucket, every set is
-    treated exactly once.
+    treated exactly once.  A queued set waits with the set that grew it
+    and that set's reach, so :meth:`PseudoclosureSpace.grow` pays only for
+    the members the expansion added; the entry is dropped when the set is
+    processed.
     """
     n = space.size
-    buckets: list[list[int]] = [[] for _ in range(n + 1)]
+    # per cardinality: (mask, parent mask, parent reach) of each queued set
+    buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
     seen: set[int] = set()
 
-    def insert(mask: int):
+    def insert(mask: int, parent: int, reach):
         if mask not in seen:
             seen.add(mask)
-            buckets[mask.bit_count()].append(mask)
+            buckets[mask.bit_count()].append((mask, parent, reach))
 
     for seed in seeds:
-        insert(seed.members.mask)
-    for size in range(n + 1):
-        for mask in buckets[size]:
-            grown = space._pseudoclosure_mask(mask)
+        insert(seed.members.mask, 0, None)
+    for queued in buckets:
+        while queued:
+            mask, parent, parent_reach = queued.pop()
+            grown, reach = space.grow(mask, parent, parent_reach)
             if grown != mask:
-                insert(grown)
+                insert(grown, mask, reach)
     return ClosedFamily(ElementSet(n, m) for m in seen)
 
 

@@ -85,8 +85,40 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("version, shown", [("1", "'1'"), (True, "True")])
+    def test_schema_version_shown_as_given(self, tmp_path, capsys, version, shown):
+        spec = write_json(tmp_path / "spec.json", dict(POINTS_SPEC, schema_version=version))
+        code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"generator spec: unsupported schema_version {shown}",
+        }
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"groups": ["abc"]},
+         "generator spec: 'groups' must be a list of objects, got ['abc']"),
+        ({"groups": {"a": 1}},
+         "generator spec: 'groups' must be a list of objects, got {'a': 1}"),
+        ({"groups": [dict(POINTS_SPEC["groups"][0], center=5)]},
+         "generator spec: 'center' must be a list of two numbers, got 5"),
+        ({"kind": "series", "clusters": [7]},
+         "generator spec: 'clusters' must be a list of objects, got [7]"),
+        ({"groups": [dict(POINTS_SPEC["groups"][0], size_range=[1])]},
+         "generator spec: 'size_range' must be a list of two numbers, got [1]"),
+    ], ids=["groups-strings", "groups-object", "center-number", "clusters-numbers", "size_range-one"])
+    def test_spec_shape_error_names_the_field(self, tmp_path, capsys, edit, message):
+        spec = write_json(tmp_path / "spec.json", dict(POINTS_SPEC, **edit))
+        code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["generate", "cluster"])
-    @pytest.mark.parametrize("seed", ["x", None, float("inf"), 1.9])
+    @pytest.mark.parametrize("seed", ["x", None, float("inf"), 1.9, True])
     def test_bad_rng_seed_exits_2(self, tmp_path, capsys, command, seed):
         spec = dict(POINTS_SPEC, rng_seed=seed)
         if command == "generate":
@@ -305,6 +337,8 @@ class TestCluster:
         ("rng_seed", "x"),
         ("d", 1.5),
         ("rng_seed", 2.5),
+        ("d", True),
+        ("th_qh", True),
     ])
     def test_bad_scalar_exits_2(self, tmp_path, capsys, key, value):
         features = self.prepare(tmp_path, capsys)
@@ -341,6 +375,7 @@ class TestCluster:
         ("criteria", [{"kind": "size", "tolerance": None}]),
         ("criteria", [{"kind": "euclidean", "radius": 2.0},
                       {"kind": "pearson", "threshold": [0.5]}]),
+        ("criteria", [{"kind": "euclidean", "radius": True}]),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value

@@ -1,5 +1,6 @@
 """Differential checks of the neighborhood-space operators against
-per-element evaluation, on seeded spaces across byte and 64-bit boundaries."""
+per-element evaluation, on seeded spaces across byte and 64-bit boundaries,
+and of incremental closure growth against re-evaluating the operator."""
 
 import random
 
@@ -10,16 +11,25 @@ from helpers import (
     brute_force_pseudoclosure_filter,
     brute_force_pseudoclosure_prefilter,
     random_filter_space,
+    random_graph_space,
     random_prefilter_space,
 )
 from pretopo import (
+    ClosestNode,
     ElementSet,
+    EuclideanBall,
     FilterSpace,
+    GraphSpace,
     NeighborhoodBasis,
     PrefilterSpace,
+    PseudoclosureSpace,
     Seed,
+    SizeBall,
     Universe,
+    build_basis,
+    datagen,
     elementary_closed_subsets,
+    elementary_quasiclosures,
 )
 
 SIZES = [0, 1, 7, 8, 9, 63, 64, 65, 130]
@@ -90,3 +100,98 @@ def test_family_matches_oracle_growth(n):
         family = elementary_closed_subsets(space, seeds)
         expected = brute_force_family(oracle(space), [s.members.mask for s in seeds])
         assert sorted(s.mask for s in family) == sorted(expected)
+
+
+# -- incremental growth -------------------------------------------------------
+
+
+class _CardinalityStep(PseudoclosureSpace):
+    """Defines only the operator, which is not isotone: a(A) adds the item
+    whose index is |A|.  Growth must fall back to re-evaluating it."""
+
+    def _pseudoclosure_mask(self, mask):
+        k = mask.bit_count()
+        return mask | (1 << k) if mask and k < self.size else mask
+
+
+def growth_spaces(n):
+    """Every space kind, with sparse graphs so chains take several steps."""
+    rng = random.Random(3000 + n)
+    graphs = [random_graph_space(rng, n, p=2 / max(n, 1)), random_graph_space(rng, n, p=0.1)]
+    return spaces(n) + graphs + [_CardinalityStep(Universe.of_size(n))]
+
+
+def closed_family_masks(space, seed_masks):
+    seeds = [Seed((m & -m).bit_length() - 1, ElementSet(space.size, m)) for m in seed_masks]
+    return sorted(s.mask for s in elementary_closed_subsets(space, seeds))
+
+
+def same_operator_spaces(edges):
+    """A graph space and the prefilter and filter spaces with its operator:
+    x joins a(A) when A meets {x} plus x's predecessors."""
+    n = len(edges)
+    graph = GraphSpace(Universe.of_size(n), edges)
+    basis = NeighborhoodBasis(tuple(tuple(graph.neighborhoods_of(x)) for x in range(n)))
+    return [graph, PrefilterSpace(graph.universe, basis), FilterSpace(graph.universe, basis)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_grow_from_any_subset_matches_operator(n):
+    """grow(B, A, reach(A)) equals a(B), and B's reach equals the reach
+    grown from the empty parent, for every kind and any A within B."""
+    rng = random.Random(4000 + n)
+    for space in growth_spaces(n):
+        for mask in probe_masks(rng, n):
+            parent = mask & rng.getrandbits(max(n, 1))
+            _, parent_reach = space.grow(parent)
+            grown, reach = space.grow(mask, parent, parent_reach)
+            assert grown == space._pseudoclosure_mask(mask)
+            assert (grown, reach) == space.grow(mask)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_family_matches_operator_growth_for_every_kind(n):
+    rng = random.Random(5000 + n)
+    for space in growth_spaces(n):
+        seed_masks = [(1 << x) | (1 << rng.randrange(n)) for x in range(n)]
+        expected = brute_force_family(space._pseudoclosure_mask, seed_masks)
+        assert closed_family_masks(space, seed_masks) == sorted(expected)
+
+
+def test_set_reached_from_two_parents():
+    """a({0}) = a({1}) = {0, 1, 2}, which then grows on to {0, 1, 2, 3}."""
+    edges = [[1, 2], [0, 2], [3], []]
+    for space in same_operator_spaces(edges):
+        assert space.pseudoclosure(ElementSet(4, 0b0001)).mask == 0b0111
+        assert space.pseudoclosure(ElementSet(4, 0b0010)).mask == 0b0111
+        family = closed_family_masks(space, [0b0001, 0b0010])
+        assert family == sorted(brute_force_family(space._pseudoclosure_mask, [0b0001, 0b0010]))
+        assert family == [0b0001, 0b0010, 0b0111, 0b1111]
+
+
+def test_seed_inside_another_seeds_chain():
+    """The chain {0} -> {0,1} -> {0,1,2} -> ... passes through the seeds
+    {0, 1} and {0, 1, 2}, which are queued before the chain reaches them."""
+    edges = [[1], [2], [3], [4], []]
+    seed_masks = [0b00011, 0b00111, 0b00001]
+    for space in same_operator_spaces(edges):
+        family = closed_family_masks(space, seed_masks)
+        assert family == sorted(brute_force_family(space._pseudoclosure_mask, seed_masks))
+        assert family == [0b00001, 0b00011, 0b00111, 0b01111, 0b11111]
+
+
+def test_family_matches_operator_growth_on_point_sweep():
+    """The ROADMAP's points sweep at n = 400 with d = 0: two criteria in
+    prefilter mode, where the closed family has chains of many steps."""
+    groups = [([0, 0], [1, 2]), ([10, 0], [8, 10]), ([30, 0], [8, 10]), ([10, 25], [4, 5])]
+    spec = datagen.spec_from_dict({"kind": "points", "rng_seed": 1, "groups": [
+        {"count": 100, "center": c, "dispersion": 2.0, "size_range": r} for c, r in groups
+    ]})
+    table, _ = datagen.generate(spec)
+    criteria = [EuclideanBall(1.0), SizeBall(0.5)]
+    space = build_basis(table, criteria, "prefilter")
+    seeds = elementary_quasiclosures(space, table, 0, ClosestNode(criteria[0]))
+    family = elementary_closed_subsets(space, seeds)
+    expected = brute_force_family(space._pseudoclosure_mask, [s.members.mask for s in seeds])
+    assert sorted(s.mask for s in family) == sorted(expected)
+    assert len(family) > 4 * space.size  # many sets beyond the seeds
