@@ -84,6 +84,21 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _kth_set_bit(mask: int, k: int) -> int:
+    """Index of set bit ``k`` of ``mask``, counting the lowest as 0; ``k``
+    must be below ``mask.bit_count()``.  Bisects on the count of set bits
+    below an index, so no bit is visited one at a time."""
+    # the answer t is the largest index with at most k set bits below it
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() <= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class ElementSet:
     """An immutable subset of a universe, stored as a bitmask.
 

@@ -28,6 +28,18 @@ from .errors import ConfigError, read_number
 from .rng import normals, splitmix64, uniforms
 from .similarity import FeatureTable
 
+# A spec is refused before anything is drawn when one of its arrays would
+# pass numpy's index range, or its draws a stream's 2**64 counter values.
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+_MAX_DRAWS = 1 << 64
+
+
+def _check_draws(draws: int, what: str) -> None:
+    if draws > _MAX_DRAWS:
+        raise ConfigError(
+            f"{what} need {draws} draws, more than the 2**64 of a splitmix64 stream"
+        )
+
 
 def _check_finite(spec) -> None:
     """Raise :class:`ConfigError` unless every float field of ``spec``, and
@@ -49,6 +61,8 @@ class PointGroup:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("group count must be >= 1")
+        if 5 * self.count > _MAX_SIZE:  # one block of 5 draws per point
+            raise ConfigError(f"group count must be at most {_MAX_SIZE // 5}, got {self.count}")
         _check_finite(self)
         if not self.dispersion > 0:
             raise ConfigError("dispersion must be > 0")
@@ -61,6 +75,9 @@ class PointGroup:
 class PointGenSpec:
     groups: tuple[PointGroup, ...]
     rng_seed: int = 0
+
+    def __post_init__(self):
+        _check_draws(5 * sum(g.count for g in self.groups), "point group counts")
 
 
 # -- waveforms ---------------------------------------------------------------
@@ -144,8 +161,12 @@ class SeriesCluster:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("cluster count must be >= 1")
+        if self.count > _MAX_SIZE:
+            raise ConfigError(f"cluster count must be at most {_MAX_SIZE}, got {self.count}")
         if self.length < 2:
             raise ConfigError("series length must be >= 2")
+        if 2 * self.length > _MAX_SIZE:  # the draws of one series form one block
+            raise ConfigError(f"series length must be at most {_MAX_SIZE // 2}, got {self.length}")
         _check_finite(self)
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
@@ -160,6 +181,13 @@ class SeriesGenSpec:
         lengths = {c.length for c in self.clusters}
         if len(lengths) > 1:
             raise ConfigError(f"clusters must share one series length, got {sorted(lengths)}")
+        items = sum(c.count for c in self.clusters)
+        if items > _MAX_SIZE:
+            raise ConfigError(f"cluster counts sum to {items} series, more than {_MAX_SIZE}")
+        _check_draws(
+            sum(2 * c.count * c.length for c in self.clusters if c.noise_sigma),
+            "series cluster counts and lengths",
+        )
 
 
 # -- generators --------------------------------------------------------------

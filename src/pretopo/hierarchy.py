@@ -26,6 +26,7 @@ from .core import (
     ElementSet,
     PseudoclosureSpace,
     Universe,
+    _kth_set_bit,
     _row_blocks,
     unpack_masks,
 )
@@ -143,8 +144,7 @@ def _walker(
                 if not candidates_mask:
                     break
                 # the k-th set bit, drawn as from the ascending candidate list
-                k = rng.randrange(candidates_mask.bit_count())
-                nxt = int(np.flatnonzero(unpack_masks([candidates_mask], n)[0])[k])
+                nxt = _kth_set_bit(candidates_mask, rng.randrange(candidates_mask.bit_count()))
                 path.append(nxt)
                 visited |= 1 << nxt
                 last = nxt

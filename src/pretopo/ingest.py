@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, read_number
-from .similarity import FeatureTable, PearsonBall, _csv_rows
+from .similarity import FeatureTable, PearsonBall, _csv_rows, _hands_over
 
 logger = logging.getLogger(__name__)
 
@@ -78,13 +78,6 @@ def load_csv(path) -> list[RawSeries]:
     except UnicodeDecodeError:  # reported by the row reader, at its own position
         sites = None
     return _load_rows(path) if sites is None else sites
-
-
-def _hands_over(text: str) -> bool:
-    """Whether ``text`` holds a character the two readers treat differently:
-    ``csv`` quoting, a NUL, or the separators U+001C..U+001F, which numpy
-    strips from a number as whitespace and ``float`` rejects."""
-    return any(char in text for char in '"\x00\x1c\x1d\x1e\x1f')
 
 
 def _load_columnar(path) -> list[RawSeries] | None:

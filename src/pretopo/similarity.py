@@ -40,6 +40,14 @@ def _csv_rows(fh):
         raise ParseError(f"{fh.name}: input is not UTF-8 text ({exc})") from None
 
 
+def _hands_over(text: str) -> bool:
+    """Whether ``text`` holds a character ``csv`` with ``float`` and numpy's
+    C reader treat differently: ``csv`` quoting, a NUL, or the separators
+    U+001C..U+001F, which numpy strips from a number as whitespace and
+    ``float`` rejects."""
+    return any(char in text for char in '"\x00\x1c\x1d\x1e\x1f')
+
+
 @dataclass
 class FeatureTable:
     """Per-item features. Every present feature covers all items.
@@ -97,7 +105,9 @@ class FeatureTable:
         return self.channels[channel]
 
     def to_csv(self, path) -> None:
-        """Write the x,y,size,series_* schema (row order is item order)."""
+        """Write the x,y,size,series_* schema (row order is item order), one
+        line per row ended by ``\\r\\n``, as ``csv.writer`` writes it: no
+        header name or float ``repr`` needs quoting."""
         header = []
         if self.positions is not None:
             dims = len(self.positions[0]) if self.positions else 2
@@ -111,42 +121,104 @@ class FeatureTable:
             length = len(self.series[0]) if self.series else 0
             header += [f"series_{i}" for i in range(length)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            fh.write(",".join(header) + "\r\n")
             for i in range(self.n_items):
                 row: list = []
                 if self.positions is not None:
-                    row += [repr(self.positions[i][0]), repr(self.positions[i][1])]
+                    row += [self.positions[i][0], self.positions[i][1]]
                 if self.sizes is not None:
-                    row.append(repr(self.sizes[i]))
+                    row.append(self.sizes[i])
                 if self.series is not None:
-                    row += [repr(v) for v in self.series[i]]
-                writer.writerow(row)
+                    row += self.series[i]
+                fh.write(",".join(map(repr, row)) + "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
+        """Read the x,y,size,series_* schema.
+
+        A file is parsed column by column with numpy's C reader when that
+        reader provably reads it as the row reader does.  Every other file is
+        read row by row, so every error message and line number comes from
+        :meth:`_from_rows` alone: quotes, a NUL or U+001C..U+001F, a blank
+        line, a short row, number spellings numpy rejects but ``float``
+        accepts (``1_000``, non-ASCII digits), a NaN or infinite cell, a
+        ``series_`` column without an integer index, bytes that are not
+        UTF-8 and a field longer than ``csv.field_size_limit()``.
+        """
+        table = cls._from_columns(path)
+        return cls._from_rows(path) if table is None else table
+
+    @classmethod
+    def _from_columns(cls, path) -> "FeatureTable | None":
+        """:meth:`_from_rows`'s table through ``np.loadtxt``, or None where
+        the two readers might disagree.
+
+        The file is read with universal newlines, so ``\\r`` and ``\\r\\n``
+        end a line as they end a ``csv`` row, and without a ``"`` every field
+        is the text between commas.  Every line must give one row: the row
+        reader raises on a blank line, which ``loadtxt`` would skip.  Fields,
+        not lines, are held to ``csv``'s size limit, since a row of 17,520
+        values is a longer line than ``csv`` accepts as one field.  The text
+        and its lines, a few bytes a cell, stay below the row reader's one
+        ``str`` object a cell.
+        """
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except UnicodeDecodeError:  # reported by the row reader, at its own position
+            return None
+        if _hands_over(text):
+            return None
+        lines = text.split("\n")
+        del text
+        if lines[-1] == "":
+            lines.pop()  # the last line's terminator
+        if not lines or "" in lines:
+            return None
+        limit = csv.field_size_limit()
+        if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
+            return None
+        try:
+            features = _feature_columns(lines[0].split(","), path)
+        except ParseError:
+            return None
+        usecols = [idx for columns in features.values() for _, idx in columns]
+        if not usecols:
+            return None
+        body = lines[1:]
+        values = np.empty((0, len(usecols)))
+        if body:  # loadtxt warns on no lines
+            try:
+                values = np.loadtxt(
+                    body, dtype=np.float64, delimiter=",",
+                    comments=None, usecols=usecols, ndmin=2,
+                )
+            except ValueError:
+                return None
+            if len(values) != len(body) or not np.isfinite(values).all():
+                return None
+        data = {}
+        for feature, columns in features.items():
+            data[feature], values = values[:, :len(columns)], values[:, len(columns):]
+        return cls(
+            positions=list(map(tuple, data["positions"].tolist())) if "positions" in data else None,
+            sizes=data["sizes"][:, 0].tolist() if "sizes" in data else None,
+            series=data["series"].tolist() if "series" in data else None,
+        )
+
+    @classmethod
+    def _from_rows(cls, path) -> "FeatureTable":
+        """The row reader: ``csv`` rows, every cell through ``float`` and
+        every check with its line."""
         with open(path, newline="") as fh:
             reader = _csv_rows(fh)
             header = next(reader, None)
             if header is None:
                 return cls()
             rows = list(reader)
-        cols = {name: idx for idx, name in enumerate(header)}
+        features = _feature_columns(header, path)
 
-        def series_index(name: str) -> int:
-            try:
-                return int(name.split("_", 1)[1])
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: series column {name!r} needs an integer index", line=1
-                ) from exc
-
-        series_cols = sorted(
-            (name for name in cols if name.startswith("series_")), key=series_index
-        )
-
-        def column(name: str) -> list[float]:
-            idx = cols[name]
+        def column(name: str, idx: int) -> list[float]:
             values = []
             # the header is line 1
             for line, row in enumerate(rows, start=2):
@@ -164,14 +236,38 @@ class FeatureTable:
                 values.append(value)
             return values
 
-        positions = sizes = series = None
-        if "x" in cols and "y" in cols:
-            positions = list(zip(column("x"), column("y")))
-        if "size" in cols:
-            sizes = column("size")
-        if series_cols:
-            series = [list(row) for row in zip(*map(column, series_cols))]
-        return cls(positions=positions, sizes=sizes, series=series)
+        data = {feature: [column(*c) for c in columns] for feature, columns in features.items()}
+        return cls(
+            positions=list(zip(*data["positions"])) if "positions" in data else None,
+            sizes=data["sizes"][0] if "sizes" in data else None,
+            series=[list(row) for row in zip(*data["series"])] if "series" in data else None,
+        )
+
+
+def _feature_columns(header: list[str], path) -> dict[str, list[tuple[str, int]]]:
+    """The columns each feature in ``header`` reads, as (name, index) pairs
+    in reading order: positions from ``x`` and ``y``, sizes from ``size`` and
+    series from ``series_*`` by ascending index.  A repeated name reads its
+    last column."""
+    cols = {name: idx for idx, name in enumerate(header)}
+
+    def series_index(name: str) -> int:
+        try:
+            return int(name.split("_", 1)[1])
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}: series column {name!r} needs an integer index", line=1
+            ) from exc
+
+    names = {}
+    if "x" in cols and "y" in cols:
+        names["positions"] = ["x", "y"]
+    if "size" in cols:
+        names["sizes"] = ["size"]
+    series_cols = sorted((name for name in cols if name.startswith("series_")), key=series_index)
+    if series_cols:
+        names["series"] = series_cols
+    return {feature: [(name, cols[name]) for name in group] for feature, group in names.items()}
 
 
 @dataclass(frozen=True)

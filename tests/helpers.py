@@ -4,6 +4,7 @@ Everything here is brute force on purpose: oracles must stay independent of
 the code paths they check.
 """
 
+import csv
 import math
 import random
 
@@ -25,6 +26,15 @@ from pretopo import (
     SizeBall,
     Universe,
 )
+from pretopo.core import unpack_masks
+
+# Cell spellings on both sides of what np.loadtxt and float() accept alike.
+ODD_NUMBERS = [
+    "1_000", " 1.0 ", "\t2\t", "0x10", "-1.5", "nan", "-nan", "inf", "-inf", "Infinity", "1e400",
+    "-1e400", "1e-400", "-1e-400", "-0.0", "+0", "1.", ".5", "+.5", "1e5", "1E+05", "00012",
+    "", " ", ".", "e5", "1e", "+", "1..2", "1d5", "\u0661", "\u20031", "1\u2003", "1\x0c", "1\x1c", "\x1f1",
+    "0x1p3", "nan(1)", "abc", "2021-01-01T00:00:00Z", "2021-01-01 00:30:00+00:00", "#",
+]
 
 
 def brute_force_closure(space, a):
@@ -169,6 +179,11 @@ def brute_force_closest_walk(matrix, first_node, d):
         visited.add(best)
         last = best
     return path
+
+
+def unpack_kth_set_bit(mask, n, k):
+    """Set bit ``k`` of an ``n``-bit ``mask``, read off its unpacked bits."""
+    return int(np.flatnonzero(unpack_masks([mask], n)[0])[k])
 
 
 def brute_force_random_walk(space, first_node, d, rng_seed):
@@ -399,3 +414,26 @@ def scalar_generate_series(spec):
                 series.append(list(base))
             labels.append(c_idx)
     return FeatureTable(series=series), labels
+
+
+def csv_writer_to_csv(table, path):
+    """``FeatureTable.to_csv`` through ``csv.writer``, one cell at a time."""
+    header = []
+    if table.positions is not None:
+        header += ["x", "y"]
+    if table.sizes is not None:
+        header.append("size")
+    if table.series is not None:
+        header += [f"series_{i}" for i in range(len(table.series[0]) if table.series else 0)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(table.n_items):
+            row = []
+            if table.positions is not None:
+                row += [repr(table.positions[i][0]), repr(table.positions[i][1])]
+            if table.sizes is not None:
+                row.append(repr(table.sizes[i]))
+            if table.series is not None:
+                row += [repr(v) for v in table.series[i]]
+            writer.writerow(row)

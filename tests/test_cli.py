@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,23 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "points", "groups": [dict(POINTS_SPEC["groups"][0], count=10**30)]},
+         r"group count must be at most \d+, got 10{30}"),
+        ({"kind": "series", "clusters": [
+            {"count": 2, "length": 10**30, "shape": {"kind": "sine", "period": 4}}]},
+         r"series length must be at most \d+, got 10{30}"),
+    ], ids=["points-count", "series-length"])
+    def test_spec_beyond_numpy_index_range_exits_2(self, tmp_path, capsys, spec, message):
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        code, out, err = run(capsys, "generate", "--spec", spec_path, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ConfigError"
+        assert re.fullmatch(message, json.loads(err)["message"])
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, seed, digests", [

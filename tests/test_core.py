@@ -12,6 +12,7 @@ from helpers import (
     random_graph_space,
     random_isotone_space,
     random_prefilter_space,
+    unpack_kth_set_bit,
 )
 from pretopo import (
     ElementSet,
@@ -26,6 +27,7 @@ from pretopo import (
     check_singleton_union,
     space_from_json,
 )
+from pretopo.core import _kth_set_bit
 
 
 def mod4_prefilter():
@@ -264,3 +266,21 @@ class TestSerialization:
         doc = json.loads(g.to_json())
         assert doc["universe"] == ["x", "y"]
         assert doc["edges"] == [[1], []]
+
+
+class TestKthSetBit:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_unpacked_bits(self, data):
+        n = data.draw(st.integers(1, 300))
+        mask = data.draw(st.integers(1, (1 << n) - 1))
+        mask |= data.draw(st.sampled_from([0, 1, 1 << (n - 1), 1 | 1 << (n - 1)]))
+        count = mask.bit_count()
+        for k in {0, count - 1, data.draw(st.integers(0, count - 1))}:
+            assert _kth_set_bit(mask, k) == unpack_kth_set_bit(mask, n, k)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1200])
+    def test_edge_masks(self, n):
+        for mask in (1, 1 << (n - 1), (1 << n) - 1, 1 | 1 << (n - 1)):
+            for k in range(mask.bit_count()):
+                assert _kth_set_bit(mask, k) == unpack_kth_set_bit(mask, n, k)

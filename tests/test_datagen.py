@@ -374,6 +374,37 @@ class TestSpecParsing:
                 {"count": 2, "length": 8, "shape": {"kind": "mix", "components": []}},
             ]})
 
+    def test_draws_beyond_one_stream_rejected(self):
+        # 5 draws a point: each group fits numpy's index range, three exceed 2**64 draws
+        group = {"count": 1_500_000_000_000_000_000, "center": [0, 1], "dispersion": 0.5,
+                 "size_range": [1, 2]}
+        assert len(spec_from_dict({"kind": "points", "groups": [group] * 2}).groups) == 2
+        with pytest.raises(ConfigError, match="point group counts need 22500000000000000000 draws"):
+            spec_from_dict({"kind": "points", "groups": [group] * 3})
+        # 2 draws a reading: 2**32 series of 2**31 readings use the whole stream
+        whole = {"count": 2**32, "length": 2**31, "noise_sigma": 0.1, "shape": {"kind": "trend", "slope": 1}}
+        assert spec_from_dict({"kind": "series", "clusters": [whole]})
+        with pytest.raises(ConfigError, match=f"need {2**64 + 2**33} draws"):
+            spec_from_dict({"kind": "series", "clusters": [dict(whole, length=2**31 + 1)]})
+        cluster = {"count": 10**12, "length": 10**7, "shape": {"kind": "sine", "period": 4}}
+        assert spec_from_dict({"kind": "series", "clusters": [cluster]})  # draws nothing
+        with pytest.raises(ConfigError, match="need 20000000000000000000 draws"):
+            spec_from_dict({"kind": "series", "clusters": [dict(cluster, noise_sigma=0.1)]})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "points", "groups": [{"count": 2**62, "center": [0, 1], "dispersion": 0.5,
+                                        "size_range": [1, 2]}]}, "group count must be at most"),
+        ({"kind": "series", "clusters": [{"count": 2**63, "length": 8, "shape": {
+            "kind": "sine", "period": 4}}]}, "cluster count must be at most"),
+        ({"kind": "series", "clusters": [{"count": 2, "length": 2**62, "shape": {
+            "kind": "sine", "period": 4}}]}, "series length must be at most"),
+        ({"kind": "series", "clusters": [{"count": 2**62, "length": 8, "shape": {
+            "kind": "sine", "period": 4}}] * 2}, "cluster counts sum to 9223372036854775808 series"),
+    ], ids=["point-count", "cluster-count", "length", "series-total"])
+    def test_sizes_beyond_numpy_index_range_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            spec_from_dict(doc)
+
     def test_spec_from_json(self):
         spec = spec_from_json('{"kind": "points", "groups": []}')
         assert isinstance(spec, PointGenSpec)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from pretopo import (
 )
 
 TOL = 1e-12
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def line_table():
@@ -85,6 +87,17 @@ class TestFindNeighbors:
                     assert find_neighbors(space, None, x, 4, RandomNeighbor(rng_seed)) == (
                         brute_force_random_walk(space, x, 4, rng_seed)
                     )
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_random_walk_on_series_benchmark_matches_candidate_list_draw(self, d):
+        config = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
+        table, _ = datagen.generate(datagen.spec_from_dict(config["dataset"]["spec"]))
+        space = build_basis(table, [PearsonBall(config["criteria"][0]["threshold"])])
+        rng_seed = config["rng_seed"]
+        seeds = elementary_quasiclosures(space, table, d, RandomNeighbor(rng_seed))
+        assert [seed.members.members() for seed in seeds] == [
+            sorted([x, *brute_force_random_walk(space, x, d, rng_seed)]) for x in range(space.size)
+        ]
 
     def test_closest_node_requires_distance_criterion(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_widest_drop
+from helpers import ODD_NUMBERS, brute_force_widest_drop
 from pretopo import ConfigError, DataError, ParseError, build_basis, ingest
 from pretopo.ingest import (
     RESOLUTIONS,
@@ -103,13 +103,6 @@ class TestLoadCsv:
         assert err.value.line == 2
 
 
-# Cell spellings on both sides of what np.loadtxt and float() accept alike.
-ODD_NUMBERS = [
-    "1_000", " 1.0 ", "\t2\t", "0x10", "-1.5", "nan", "-nan", "inf", "-inf", "Infinity", "1e400",
-    "-1e400", "1e-400", "-1e-400", "-0.0", "+0", "1.", ".5", "+.5", "1e5", "1E+05", "00012",
-    "", " ", ".", "e5", "1e", "+", "1..2", "1d5", "\u0661", "\u20031", "1\u2003", "1\x0c", "1\x1c", "\x1f1",
-    "0x1p3", "nan(1)", "abc", "2021-01-01T00:00:00Z", "2021-01-01 00:30:00+00:00", "#",
-]
 SITE_IDS = ["a", "b", "site_007", " a", "a ", "", "\u00e9t\u00e9", "\u65e5\u672c", "#x", "a b", '"a"', "a,b"]
 
 

@@ -1,23 +1,34 @@
+import csv
+import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_ball_masks, brute_force_pairwise_matrix, pearson
+from helpers import (
+    ODD_NUMBERS,
+    brute_force_ball_masks,
+    brute_force_pairwise_matrix,
+    csv_writer_to_csv,
+    pearson,
+)
 from pretopo import (
     ConfigError,
     DegenerateSeriesError,
     EuclideanBall,
     FeatureTable,
     FilterSpace,
+    ParseError,
     PearsonBall,
     PrefilterSpace,
     SizeBall,
     build_basis,
     core,
+    datagen,
     pairwise_matrix,
 )
 from pretopo.similarity import criterion_ball_masks
@@ -317,3 +328,233 @@ class TestCsvRoundTrip:
         path = tmp_path / "e.csv"
         path.write_text("")
         assert FeatureTable.from_csv(path).n_items == 0
+
+
+# Header names both readers must map alike: repeated names, a series index
+# that int() reads in several spellings, one it rejects, and unread columns.
+FEATURE_COLUMNS = ["x", "y", "size", "series_0", "series_1", "series_2"] * 4 + [
+    "series_10", "series_01", "series_ 3", "series_a", "label", "", "X",
+]
+FINITE_REPRS = (st.floats(0, 100) | st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+
+
+@st.composite
+def features_csv_bytes(draw):
+    """Features files, mostly well-formed, with the odd line both readers
+    must agree on: CRLF and CR endings, blank and whitespace-only lines,
+    short rows, a trailing comma, odd number spellings, characters numpy
+    and ``float`` treat differently, and bytes that are not UTF-8."""
+    columns = draw(st.lists(st.sampled_from(FEATURE_COLUMNS), min_size=1, max_size=6))
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 16 + ["odd", "blank", "space", "short", "comma"]))
+        cells = [draw(FINITE_REPRS) for _ in columns]
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t"])))
+        elif kind == "short":
+            lines.append(",".join(cells[:-1]))
+        else:
+            if kind == "odd":
+                odd = st.sampled_from(ODD_NUMBERS + ['"1"', "1\x00", "\x1e1", "\u00e9"])
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(odd | st.text(max_size=3))
+            lines.append(",".join(cells + [""] * (kind == "comma")))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (newline.join(lines) + newline * draw(st.sampled_from([0, 1, 1, 1, 2]))).encode()
+    if draw(st.sampled_from([False] * 9 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def table_bits(table):
+    """Every feature's rows, with the type and bits of each value, so that
+    -0.0 and 0.0, or a numpy and a Python float, differ."""
+    def bits(rows):
+        if rows is None:
+            return None
+        return [
+            (type(row), tuple((type(v), v.hex()) for v in row))
+            if isinstance(row, (list, tuple)) else (type(row), row.hex())
+            for row in rows
+        ]
+    return bits(table.positions), bits(table.sizes), bits(table.series), table.channels
+
+
+def table_outcome(read, path):
+    """What a reader returns, bit for bit, or the error it raises."""
+    try:
+        table = read(path)
+    except Exception as exc:  # noqa: BLE001 - every error must match, whatever its type
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    if table is None:
+        return ("handed over",)
+    return ("ok", table_bits(table))
+
+
+def write_bytes(tmp_path, data, name="f.csv"):
+    path = tmp_path / name
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return path
+
+
+def served_outcome(path):
+    """``from_csv``'s outcome with the row reader patched to fail."""
+    with mock.patch.object(FeatureTable, "_from_rows", side_effect=AssertionError("row reader used")):
+        return table_outcome(FeatureTable.from_csv, path)
+
+
+@pytest.fixture
+def field_limit_250():
+    old = csv.field_size_limit(250)
+    yield 250
+    csv.field_size_limit(old)
+
+
+class TestColumnarFromCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(data=features_csv_bytes())
+    def test_matches_row_reader(self, tmp_path_factory, data):
+        path = write_bytes(tmp_path_factory.mktemp("features"), data)
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert table_outcome(FeatureTable.from_csv, path) == expected
+        columnar = table_outcome(FeatureTable._from_columns, path)
+        if columnar != ("handed over",):
+            assert columnar == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=4, max_size=4), max_size=6))
+    def test_float_reprs_are_served_bit_for_bit(self, tmp_path_factory, rows):
+        text = "x,y,series_0,series_1\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+        path = write_bytes(tmp_path_factory.mktemp("features"), text)
+        expected = FeatureTable(positions=[(r[0], r[1]) for r in rows], series=[r[2:] for r in rows])
+        assert served_outcome(path) == ("ok", table_bits(expected))
+        assert table_outcome(FeatureTable._from_rows, path) == ("ok", table_bits(expected))
+
+    @pytest.mark.parametrize("text", [
+        "x,y\r\n1,2\r\n3,4\r\n",
+        "x,y\r1,2\r3,4\r",
+        "x,y\n1,2",
+        "x,y\n",
+        "x,y,\n1,2,\n3,4,\n",
+        "label,x,size,y,note\nfoo,1,2,3,a b\nbar,4,5,6,\n",
+        "x,y,x\n1,2,3\n",
+        "size,series_1,series_0\n-0,.5,5.\n1E-300,4.9e-324,-0\n",
+        "x,y\n 1 ,\t2\t\n",
+    ], ids=["crlf", "cr", "no-final-newline", "header-only", "trailing-comma", "label-columns",
+            "duplicate-name", "spellings", "padded"])
+    def test_served_without_the_row_reader(self, tmp_path, text):
+        path = write_bytes(tmp_path, text)
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert expected[0] == "ok"
+        assert served_outcome(path) == expected
+
+    def test_served_values(self, tmp_path):
+        path = write_bytes(tmp_path, "x,y,x\n1,2,3\n")
+        assert FeatureTable.from_csv(path).positions == [(3.0, 2.0)]
+        path = write_bytes(tmp_path, "size,series_1,series_0\n-0,.5,5.\n1E-300,4.9e-324,-0\n")
+        table = FeatureTable.from_csv(path)
+        assert table_bits(table) == table_bits(
+            FeatureTable(sizes=[-0.0, 1e-300], series=[[5.0, 0.5], [-0.0, 5e-324]])
+        )
+
+    def test_wide_rows_are_served(self, tmp_path):
+        # pretopo ingest's half-hour table: 17,520 values a row, a line
+        # longer than csv.field_size_limit() but every field short
+        values = np.random.default_rng(3).random((3, 17520)) * 100
+        FeatureTable(series=values.tolist()).to_csv(tmp_path / "f.csv")
+        path = tmp_path / "f.csv"
+        assert len(path.read_text().splitlines()[1]) > csv.field_size_limit()
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert served_outcome(path) == expected == ("ok", table_bits(FeatureTable(series=values.tolist())))
+
+    @pytest.mark.parametrize("data", [
+        b'x,y\n"1",2\n',
+        b"x,y\n1,2\x00\n",
+        b"x,y\n1,2\x1c\n",
+        b"x,y\n\x1f1,2\n",
+        b"x,y\n1,2\n\n3,4\n",
+        b"x,y\n1,2\n\n",
+        b"x,y\r\n1,2\r\n\r\n",
+        b"x,y\n\n",
+        b"x,y\n1,2\n \n",
+        b"x,y\n1,2\n3\n",
+        b"x,y\n1_000,2\n",
+        "x,y\n\u0661,2\n".encode(),
+        b"x,y\nnan,2\n",
+        b"x,y\n1,-inf\n",
+        b"size\n1e400\n",
+        b"series_a,series_1\n1,2\n",
+        b"x,y\n1,2\n\xff,3\n",
+        b"\xe9x,y\n1,2\n",
+        b"label\nfoo\n",
+        b"",
+    ], ids=["quote", "nul", "u001c", "u001f", "blank-line", "trailing-blank-line",
+            "trailing-blank-crlf", "only-blank-rows", "space-line", "short-row", "underscore", "arabic-digit", "nan",
+            "inf", "overflow", "series-index", "undecodable", "undecodable-header", "no-feature",
+            "empty"])
+    @pytest.mark.filterwarnings("error")
+    def test_hands_over_what_it_cannot_vouch_for(self, tmp_path, data):
+        path = write_bytes(tmp_path, data)
+        assert FeatureTable._from_columns(path) is None
+        assert table_outcome(FeatureTable.from_csv, path) == table_outcome(FeatureTable._from_rows, path)
+
+    def test_hands_over_when_loadtxt_drops_a_line(self, tmp_path):
+        path = write_bytes(tmp_path, "x,y\n1,2\n3,4\n")
+        loadtxt = np.loadtxt
+        with mock.patch.object(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[:-1]):
+            assert FeatureTable._from_columns(path) is None
+
+    def test_trailing_blank_line_fails_as_in_the_row_reader(self, tmp_path):
+        path = write_bytes(tmp_path, "x,y\n1,2\n\n")
+        with pytest.raises(ParseError) as err:
+            FeatureTable.from_csv(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("where", ["header", "first row", "later row", "last row"])
+    @pytest.mark.parametrize("width", [250, 251])
+    def test_field_longer_than_csv_accepts(self, tmp_path, field_limit_250, where, width):
+        # a number padded with zeros, so only its length can set it apart
+        long = "1".zfill(width)
+        header = "x,y,size" + (f",{long}" if where == "header" else "")
+        rows = [f"{i},{i},1" for i in range(40)]
+        row = {"first row": 0, "later row": 20, "last row": 39}.get(where)
+        if row is not None:
+            rows[row] = f"{row},{long},1"
+        path = write_bytes(tmp_path, "\n".join([header, *rows]))
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert table_outcome(FeatureTable.from_csv, path) == expected
+        if width > field_limit_250:
+            assert expected[0] == "error" and expected[1] is ParseError
+            assert FeatureTable._from_columns(path) is None
+        else:
+            assert served_outcome(path) == expected
+
+    def test_long_line_of_short_fields_is_served(self, tmp_path, field_limit_250):
+        path = write_bytes(tmp_path, "x,y,size," + ",".join(["label"] * 100) + "\n"
+                           + "1,2,3," + ",".join(["0.123456789"] * 100) + "\n")
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert expected == ("ok", table_bits(FeatureTable(positions=[(1.0, 2.0)], sizes=[3.0])))
+        assert served_outcome(path) == expected
+
+
+class TestToCsv:
+    @pytest.mark.parametrize("table", [
+        datagen.generate(datagen.PointGenSpec((datagen.PointGroup(20, (0.0, 1.0), 2.0, (0.0, 3.0)),), 4))[0],
+        datagen.generate(datagen.SeriesGenSpec((
+            datagen.SeriesCluster(5, 12, datagen.Sine(4.0), 0.5),
+            datagen.SeriesCluster(5, 12, datagen.Trend(-1e300)),
+        ), 9))[0],
+        FeatureTable(positions=[(-0.0, 5e-324)], sizes=[1e300], series=[[0.1, -2.5]]),
+        FeatureTable(),
+        FeatureTable(positions=[], sizes=[]),
+        FeatureTable(series=[]),
+        FeatureTable(channels={"day": [[1.0, 2.0], [3.0, 4.0]]}),
+    ], ids=["points", "series", "all-features", "empty", "no-points", "no-series", "channels-only"])
+    def test_bytes_match_csv_writer(self, tmp_path, table):
+        table.to_csv(tmp_path / "fast.csv")
+        csv_writer_to_csv(table, tmp_path / "oracle.csv")
+        assert hashlib.sha256((tmp_path / "fast.csv").read_bytes()).hexdigest() == hashlib.sha256(
+            (tmp_path / "oracle.csv").read_bytes()).hexdigest()
