@@ -46,7 +46,6 @@ from .hierarchy import (
     elementary_quasiclosures,
     extract_adjacency,
     extract_quasihierarchy,
-    find_neighbors,
     flatten,
     quasistructural_analysis,
 )
@@ -56,7 +55,6 @@ from .similarity import (
     PearsonBall,
     SizeBall,
     build_basis,
-    pairwise_matrix,
 )
 
 __version__ = "0.1.0"
@@ -97,9 +95,7 @@ __all__ = [
     "elementary_quasiclosures",
     "extract_adjacency",
     "extract_quasihierarchy",
-    "find_neighbors",
     "flatten",
-    "pairwise_matrix",
     "pseudoclosure_from_prefilter_roundtrip",
     "quasistructural_analysis",
     "reconstruct_neighborhoods",

@@ -2,7 +2,8 @@
 
 Every run is a pure function of its config and input files; rerunning a
 command writes byte-identical outputs.  Exit codes: 0 success, 2 for
-configuration or parse problems, 3 for bad data.
+configuration or parse problems, 3 for bad data or an array too large to
+allocate.
 """
 
 from __future__ import annotations
@@ -419,6 +420,8 @@ def main(argv=None) -> int:
         error, code = exc, 2
     except DataError as exc:
         error, code = exc, 3
+    except MemoryError as exc:  # numpy raises a private subclass
+        error, code = MemoryError(str(exc)), 3
     print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
     return code
 

@@ -209,12 +209,12 @@ class NeighborhoodBasis:
 class PseudoclosureSpace:
     """Base class: a universe plus a pseudoclosure operator.
 
-    Subclasses implement :meth:`_pseudoclosure_mask`; everything else
-    (closure iteration, interior, diagnostics) is generic.  A subclass may
-    also override :meth:`grow` to carry what it computed for a set (its
-    reach) forward to the set's supersets, so that iterating the operator
-    pays only for the members each step adds.  Instances are immutable
-    after construction and safe to share across threads.
+    Subclasses implement :meth:`grow`, which carries what it computed for a
+    set (its reach) forward to the set's supersets, so that iterating the
+    operator pays only for the members each step adds.  One application of
+    the operator is ``grow`` from the empty parent; everything else
+    (closure iteration, interior, diagnostics) is generic.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     kind = "abstract"
@@ -227,19 +227,16 @@ class PseudoclosureSpace:
         return self.universe.size
 
     def _pseudoclosure_mask(self, mask: int) -> int:
-        raise NotImplementedError
+        return self.grow(mask)[0]
 
     def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, object]:
         """``a(mask)`` as a bitmask, plus the reach that produced it.
 
         ``parent`` must be a subset of ``mask`` and ``parent_reach`` the
         reach this method returned for it; ``None`` stands for the empty
-        parent.  A space that overrides this carries its reach forward, so
-        the call costs only the members in ``mask & ~parent``.  The default
-        re-evaluates the operator from all of ``mask`` and returns ``None``
-        as the reach.
+        parent.  The call costs only the members in ``mask & ~parent``.
         """
-        return self._pseudoclosure_mask(mask), None
+        raise NotImplementedError
 
     def _require(self, a: ElementSet):
         if a.n != self.size:
@@ -357,21 +354,6 @@ class PrefilterSpace(PseudoclosureSpace):
             slots.append((rows, short))
         return slots
 
-    def _pseudoclosure_mask(self, mask: int) -> int:
-        members = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        out = self.universe.full_mask
-        for transposed, short in self._slots:
-            reach = short
-            for y in members:
-                reach |= transposed[y]
-            out &= reach
-        return out
-
     def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, tuple[int, ...]]:
         """``a(mask)`` and the reach tuple, one entry per basis slot:
         reach_j(mask) = reach_j(parent) | T_j(y) for each added member y."""
@@ -449,16 +431,6 @@ class GraphSpace(PseudoclosureSpace):
         self.edges = tuple(tuple(sorted(t)) for t in edges)
         self._succ_masks = succ
         self._pred_masks = pred
-
-    def _pseudoclosure_mask(self, mask: int) -> int:
-        out = mask
-        rest = mask
-        succ = self._succ_masks
-        while rest:
-            low = rest & -rest
-            out |= succ[low.bit_length() - 1]
-            rest ^= low
-        return out
 
     def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, int]:
         """``a(mask)`` and its reach, the union of the members' successors;
@@ -603,11 +575,8 @@ def check_singleton_union(space: PseudoclosureSpace, trials: int = 1000, rng_see
 
     def decomposed(mask: int) -> int:
         out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= singles[low.bit_length() - 1]
-            rest ^= low
+        for x in _set_bits(mask):
+            out |= singles[x]
         return out
 
     if n <= _EXHAUSTIVE_LIMIT:

@@ -76,24 +76,6 @@ class RandomNeighbor:
 SeedFunc = ClosestNode | RandomNeighbor
 
 
-def find_neighbors(
-    space: PseudoclosureSpace,
-    table: FeatureTable | None,
-    first_node: int,
-    d: int,
-    seed_func: SeedFunc,
-) -> list[int]:
-    """Walk ``d`` steps from ``first_node``, never revisiting a node.
-
-    Each step starts from the last node reached.  The walk ends early when
-    no candidate remains, so the path may be shorter than ``d``.
-    """
-    n = space.size
-    if not 0 <= first_node < n:
-        raise ValueError(f"item {first_node} outside universe of size {n}")
-    return _walker(space, table, d, seed_func)(first_node)
-
-
 def _walker(
     space: PseudoclosureSpace,
     table: FeatureTable | None,
@@ -101,7 +83,12 @@ def _walker(
     seed_func: SeedFunc,
 ):
     """The ``d``-step walk of ``seed_func`` as a function of its first node;
-    whatever it reads off ``table`` is built here, once."""
+    whatever it reads off ``table`` is built here, once.
+
+    Each step starts from the last node reached and never revisits a node.
+    The walk ends early when no candidate remains, so the path may be
+    shorter than ``d``.
+    """
     if d < 0:
         raise ValueError("neighbor count d must be >= 0")
     n = space.size

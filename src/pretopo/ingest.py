@@ -231,12 +231,8 @@ def _month_edges(start: float, end: float) -> list[float]:
     return edges
 
 
-def bucket_edges(resolution: str, window: tuple[float, float]) -> list[float]:
-    """Bucket boundaries covering [start, end); the last bucket may be partial."""
-    return _bucket_edges(resolution, window).tolist()
-
-
 def _bucket_edges(resolution: str, window: tuple[float, float]) -> np.ndarray:
+    """Bucket boundaries covering [start, end); the last bucket may be partial."""
     start, end = window
     if end <= start:
         raise ConfigError(f"empty window {window}")

@@ -288,7 +288,7 @@ class SizeBall:
     tolerance: float
 
     def __post_init__(self):
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ConfigError(f"size tolerance must be >= 0, got {self.tolerance}")
 
 
@@ -319,7 +319,7 @@ def _pairwise_rows(table: FeatureTable, criterion: Criterion):
     returns rows ``lo:hi``: distances (diagonal 0) or correlations (diagonal 1).
 
     The feature arrays are built once, here; each call allocates only its
-    own rows, so no n x n array exists unless a caller stacks them.
+    own rows, so no n x n array exists unless a caller asks for all rows.
     """
     n = table.n_items
     if isinstance(criterion, EuclideanBall):
@@ -360,17 +360,6 @@ def _pairwise_rows(table: FeatureTable, criterion: Criterion):
 
         return pearson_rows
     raise ConfigError(f"unknown criterion {criterion!r}")
-
-
-def pairwise_matrix(table: FeatureTable, criterion: Criterion) -> np.ndarray:
-    """Symmetric matrix of distances (diagonal 0) or correlations (diagonal 1)."""
-    n = table.n_items
-    out = np.empty((n, n), dtype=np.float64)
-    if n:
-        rows = _pairwise_rows(table, criterion)
-        for lo, hi in _row_blocks(n, n):
-            out[lo:hi] = rows(lo, hi)
-    return out
 
 
 def criterion_ball_masks(table: FeatureTable, criterion: Criterion) -> list[int]:

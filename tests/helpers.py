@@ -75,6 +75,17 @@ def brute_force_pseudoclosure_filter(basis_masks, a_mask, n):
     return out
 
 
+def brute_force_pseudoclosure_graph(edges, a_mask):
+    """Direct per-element evaluation: A plus the successors of each member,
+    read from the edge lists."""
+    out = a_mask
+    for x, targets in enumerate(edges):
+        if a_mask >> x & 1:
+            for y in targets:
+                out |= 1 << y
+    return out
+
+
 def brute_force_family(pseudoclosure, seed_masks):
     """Walk every seed's pseudoclosure chain to its fixed point, keeping each
     set on the way; ``pseudoclosure`` maps a mask to a mask."""

@@ -232,6 +232,18 @@ class TestGenerate:
         assert re.fullmatch(message, json.loads(err)["message"])
         assert not (tmp_path / "o").exists()
 
+    def test_array_numpy_refuses_exits_3(self, tmp_path, capsys):
+        # numpy refuses the 3.47 EiB block at once, so nothing is allocated
+        spec = {"kind": "points", "groups": [dict(POINTS_SPEC["groups"][0], count=10**17)]}
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        code, out, err = run(capsys, "generate", "--spec", spec_path, "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "MemoryError"
+        assert json.loads(err)["message"].startswith("Unable to allocate")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name, seed, digests", [
         ("points_multicriteria", None, (
             "b3856955e92eed56c238a4f517fc0118420f8d3f8001f35c82b5d73b9a1befb8",
@@ -394,6 +406,8 @@ class TestCluster:
         ("criteria", [{"kind": "euclidean", "radius": 2.0},
                       {"kind": "pearson", "threshold": [0.5]}]),
         ("criteria", [{"kind": "euclidean", "radius": True}]),
+        # json.dumps writes the NaN token, which Python's JSON reader accepts
+        ("criteria", [{"kind": "size", "tolerance": math.nan}]),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value

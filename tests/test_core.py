@@ -176,10 +176,10 @@ class TestNeighborhoods:
 class _OddBumpSpace(PseudoclosureSpace):
     """Deliberately non-isotone: odd-sized sets get item 0 added."""
 
-    def _pseudoclosure_mask(self, mask):
+    def grow(self, mask, parent=0, parent_reach=None):
         if mask.bit_count() % 2 == 1:
-            return mask | 1
-        return mask
+            return mask | 1, None
+        return mask, None
 
 
 class TestPropertyChecks:

@@ -22,7 +22,7 @@ from pretopo.datagen import (
     waveform_from_dict,
 )
 from pretopo.rng import normals, splitmix64, uniforms
-from pretopo.similarity import PearsonBall, pairwise_matrix
+from pretopo.similarity import PearsonBall, _pairwise_rows
 
 # splitmix64 test vectors as published with the original algorithm
 PUBLISHED = {
@@ -251,7 +251,7 @@ class TestGenerateSeries:
     def test_zero_noise_gives_identical_series_and_full_correlation(self):
         table, labels = generate_series(self.spec(noise=0.0))
         assert table.series[0] == table.series[1]
-        m = pairwise_matrix(table, PearsonBall(0.5))
+        m = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
         assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert m[4, 5] == pytest.approx(1.0, abs=1e-12)
 
@@ -271,7 +271,7 @@ class TestGenerateSeries:
             clusters=tuple(SeriesCluster(10, 60, s, 0.15) for s in shapes), rng_seed=5
         )
         table, labels = generate_series(spec)
-        m = pairwise_matrix(table, PearsonBall(0.5))
+        m = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
         n = table.n_items
         within = [m[i, j] for i in range(n) for j in range(i + 1, n) if labels[i] == labels[j]]
         between = [m[i, j] for i in range(n) for j in range(i + 1, n) if labels[i] != labels[j]]

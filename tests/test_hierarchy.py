@@ -37,11 +37,11 @@ from pretopo import (
     elementary_quasiclosures,
     extract_adjacency,
     extract_quasihierarchy,
-    find_neighbors,
     flatten,
     hierarchy,
     quasistructural_analysis,
 )
+from pretopo.hierarchy import _walker
 
 TOL = 1e-12
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -57,26 +57,26 @@ def line_space():
 
 class TestFindNeighbors:
     def test_zero_steps(self):
-        assert find_neighbors(line_space(), line_table(), 0, 0, ClosestNode(EuclideanBall(1.5))) == []
+        assert _walker(line_space(), line_table(), 0, ClosestNode(EuclideanBall(1.5)))(0) == []
 
     def test_closest_walk_on_line(self):
-        path = find_neighbors(line_space(), line_table(), 0, 2, ClosestNode(EuclideanBall(1.5)))
+        path = _walker(line_space(), line_table(), 2, ClosestNode(EuclideanBall(1.5)))(0)
         assert path == [1, 2]
 
     def test_walk_never_revisits(self):
-        path = find_neighbors(line_space(), line_table(), 1, 3, ClosestNode(EuclideanBall(1.5)))
+        path = _walker(line_space(), line_table(), 3, ClosestNode(EuclideanBall(1.5)))(1)
         assert sorted(path + [1]) == [0, 1, 2, 3]
 
     def test_random_walk_reproducible(self):
         space, table = line_space(), line_table()
-        first = find_neighbors(space, table, 2, 3, RandomNeighbor(99))
-        second = find_neighbors(space, table, 2, 3, RandomNeighbor(99))
+        first = _walker(space, table, 3, RandomNeighbor(99))(2)
+        second = _walker(space, table, 3, RandomNeighbor(99))(2)
         assert first == second
 
     def test_random_walk_stays_in_neighbor_structure(self):
         space, table = line_space(), line_table()
         # item 3 has no neighbors within the ball, so the walk halts at once
-        assert find_neighbors(space, table, 3, 5, RandomNeighbor(1)) == []
+        assert _walker(space, table, 5, RandomNeighbor(1))(3) == []
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
     def test_random_walk_matches_candidate_list_draw(self, n):
@@ -84,7 +84,7 @@ class TestFindNeighbors:
         for space in (random_prefilter_space(rng, n), random_graph_space(rng, n, p=0.05)):
             for rng_seed in (0, 7):
                 for x in range(n):
-                    assert find_neighbors(space, None, x, 4, RandomNeighbor(rng_seed)) == (
+                    assert _walker(space, None, 4, RandomNeighbor(rng_seed))(x) == (
                         brute_force_random_walk(space, x, 4, rng_seed)
                     )
 
@@ -107,7 +107,7 @@ class TestFindNeighbors:
         assert ClosestNode.from_criteria([PearsonBall(0.5), SizeBall(1.0)]).criterion == SizeBall(1.0)
 
     def test_shorter_path_when_universe_exhausted(self):
-        path = find_neighbors(line_space(), line_table(), 0, 99, ClosestNode(EuclideanBall(1.5)))
+        path = _walker(line_space(), line_table(), 99, ClosestNode(EuclideanBall(1.5)))(0)
         assert len(path) == 3
 
 
@@ -135,13 +135,13 @@ class TestClosestWalkOracle:
             seeds = elementary_quasiclosures(space, table, d, ClosestNode(criterion))
             for x in range(n):
                 want = brute_force_closest_walk(matrix, x, d)
-                assert find_neighbors(space, table, x, d, ClosestNode(criterion)) == want
+                assert _walker(space, table, d, ClosestNode(criterion))(x) == want
                 assert seeds[x].members.members() == sorted([x, *want])
 
     def test_ties_go_to_lowest_index(self):
         table = FeatureTable(positions=[(0.0, 0.0), (5.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)])
         space = build_basis(table, [EuclideanBall(1.0)])
-        assert find_neighbors(space, table, 0, 2, ClosestNode(EuclideanBall(1.0))) == [2, 4]
+        assert _walker(space, table, 2, ClosestNode(EuclideanBall(1.0)))(0) == [2, 4]
 
     def test_non_finite_distances_never_chosen(self):
         # the NaN item is at distance NaN from everyone, the inf item at inf
@@ -154,9 +154,9 @@ class TestClosestWalkOracle:
                 space = build_basis(table, [criterion])
                 matrix = brute_force_pairwise_matrix(table, criterion).tolist()
                 for x in range(4):
-                    path = find_neighbors(space, table, x, 3, ClosestNode(criterion))
+                    path = _walker(space, table, 3, ClosestNode(criterion))(x)
                     assert path == brute_force_closest_walk(matrix, x, 3)
-            assert find_neighbors(space, table, 0, 3, ClosestNode(criterion)) == [3]
+            assert _walker(space, table, 3, ClosestNode(criterion))(0) == [3]
 
     def test_rows_built_once_per_seed_pass(self, monkeypatch):
         calls = []
@@ -172,7 +172,7 @@ class TestClosestWalkOracle:
         space = build_basis(table, [SizeBall(0.5)])
         matrix = brute_force_pairwise_matrix(table, SizeBall(0.5)).tolist()
         for x in range(n):
-            path = find_neighbors(space, table, x, n + 5, ClosestNode(SizeBall(0.5)))
+            path = _walker(space, table, n + 5, ClosestNode(SizeBall(0.5)))(x)
             assert sorted([x, *path]) == list(range(n))
             assert path == brute_force_closest_walk(matrix, x, n + 5)
 

@@ -1,5 +1,5 @@
-"""Differential checks of the neighborhood-space operators against
-per-element evaluation, on seeded spaces across byte and 64-bit boundaries,
+"""Differential checks of the space operators against per-element
+evaluation, on seeded spaces across byte and 64-bit boundaries,
 and of incremental closure growth against re-evaluating the operator."""
 
 import random
@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     brute_force_family,
     brute_force_pseudoclosure_filter,
+    brute_force_pseudoclosure_graph,
     brute_force_pseudoclosure_prefilter,
     random_filter_space,
     random_graph_space,
@@ -53,11 +54,14 @@ def sparse_prefilter_space(rng, n, max_sets=4):
 def spaces(n):
     rng = random.Random(1000 + n)
     pre = [random_prefilter_space(rng, n, max_sets=4), sparse_prefilter_space(rng, n)]
-    return pre + [FilterSpace(p.universe, p.basis) for p in pre] + [random_filter_space(rng, n)]
+    graphs = [random_graph_space(rng, n, p=2 / max(n, 1)), random_graph_space(rng, n)]
+    return pre + [FilterSpace(p.universe, p.basis) for p in pre] + [random_filter_space(rng, n)] + graphs
 
 
 def oracle(space):
     """The space's pseudoclosure as a mask function, evaluated per element."""
+    if isinstance(space, GraphSpace):
+        return lambda a_mask: brute_force_pseudoclosure_graph(space.edges, a_mask)
     masks = [[b.mask for b in row] for row in space.basis.sets]
     brute = (
         brute_force_pseudoclosure_filter
@@ -106,12 +110,12 @@ def test_family_matches_oracle_growth(n):
 
 
 class _CardinalityStep(PseudoclosureSpace):
-    """Defines only the operator, which is not isotone: a(A) adds the item
-    whose index is |A|.  Growth must fall back to re-evaluating it."""
+    """A non-isotone operator: a(A) adds the item whose index is |A|.  It
+    carries no reach, so every call re-evaluates from all of A."""
 
-    def _pseudoclosure_mask(self, mask):
+    def grow(self, mask, parent=0, parent_reach=None):
         k = mask.bit_count()
-        return mask | (1 << k) if mask and k < self.size else mask
+        return (mask | (1 << k) if mask and k < self.size else mask), None
 
 
 def growth_spaces(n):

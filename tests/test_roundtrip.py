@@ -67,8 +67,8 @@ def test_graph_reconstruction_is_predecessors_plus_self():
 
 
 class _OddBumpSpace(PseudoclosureSpace):
-    def _pseudoclosure_mask(self, mask):
-        return mask | 1 if mask.bit_count() % 2 else mask
+    def grow(self, mask, parent=0, parent_reach=None):
+        return (mask | 1 if mask.bit_count() % 2 else mask), None
 
 
 def test_non_isotone_space_rejected():

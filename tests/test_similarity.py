@@ -29,9 +29,8 @@ from pretopo import (
     build_basis,
     core,
     datagen,
-    pairwise_matrix,
 )
-from pretopo.similarity import criterion_ball_masks
+from pretopo.similarity import _pairwise_rows, criterion_ball_masks
 
 TOL = 1e-12
 
@@ -74,25 +73,25 @@ class TestPearson:
 class TestPairwiseMatrix:
     def test_single_item_conventions(self):
         pos_table = FeatureTable(positions=[(1.0, 2.0)], sizes=[3.0])
-        assert pairwise_matrix(pos_table, EuclideanBall(1.0)).tolist() == [[0.0]]
-        assert pairwise_matrix(pos_table, SizeBall(1.0)).tolist() == [[0.0]]
+        assert _pairwise_rows(pos_table, EuclideanBall(1.0))(0, 1).tolist() == [[0.0]]
+        assert _pairwise_rows(pos_table, SizeBall(1.0))(0, 1).tolist() == [[0.0]]
         ser_table = FeatureTable(series=[[1.0, 2.0, 3.0]])
-        assert pairwise_matrix(ser_table, PearsonBall(0.5)).tolist() == [[1.0]]
+        assert _pairwise_rows(ser_table, PearsonBall(0.5))(0, 1).tolist() == [[1.0]]
 
     def test_identical_series_correlate_fully(self):
         t = FeatureTable(series=[[1.0, 5.0, 2.0], [1.0, 5.0, 2.0]])
-        m = pairwise_matrix(t, PearsonBall(0.5))
+        m = _pairwise_rows(t, PearsonBall(0.5))(0, t.n_items)
         assert m[0, 1] == pytest.approx(1.0, abs=TOL)
 
     def test_collinear_points_distances(self):
         t = FeatureTable(positions=[(0.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
-        m = pairwise_matrix(t, EuclideanBall(1.0))
+        m = _pairwise_rows(t, EuclideanBall(1.0))(0, t.n_items)
         assert m.tolist() == [[0, 3, 4], [3, 0, 1], [4, 1, 0]]
 
     def test_matrix_agrees_with_scalar_pearson(self):
         series = [[1.0, 4.0, 2.0, 8.0], [0.5, 3.0, 3.0, 6.0], [9.0, 2.0, 4.0, 1.0]]
         t = FeatureTable(series=series)
-        m = pairwise_matrix(t, PearsonBall(0.5))
+        m = _pairwise_rows(t, PearsonBall(0.5))(0, t.n_items)
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -101,15 +100,15 @@ class TestPairwiseMatrix:
     def test_degenerate_series_carries_index(self):
         t = FeatureTable(series=[[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
         with pytest.raises(DegenerateSeriesError) as err:
-            pairwise_matrix(t, PearsonBall(0.5))
+            _pairwise_rows(t, PearsonBall(0.5))
         assert err.value.item == 1
 
     def test_missing_feature_is_config_error(self):
         t = FeatureTable(series=[[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ConfigError):
-            pairwise_matrix(t, EuclideanBall(1.0))
+            _pairwise_rows(t, EuclideanBall(1.0))
         with pytest.raises(ConfigError):
-            pairwise_matrix(FeatureTable(positions=[(0, 0)]), PearsonBall(0.5))
+            _pairwise_rows(FeatureTable(positions=[(0, 0)]), PearsonBall(0.5))
 
 
 class TestCriterionValidation:
@@ -118,6 +117,8 @@ class TestCriterionValidation:
             EuclideanBall(0.0)
         with pytest.raises(ConfigError):
             SizeBall(-1.0)
+        with pytest.raises(ConfigError):
+            SizeBall(math.nan)
         with pytest.raises(ConfigError):
             PearsonBall(-1.0)
         PearsonBall(1.0)  # closed upper end is fine
@@ -239,7 +240,7 @@ class TestPairwiseRowsOracle:
     def test_matrix_equals_full_broadcast(self, n, criterion):
         table = random_table(np.random.default_rng(n), n)
         assert np.array_equal(
-            pairwise_matrix(table, criterion), brute_force_pairwise_matrix(table, criterion)
+            _pairwise_rows(table, criterion)(0, n), brute_force_pairwise_matrix(table, criterion)
         )
 
     @pytest.mark.parametrize("block_entries", [1, 37])
@@ -247,16 +248,16 @@ class TestPairwiseRowsOracle:
     def test_small_strips_match_oracles(self, monkeypatch, block_entries, criterion):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
         table = random_table(np.random.default_rng(11), 65)
-        assert np.array_equal(
-            pairwise_matrix(table, criterion), brute_force_pairwise_matrix(table, criterion)
-        )
+        rows = _pairwise_rows(table, criterion)
+        strips = np.vstack([rows(lo, hi) for lo, hi in core._row_blocks(65, 65)])
+        assert np.array_equal(strips, brute_force_pairwise_matrix(table, criterion))
         assert criterion_ball_masks(table, criterion) == brute_force_ball_masks(table, criterion)
 
     def test_correlations_clipped_to_unit_interval(self):
         # proportional and shifted copies round to 1 + 2**-52 before the clip
         x = np.random.default_rng(0).normal(size=6)
         table = FeatureTable(series=[list(x), list(3.0 * x), list(x + 1.0), list(-x)])
-        matrix = pairwise_matrix(table, PearsonBall(0.5))
+        matrix = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
         assert np.array_equal(matrix, brute_force_pairwise_matrix(table, PearsonBall(0.5)))
         assert matrix.max() == 1.0 and matrix.min() == -1.0
 
@@ -274,7 +275,7 @@ class TestPairwiseRowsOracle:
     def test_distance_to_self_is_zero_for_non_finite_position(self):
         table = FeatureTable(positions=[(math.inf, 0.0), (0.0, 0.0)])
         with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-            matrix = pairwise_matrix(table, EuclideanBall(1.0))
+            matrix = _pairwise_rows(table, EuclideanBall(1.0))(0, table.n_items)
         assert matrix.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
 
     @pytest.mark.parametrize("criterion", [EuclideanBall(0.5), SizeBall(0.01)])
