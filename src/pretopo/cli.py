@@ -4,6 +4,10 @@ Every run is a pure function of its config and input files; rerunning a
 command writes byte-identical outputs.  Exit codes: 0 success, 2 for
 configuration or parse problems, 3 for bad data or an array too large to
 allocate.
+
+:mod:`pretopo.datagen` and :mod:`pretopo.ingest` are imported by the
+commands that run them, so a ``cluster`` process on a features file starts
+without loading either.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import datagen, ingest
 from .core import _SCHEMA_VERSION
 from .errors import ConfigError, DataError, ParseError, read_number
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
@@ -69,8 +72,7 @@ def _load_json(path, what: str) -> dict:
 
 def _dump_json(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def criterion_from_dict(doc) -> Criterion:
@@ -96,6 +98,8 @@ def criterion_from_dict(doc) -> Criterion:
 
 
 def cmd_generate(args) -> int:
+    from . import datagen
+
     spec = datagen.spec_from_dict(_load_json(args.spec, "generator spec"))
     table, labels = datagen.generate(spec)
     out_dir = Path(args.out_dir)
@@ -133,6 +137,8 @@ def _dataset_from_config(doc: dict):
     if kind in ("features", "raw_series") and not isinstance(dataset.get("path"), str):
         raise ConfigError(f"{kind} dataset needs a 'path' string")
     if kind == "raw_series":
+        from . import ingest
+
         resolutions, aggregate, criteria = ingest.raw_series_options(dataset)
 
         def read_raw_series():
@@ -145,6 +151,8 @@ def _dataset_from_config(doc: dict):
         return criteria, read_raw_series
     criteria = [criterion_from_dict(c) for c in criteria_docs]
     if kind == "generate":
+        from . import datagen
+
         spec = datagen.spec_from_dict(dataset.get("spec", {}))
         return criteria, lambda: (datagen.generate(spec)[0], None)
     if kind == "features":
@@ -347,12 +355,15 @@ def cmd_render(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from . import ingest
+
+    resolutions, aggregate = ingest.resolution_options(
+        args.resolutions or list(ingest.RESOLUTIONS), args.aggregate, "ingest"
+    )
     sites = ingest.load_csv(args.input)
     if not sites:
         raise DataError("input csv contains no readings")
-    table = ingest.build_resampled_table(
-        sites, tuple(args.resolutions), args.aggregate
-    )
+    table = ingest.build_resampled_table(sites, resolutions, aggregate)
     written = table.write_csvs(args.out_dir)
     print(json.dumps({
         "sites": len(table.site_ids),
@@ -402,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="resample a raw consumption csv")
     p.add_argument("--input", required=True, help="site_id,timestamp,value csv")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--resolutions", nargs="+", default=list(ingest.RESOLUTIONS),
-                   choices=list(ingest.RESOLUTIONS))
-    p.add_argument("--aggregate", default="mean", choices=ingest.AGGREGATES)
+    p.add_argument("--resolutions", nargs="+", help="bucket widths (default: all)")
+    p.add_argument("--aggregate", default="mean", help="bucket aggregate (default mean)")
     p.set_defaults(func=cmd_ingest)
 
     return parser

@@ -421,19 +421,28 @@ def build_resampled_table(
     return ResampledTable(site_ids=kept, data=data, window=window, dropped=dropped)
 
 
-def raw_series_options(dataset: dict) -> tuple[tuple[str, ...], str, list[PearsonBall]]:
-    """A raw_series dataset's resolutions, aggregate and one correlation ball
-    per resolution, checked before its readings are loaded."""
-    resolutions = dataset.get("resolutions", list(RESOLUTIONS))
+def resolution_options(resolutions, aggregate, where: str) -> tuple[tuple[str, ...], str]:
+    """``resolutions`` as a tuple and ``aggregate``, both checked before any
+    reading is loaded; ``where`` names their source in the error."""
     if (not isinstance(resolutions, list) or not resolutions
             or any(r not in RESOLUTIONS for r in resolutions)):
         raise ConfigError(
-            f"raw_series dataset: 'resolutions' must be a non-empty list of "
+            f"{where}: 'resolutions' must be a non-empty list of "
             f"{', '.join(RESOLUTIONS)}; got {resolutions!r}"
         )
-    aggregate = dataset.get("aggregate", "mean")
     _check_aggregate(aggregate)
-    return tuple(resolutions), aggregate, _resolution_balls(resolutions, dataset.get("rho"))
+    return tuple(resolutions), aggregate
+
+
+def raw_series_options(dataset: dict) -> tuple[tuple[str, ...], str, list[PearsonBall]]:
+    """A raw_series dataset's resolutions, aggregate and one correlation ball
+    per resolution, checked before its readings are loaded."""
+    resolutions, aggregate = resolution_options(
+        dataset.get("resolutions", list(RESOLUTIONS)),
+        dataset.get("aggregate", "mean"),
+        "raw_series dataset",
+    )
+    return resolutions, aggregate, _resolution_balls(resolutions, dataset.get("rho"))
 
 
 def build_resolution_criteria(

@@ -303,6 +303,8 @@ class PearsonBall:
     def __post_init__(self):
         if not -1 < self.threshold <= 1:
             raise ConfigError(f"pearson threshold must lie in (-1, 1], got {self.threshold}")
+        if self.channel is not None and not isinstance(self.channel, str):
+            raise ConfigError(f"pearson channel must be a string, got {self.channel!r}")
 
 
 Criterion = EuclideanBall | SizeBall | PearsonBall

@@ -408,6 +408,10 @@ class TestCluster:
         ("criteria", [{"kind": "euclidean", "radius": True}]),
         # json.dumps writes the NaN token, which Python's JSON reader accepts
         ("criteria", [{"kind": "size", "tolerance": math.nan}]),
+        ("criteria", [{"kind": "euclidean", "radius": 2.0},
+                      {"kind": "pearson", "threshold": 0.5, "channel": ["a"]}]),
+        ("criteria", [{"kind": "euclidean", "radius": 2.0},
+                      {"kind": "pearson", "threshold": 0.5, "channel": {"a": 1}}]),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value
@@ -990,6 +994,31 @@ class TestIngestCommand:
         raw.write_text("site_id,timestamp,value\n")
         code, _, _ = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "res"))
         assert code == 3
+
+    @pytest.mark.parametrize("option, value", [
+        ("--resolutions", "hour"),
+        ("--aggregate", "median"),
+    ])
+    def test_bad_option_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, option, value):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "ingest", "--input", "missing.csv", "--out-dir", "o",
+                             option, value)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert repr(value) in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_all_resolutions_by_default(self, tmp_path, capsys):
+        raw = write_pinned_readings(tmp_path / "raw.csv")
+        code, out, _ = run(capsys, "ingest", "--input", raw, "--out-dir", str(tmp_path / "res"))
+        assert code == 0
+        assert list(json.loads(out)["buckets"]) == ["day", "half_hour", "month", "week"]
+        assert sorted(path.name for path in (tmp_path / "res").iterdir()) == [
+            "features_day.csv", "features_half_hour.csv", "features_month.csv",
+            "features_week.csv", "sites.csv",
+        ]
 
 
 class TestDeterminism:

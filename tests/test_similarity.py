@@ -121,6 +121,9 @@ class TestCriterionValidation:
             SizeBall(math.nan)
         with pytest.raises(ConfigError):
             PearsonBall(-1.0)
+        for channel in (["a"], {"a": 1}, 1):
+            with pytest.raises(ConfigError, match="pearson channel must be a string"):
+                PearsonBall(0.5, channel=channel)
         PearsonBall(1.0)  # closed upper end is fine
 
 
