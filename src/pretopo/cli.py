@@ -56,7 +56,7 @@ def _check_schema_version(doc: dict, what: str) -> None:
 
 def _load_json(path, what: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
@@ -71,7 +71,7 @@ def _load_json(path, what: str) -> dict:
 
 
 def _dump_json(doc: dict, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -208,7 +208,7 @@ def cmd_cluster(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "assignment.csv")
     _dump_json(hierarchy.to_json_dict(), out_dir / "hierarchy.json")
-    with open(out_dir / "hierarchy.dot", "w") as fh:
+    with open(out_dir / "hierarchy.dot", "w", encoding="utf-8") as fh:
         fh.write(hierarchy.to_dot())
     summary = {
         "clusters": len(result.clusters),
@@ -225,7 +225,7 @@ def cmd_cluster(args) -> int:
 
 def _read_two_column_csv(path, what: str) -> dict[str, str]:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = _csv_rows(fh)
             header = next(reader, None)
             if header is None:
@@ -331,7 +331,7 @@ def cmd_render(args) -> int:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"assignment csv: {exc!r}") from exc
         svg = svg_scatter(table.positions, cluster_ids, table.sizes)
-        with open(args.svg, "w") as fh:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         wrote["svg"] = args.svg
     if args.dot:
@@ -342,7 +342,7 @@ def cmd_render(args) -> int:
             hierarchy = QuasiHierarchy.from_json_dict(doc)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"hierarchy json: {exc!r}") from exc
-        with open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(hierarchy.to_dot(min_size=args.min_size))
         wrote["dot"] = args.dot
     if not wrote:

@@ -366,7 +366,7 @@ def generate(spec: PointGenSpec | SeriesGenSpec) -> tuple[FeatureTable, list[int
 
 
 def write_labels_csv(path, labels: list[int]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item_id", "label"])
         for i, label in enumerate(labels):

@@ -577,7 +577,7 @@ class ClusteringResult:
     def to_csv(self, path) -> None:
         """item_id,cluster_id rows; outliers get cluster_id -1."""
         universe = self.hierarchy.universe
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["item_id", "cluster_id"])
             for i in range(universe.size):

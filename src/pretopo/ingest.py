@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import statistics
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -29,7 +29,7 @@ AGGREGATES = ("mean", "sum")
 # this share of the median site coverage.
 _MIN_WINDOW_FRACTION = 0.8
 _FIXED_WIDTH = {"half_hour": 1800.0, "day": 86400.0, "week": 604800.0}
-_RAW_DTYPE = np.dtype([("site_id", object), ("timestamp", np.float64), ("value", np.float64)])
+_RAW_COLUMNS = ("site_id", "timestamp", "value")
 # Characters of text parsed per np.loadtxt call.  It bounds the site-id
 # strings held at once (one Python str per row) to a few MB; and while it is
 # at most csv.field_size_limit(), only a block's first line, carried over
@@ -72,6 +72,7 @@ def load_csv(path) -> list[RawSeries]:
     reads exactly as the row reader does (ISO timestamps, quoted fields, a
     malformed row, a rejected reading) is read again row by row, so ISO
     parsing and every error message come from :func:`_load_rows` alone.
+    Both readers take UTF-8 text and skip a leading byte-order mark.
     """
     try:
         sites = _load_columnar(path)
@@ -91,45 +92,76 @@ def _load_columnar(path) -> list[RawSeries] | None:
     numbers exactly as ``float`` does but rejects a few spellings ``float``
     takes (``1_000``, non-ASCII digits); those files, and files with a
     rejected reading, go to the row reader.
+
+    When ``site_id`` is the first column, a block whose every non-empty
+    line starts with its first line's site id and a comma is one site's
+    run, and ``loadtxt`` skips its site-id column.  Timestamps are parsed
+    as int64 until a block holds one that is not an integer; from then on,
+    and for a block holding a 0 (``"-0"`` is -0.0 to ``float``) or a
+    character outside ASCII, as float64.
     """
     run_sites: list[str] = []  # the site id of each run of equal ids, in file order
     run_lengths: list[int] = []
     ts_blocks, value_blocks = [], []
     field_limit = csv.field_size_limit()
-    with open(path) as fh:
+    integer_ts = True
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n")
         if _hands_over(header) or len(header) > field_limit:
             return None
         names = header.split(",")
-        if not all(column in names for column in _RAW_DTYPE.names):
+        if not all(column in names for column in _RAW_COLUMNS):
             return None
-        usecols = [names.index(column) for column in _RAW_DTYPE.names]
+        usecols = [names.index(column) for column in _RAW_COLUMNS]
+        site_first = usecols[0] == 0
         tail = ""
         while True:
             block = fh.read(_BLOCK_CHARS)
             if _hands_over(block):
                 return None
-            lines = (tail + block).split("\n")
+            text = tail + block
+            lines = text.split("\n")
             tail = lines.pop() if block else ""  # a line the next read completes
             # lines after the first lie inside the block
             if len(block) > field_limit or (lines and len(lines[0]) > field_limit):
                 return None  # a field may be longer than csv accepts
             n_rows = len(lines) - lines.count("")
             if n_rows:
-                try:
-                    rows = np.loadtxt(
-                        lines, dtype=_RAW_DTYPE, delimiter=",",
-                        comments=None, usecols=usecols, ndmin=1,
-                    )
-                except ValueError:
-                    return None
+                # A line's site id is the text before its first comma, and
+                # "\n" + site + "," can only start a line.
+                site = lines[0].partition(",")[0]
+                one_site = site_first and lines[-1].startswith(site + ",") and n_rows == (
+                    text.count("\n" + site + ",", 0, len(text) - len(tail))
+                    + text.startswith(site + ",")
+                )
+                columns = usecols[1:] if one_site else usecols
+                rows = None
+                # numpy's integer parser reads some non-ASCII characters as
+                # digits ("5\u01fe" gives 512), so only ASCII text takes it
+                if integer_ts and text.isascii():
+                    try:
+                        rows = _read_block(lines, columns, np.int64)
+                    except ValueError:
+                        integer_ts = False
+                    else:
+                        if not rows["timestamp"].all():
+                            rows = None
+                if rows is None:
+                    try:
+                        rows = _read_block(lines, columns, np.float64)
+                    except ValueError:
+                        return None
                 if len(rows) != n_rows:
                     return None
-                sites = rows["site_id"]
-                starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
-                run_sites += sites[np.append(0, starts)].tolist()
-                run_lengths += np.diff(starts, prepend=0, append=n_rows).tolist()
-                ts_blocks.append(rows["timestamp"].copy())
+                if one_site:
+                    run_sites.append(site)
+                    run_lengths.append(n_rows)
+                else:
+                    sites = rows["site_id"]
+                    starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
+                    run_sites += sites[np.append(0, starts)].tolist()
+                    run_lengths += np.diff(starts, prepend=0, append=n_rows).tolist()
+                ts_blocks.append(rows["timestamp"].astype(np.float64))
                 value_blocks.append(rows["value"].copy())
             if not block:
                 break
@@ -160,11 +192,27 @@ def _load_columnar(path) -> list[RawSeries] | None:
     ]
 
 
+def _read_block(lines: list[str], usecols: list[int], ts_type) -> np.ndarray:
+    """One block's rows from ``np.loadtxt``: ``timestamp`` as ``ts_type``,
+    ``value`` as float64, and ``site_id`` first when ``usecols`` holds three
+    columns.  Raises ValueError for a field the dtype does not take."""
+    fields = [("timestamp", ts_type), ("value", np.float64)]
+    if len(usecols) == 3:
+        fields.insert(0, ("site_id", object))
+    with warnings.catch_warnings():
+        # numpy 1.x reads a float such as "1.5" into an integer column,
+        # truncated, with a DeprecationWarning; as an error it is a ValueError
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(
+            lines, dtype=fields, delimiter=",", comments=None, usecols=usecols, ndmin=1,
+        )
+
+
 def _load_rows(path) -> list[RawSeries]:
     """The row reader: ``csv`` rows one at a time, every check with its line."""
     per_site: dict[str, tuple[list[float], list[float]]] = {}
     last_ts: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh)
         header = next(reader, None)
         if header is None:
@@ -321,7 +369,7 @@ class ResampledTable:
         out.mkdir(parents=True, exist_ok=True)
         written = []
         sites_path = out / "sites.csv"
-        with open(sites_path, "w", newline="") as fh:
+        with open(sites_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["item_id", "site_id"])
             for i, site in enumerate(self.site_ids):
@@ -378,8 +426,11 @@ def build_resampled_table(
         raise DataError("no sites to resample")
     dropped: list[tuple[str, str]] = []
     pool = list(sites)
-    spans = [s.coverage[1] - s.coverage[0] for s in pool]
-    target = _MIN_WINDOW_FRACTION * statistics.median(spans)
+    spans = sorted(s.coverage[1] - s.coverage[0] for s in pool)
+    mid = len(spans) // 2
+    # the median as statistics.median computes it, without importing statistics
+    median = spans[mid] if len(spans) % 2 else (spans[mid - 1] + spans[mid]) / 2
+    target = _MIN_WINDOW_FRACTION * median
     while len(pool) > 1:
         start, end = _common_window(pool)
         if end - start >= target:

@@ -120,7 +120,7 @@ class FeatureTable:
         if self.series is not None:
             length = len(self.series[0]) if self.series else 0
             header += [f"series_{i}" for i in range(length)]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             for i in range(self.n_items):
                 row: list = []
@@ -163,7 +163,7 @@ class FeatureTable:
         ``str`` object a cell.
         """
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError:  # reported by the row reader, at its own position
             return None
@@ -210,7 +210,7 @@ class FeatureTable:
     def _from_rows(cls, path) -> "FeatureTable":
         """The row reader: ``csv`` rows, every cell through ``float`` and
         every check with its line."""
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = _csv_rows(fh)
             header = next(reader, None)
             if header is None:

@@ -34,6 +34,7 @@ ODD_NUMBERS = [
     "-1e400", "1e-400", "-1e-400", "-0.0", "+0", "1.", ".5", "+.5", "1e5", "1E+05", "00012",
     "", " ", ".", "e5", "1e", "+", "1..2", "1d5", "\u0661", "\u20031", "1\u2003", "1\x0c", "1\x1c", "\x1f1",
     "0x1p3", "nan(1)", "abc", "2021-01-01T00:00:00Z", "2021-01-01 00:30:00+00:00", "#",
+    "-0", "-00", "9007199254740993", "99999999999999999999", "5\u01fe", "\u09035", "-\U0001175e",
 ]
 
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from pretopo.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -633,49 +636,59 @@ class TestOversizedCsvField:
         assert not svg.exists()
 
 
+# each file a command reads, with a command that reads it and writes "o"
+EVERY_INPUT = [
+    ("spec.json", ["generate", "--spec", "spec.json", "--out-dir", "o"]),
+    ("features.json", ["cluster", "--config", "features.json"]),
+    ("features.csv", ["cluster", "--config", "features.json"]),
+    ("raw.csv", ["cluster", "--config", "raw.json"]),
+    ("assignment.csv", ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]),
+    ("labels.csv", ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]),
+    ("features.csv", ["render", "--assignment", "assignment.csv",
+                      "--features", "features.csv", "--svg", "o"]),
+    ("hierarchy.json", ["render", "--hierarchy", "hierarchy.json", "--dot", "o"]),
+    ("raw.csv", ["ingest", "--input", "raw.csv", "--out-dir", "o", "--resolutions", "day"]),
+]
+
+
+def input_id(value):
+    return value if isinstance(value, str) else value[0]
+
+
+def write_inputs(work):
+    """The files EVERY_INPUT names, each one a command reads without error."""
+    rows = ["site_id,timestamp,value"]
+    rows += [f"{site},{d * 86400},{1.0 + d % (5 + k)}"
+             for k, site in enumerate("ab") for d in range(30)]
+    files = {
+        "spec.json": json.dumps(POINTS_SPEC),
+        "features.json": json.dumps(cluster_config("features.csv", "o")),
+        "features.csv": "x,y,size\n0.0,0.0,1.0\n1.0,0.0,1.0\n",
+        "raw.json": json.dumps({
+            "dataset": {"kind": "raw_series", "path": "raw.csv",
+                        "resolutions": ["day"], "rho": 0.5},
+            "seed_func": "random_neighbor",
+            "output_dir": "o",
+        }),
+        "raw.csv": "\n".join(rows) + "\n",
+        "assignment.csv": "item_id,cluster_id\n0,0\n1,0\n",
+        "labels.csv": "item_id,label\n0,0\n1,0\n",
+        "hierarchy.json": json.dumps({"threshold": 0.5, "universe_size": 1, "sets": [[0]],
+                                      "edges": [], "roots": [0]}),
+    }
+    for name, text in files.items():
+        (work / name).write_text(text)
+
+
 class TestNonUtf8Input:
     """Bytes that are not UTF-8 are a parse error in every file a command reads."""
 
-    def write_inputs(self, work):
-        rows = ["site_id,timestamp,value"]
-        rows += [f"{site},{d * 86400},{1.0 + d % (5 + k)}"
-                 for k, site in enumerate("ab") for d in range(30)]
-        files = {
-            "spec.json": json.dumps(POINTS_SPEC),
-            "features.json": json.dumps(cluster_config("features.csv", "o")),
-            "features.csv": "x,y,size\n0.0,0.0,1.0\n1.0,0.0,1.0\n",
-            "raw.json": json.dumps({
-                "dataset": {"kind": "raw_series", "path": "raw.csv",
-                            "resolutions": ["day"], "rho": 0.5},
-                "seed_func": "random_neighbor",
-                "output_dir": "o",
-            }),
-            "raw.csv": "\n".join(rows) + "\n",
-            "assignment.csv": "item_id,cluster_id\n0,0\n1,0\n",
-            "labels.csv": "item_id,label\n0,0\n1,0\n",
-            "hierarchy.json": json.dumps({"threshold": 0.5, "universe_size": 1, "sets": [[0]],
-                                          "edges": [], "roots": [0]}),
-        }
-        for name, text in files.items():
-            (work / name).write_text(text)
-
-    @pytest.mark.parametrize("bad, argv", [
-        ("spec.json", ["generate", "--spec", "spec.json", "--out-dir", "o"]),
-        ("features.json", ["cluster", "--config", "features.json"]),
-        ("features.csv", ["cluster", "--config", "features.json"]),
-        ("raw.csv", ["cluster", "--config", "raw.json"]),
-        ("assignment.csv", ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]),
-        ("labels.csv", ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]),
-        ("features.csv", ["render", "--assignment", "assignment.csv",
-                          "--features", "features.csv", "--svg", "o"]),
-        ("hierarchy.json", ["render", "--hierarchy", "hierarchy.json", "--dot", "o"]),
-        ("raw.csv", ["ingest", "--input", "raw.csv", "--out-dir", "o", "--resolutions", "day"]),
-    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    @pytest.mark.parametrize("bad, argv", EVERY_INPUT, ids=input_id)
     def test_exits_2(self, tmp_path, capsys, monkeypatch, bad, argv):
         for case in ("good", "bad"):
             work = tmp_path / case
             work.mkdir()
-            self.write_inputs(work)
+            write_inputs(work)
             monkeypatch.chdir(work)
             if case == "good":
                 assert run(capsys, *argv)[0] == 0
@@ -689,6 +702,55 @@ class TestNonUtf8Input:
             assert json.loads(err)["message"].startswith(f"{bad}: input is not UTF-8 text")
             assert not (work / "o").exists()
 
+
+ENCODING_PROBE = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from pretopo import cli
+codes = []
+for work, argv in json.loads(sys.argv[2]):
+    os.chdir(work)
+    codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+class TestTextEncoding:
+    """Every input is read as UTF-8 past a leading byte-order mark, and every
+    output is written as UTF-8, whatever the locale."""
+
+    @pytest.mark.parametrize("bad, argv", EVERY_INPUT, ids=input_id)
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, monkeypatch, bad, argv):
+        results = []
+        for case in ("plain", "bom"):
+            work = tmp_path / case
+            work.mkdir()
+            write_inputs(work)
+            if case == "bom":
+                (work / bad).write_bytes(b"\xef\xbb\xbf" + (work / bad).read_bytes())
+            monkeypatch.chdir(work)
+            code, out, err = run(capsys, *argv)
+            out_path = work / "o"
+            written = [out_path] if out_path.is_file() else sorted(out_path.rglob("*.*"))
+            results.append((code, out, err, [(p.name, p.read_bytes()) for p in written]))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    def test_no_command_uses_the_locale_encoding(self, tmp_path):
+        # a fresh interpreter, in which opening a file without an encoding is an error
+        runs = []
+        for k, (_, argv) in enumerate(EVERY_INPUT):
+            work = tmp_path / str(k)
+            work.mkdir()
+            write_inputs(work)
+            runs.append((str(work), argv))
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", ENCODING_PROBE, str(SRC), json.dumps(runs)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0] * len(runs)
 
 class TestRawSeriesOptions:
     @pytest.mark.parametrize("options", [

@@ -68,5 +68,4 @@ def test_cluster_loads_only_the_layers_it_runs(tmp_path):
         code, loaded[kind] = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, result.stderr
     assert loaded["features"] == []
-    assert "pretopo.ingest" in loaded["raw_series"]
-    assert "pretopo.datagen" not in loaded["raw_series"]
+    assert loaded["raw_series"] == ["pretopo.ingest", "logging"]

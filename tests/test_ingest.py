@@ -209,6 +209,77 @@ class TestColumnarLoad:
         with mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
             assert load_outcome(load_csv, path) == expected
 
+    @pytest.mark.parametrize("sites", [["s1"], ["s1", "s2"]], ids=["one-site", "two-sites"])
+    @pytest.mark.parametrize("spelling", ["-0", "-00", "+0", "9007199254740993", "99999999999999999999"])
+    def test_integer_timestamps_read_as_float_reads_them(self, tmp_path, sites, spelling):
+        path = write(tmp_path, "site_id,timestamp,value\n" + "".join(f"{s},{spelling},1\n" for s in sites))
+        expected = load_outcome(ingest._load_rows, path)
+        assert load_outcome(ingest._load_columnar, path) == expected
+        assert [s.timestamps[0].hex() for s in load_csv(path)] == [float(spelling).hex()] * len(sites)
+
+    @pytest.mark.parametrize("spelling", ["5\u01fe", "\u09035", "-\U0001175e"])
+    def test_non_ascii_timestamps_fail_as_in_the_row_reader(self, tmp_path, spelling):
+        # numpy's integer parser reads these as 512, 22595 and -71470
+        path = write(tmp_path, f"site_id,timestamp,value\ns1,{spelling},1\n")
+        expected = load_outcome(ingest._load_rows, path)
+        assert expected[:2] == ("error", ParseError)
+        assert load_outcome(load_csv, path) == expected
+        assert ingest._load_columnar(path) is None
+
+    @pytest.mark.parametrize("block_chars", [64, ingest._BLOCK_CHARS])
+    def test_blocks_mixing_integer_and_fractional_timestamps(self, tmp_path, block_chars):
+        stamps = [str(1800 * t) for t in range(30)]
+        stamps[1] = "1800"
+        stamps[12] = "21600.5"
+        path = write(tmp_path, "site_id,timestamp,value\n" + "".join(f"s1,{t},1\n" for t in stamps))
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
+            assert load_outcome(load_csv, path) == expected
+        assert load_csv(path)[0].timestamps[12] == 21600.5
+
+    @pytest.mark.parametrize("block_chars", [64, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("text", [
+        "timestamp,value,site_id\n" + "".join(f"{t},{t % 5},s{t // 20}\n" for t in range(60)),
+        "site_id,timestamp,value\n" + "".join(f"s{t // 7},{t},1\n" for t in range(40)),
+        "site_id,timestamp,value\n" + "".join(f"s{t % 2}{t % 4 // 2},{t},1\n" for t in range(40)),
+    ], ids=["site-id-last", "boundaries-inside-blocks", "ids-prefixing-ids"])
+    def test_site_layouts_are_served_without_the_row_reader(self, tmp_path, text, block_chars):
+        path = write(tmp_path, text)
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
+            assert load_outcome(load_csv, path) == expected
+
+    @pytest.mark.parametrize("block_chars", [64, 4096])
+    def test_one_site_blocks_skip_the_site_column(self, tmp_path, block_chars):
+        path = write(tmp_path, ingest_year_text())
+        loadtxt, calls = np.loadtxt, []
+
+        def recording_loadtxt(lines, **kwargs):
+            calls.append(({line.partition(",")[0] for line in lines if line}, np.dtype(kwargs["dtype"]).names))
+            return loadtxt(lines, **kwargs)
+
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(np, "loadtxt", recording_loadtxt):
+            assert load_outcome(ingest._load_columnar, path) == load_outcome(ingest._load_rows, path)
+        assert {len(sites) for sites, _ in calls} == {1, 2}
+        for sites, names in calls:
+            assert names == (("timestamp", "value") if len(sites) == 1 else ("site_id", "timestamp", "value"))
+
+    @pytest.mark.parametrize("text", [
+        ingest_year_text(),
+        "timestamp,value,site_id\n0,1,a\n5,2,b\n",
+        "site_id,timestamp,value\ns1,2021-01-01T00:00:00Z,1\n",
+        "",
+    ], ids=["ingest-year", "site-id-last", "row-reader", "empty"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        readers = (load_csv, ingest._load_columnar, ingest._load_rows)
+        path = write(tmp_path, text)
+        plain = [load_outcome(read, path) for read in readers]
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert [load_outcome(read, path) for read in readers] == plain
+
     def test_hands_over_when_loadtxt_drops_a_line(self, tmp_path):
         path = write(tmp_path, "site_id,timestamp,value\ns1,0,1\ns1,1,2\n")
         loadtxt = np.loadtxt

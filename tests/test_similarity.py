@@ -505,6 +505,19 @@ class TestColumnarFromCsv:
         assert FeatureTable._from_columns(path) is None
         assert table_outcome(FeatureTable.from_csv, path) == table_outcome(FeatureTable._from_rows, path)
 
+    @pytest.mark.parametrize("text", [
+        "series_0,series_1,series_2\n1,2,3\n4,5,6\n",
+        "x,y,size\n0,0,1\n1,0,2\n",
+        "x,y\n1,2\n\n",
+        "",
+    ], ids=["series", "points", "blank-line", "empty"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        readers = (FeatureTable.from_csv, FeatureTable._from_columns, FeatureTable._from_rows)
+        path = write_bytes(tmp_path, text)
+        plain = [table_outcome(read, path) for read in readers]
+        write_bytes(tmp_path, b"\xef\xbb\xbf" + text.encode())
+        assert [table_outcome(read, path) for read in readers] == plain
+
     def test_hands_over_when_loadtxt_drops_a_line(self, tmp_path):
         path = write_bytes(tmp_path, "x,y\n1,2\n3,4\n")
         loadtxt = np.loadtxt
