@@ -16,10 +16,12 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import _SCHEMA_VERSION
-from .errors import ConfigError, DataError, ParseError, read_number
+from .errors import ConfigError, DataError, ParseError, read_field, read_number
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
     ClosestNode,
@@ -119,20 +121,24 @@ def cmd_generate(args) -> int:
 # -- cluster --------------------------------------------------------------
 
 
-def _dataset_from_config(doc: dict):
-    """Check the config's dataset and criteria without reading any data.
+@dataclass(frozen=True)
+class RunPlan:
+    """A checked cluster config: everything a run needs but the data, which
+    ``read_dataset()`` reads as (table, item labels or None)."""
 
-    Returns the criteria and a function that reads the dataset, returning
-    (table, item labels or None).
-    """
-    criteria_docs = doc.get("criteria", [])
-    if not isinstance(criteria_docs, list):
-        raise ConfigError(
-            f"cluster config: 'criteria' must be a list of objects, got {criteria_docs!r}"
-        )
-    dataset = doc.get("dataset")
-    if not isinstance(dataset, dict):
-        raise ConfigError("config needs a 'dataset' object")
+    read_dataset: Callable[[], tuple[FeatureTable, list[str] | None]]
+    criteria: tuple[Criterion, ...]
+    mode: str
+    d: int
+    seed_func: ClosestNode | RandomNeighbor
+    th_qh: float
+    tie_break: str
+    output_dir: str
+
+
+def _dataset_from_config(dataset: dict, criteria_docs: list):
+    """Check a dataset object and the criteria without reading any data;
+    returns the criteria and a function that reads the dataset."""
     kind = dataset.get("kind")
     if kind in ("features", "raw_series") and not isinstance(dataset.get("path"), str):
         raise ConfigError(f"{kind} dataset needs a 'path' string")
@@ -160,21 +166,14 @@ def _dataset_from_config(doc: dict):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _config_number(doc: dict, key: str, default, convert):
-    return read_number(doc.get(key, default), f"cluster config: {key!r}", convert)
-
-
-def run_cluster(doc: dict) -> tuple[QuasiHierarchy, ClusteringResult]:
-    """Cluster the dataset a cluster config names.
-
-    Every check that needs no data runs first, so a bad config raises
-    :class:`ConfigError` before the dataset is read.
-    """
-    d = _config_number(doc, "d", 0, int)
+def plan_cluster(doc: dict) -> RunPlan:
+    """Check a cluster config, reading no data, so that a bad config raises
+    :class:`ConfigError` before the dataset is read."""
+    d = read_field(doc, "d", "cluster config", int, 0)
     if d < 0:
         raise ConfigError(f"cluster config: 'd' must be >= 0, got {d}")
-    th_qh = _config_number(doc, "th_qh", 0.5, float)
-    rng_seed = _config_number(doc, "rng_seed", 0, int)
+    th_qh = read_field(doc, "th_qh", "cluster config", float, 0.5)
+    rng_seed = read_field(doc, "rng_seed", "cluster config", int, 0)
     mode = doc.get("mode", "prefilter")
     check_mode(mode)
     tie_break = doc.get("equivalence_tie_break", "lowest_index")
@@ -185,26 +184,38 @@ def run_cluster(doc: dict) -> tuple[QuasiHierarchy, ClusteringResult]:
     seed_name = doc.get("seed_func", "closest_node")
     if seed_name not in ("closest_node", "random_neighbor"):
         raise ConfigError(f"unknown seed_func {seed_name!r}")
-    criteria, read_dataset = _dataset_from_config(doc)
+    criteria_docs = doc.get("criteria", [])
+    if not isinstance(criteria_docs, list):
+        raise ConfigError(
+            f"cluster config: 'criteria' must be a list of objects, got {criteria_docs!r}"
+        )
+    dataset = doc.get("dataset")
+    if not isinstance(dataset, dict):
+        raise ConfigError("config needs a 'dataset' object")
+    criteria, read_dataset = _dataset_from_config(dataset, criteria_docs)
     if not criteria:
         raise ConfigError("at least one criterion is required")
     if seed_name == "closest_node":
         seed_func = ClosestNode.from_criteria(criteria)
     else:
         seed_func = RandomNeighbor(rng_seed)
+    return RunPlan(read_dataset, tuple(criteria), mode, d, seed_func, th_qh, tie_break, output_dir)
 
-    table, item_labels = read_dataset()
-    space = build_basis(table, criteria, mode, labels=item_labels)
+
+def run(plan: RunPlan) -> tuple[QuasiHierarchy, ClusteringResult]:
+    """Read the plan's dataset and cluster it."""
+    table, item_labels = plan.read_dataset()
+    space = build_basis(table, plan.criteria, plan.mode, labels=item_labels)
     hierarchy = quasistructural_analysis(
-        space, table, d, seed_func, th_qh, tie_break=tie_break
+        space, table, plan.d, plan.seed_func, plan.th_qh, tie_break=plan.tie_break
     )
     return hierarchy, flatten(hierarchy)
 
 
 def cmd_cluster(args) -> int:
-    doc = _load_json(args.config, "cluster config")
-    hierarchy, result = run_cluster(doc)
-    out_dir = Path(args.out_dir or doc.get("output_dir", "."))
+    plan = plan_cluster(_load_json(args.config, "cluster config"))
+    hierarchy, result = run(plan)
+    out_dir = Path(args.out_dir or plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "assignment.csv")
     _dump_json(hierarchy.to_json_dict(), out_dir / "hierarchy.json")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import _row_blocks
-from .errors import ConfigError, read_number
+from .errors import ConfigError, read_field, read_number
 from .rng import normals, splitmix64, uniforms
 from .similarity import FeatureTable
 
@@ -271,13 +271,6 @@ def _objects(value, what: str) -> list:
     return value
 
 
-def _number(doc: dict, key: str, what: str, convert=float, default=None):
-    """``doc[key]`` read as a number, or ``default`` when one is given and
-    the key is absent; errors name the key after ``what``."""
-    value = doc[key] if default is None else doc.get(key, default)
-    return read_number(value, f"{what}: {key!r}", convert)
-
-
 def _number_pair(value, what: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{what} must be a list of two numbers, got {value!r}")
@@ -293,23 +286,23 @@ def waveform_from_dict(doc: dict) -> Waveform:
     try:
         if kind == "sine":
             return Sine(
-                period=_number(doc, "period", what),
-                amplitude=_number(doc, "amplitude", what, default=1.0),
-                phase=_number(doc, "phase", what, default=0.0),
-                offset=_number(doc, "offset", what, default=0.0),
+                period=read_field(doc, "period", what),
+                amplitude=read_field(doc, "amplitude", what, default=1.0),
+                phase=read_field(doc, "phase", what, default=0.0),
+                offset=read_field(doc, "offset", what, default=0.0),
             )
         if kind == "square":
             return Square(
-                period=_number(doc, "period", what),
-                amplitude=_number(doc, "amplitude", what, default=1.0),
-                phase=_number(doc, "phase", what, default=0.0),
-                duty=_number(doc, "duty", what, default=0.5),
-                offset=_number(doc, "offset", what, default=0.0),
+                period=read_field(doc, "period", what),
+                amplitude=read_field(doc, "amplitude", what, default=1.0),
+                phase=read_field(doc, "phase", what, default=0.0),
+                duty=read_field(doc, "duty", what, default=0.5),
+                offset=read_field(doc, "offset", what, default=0.0),
             )
         if kind == "trend":
             return Trend(
-                slope=_number(doc, "slope", what),
-                intercept=_number(doc, "intercept", what, default=0.0),
+                slope=read_field(doc, "slope", what),
+                intercept=read_field(doc, "intercept", what, default=0.0),
             )
         if kind == "mix":
             components = _objects(doc["components"], f"{what}: 'components'")
@@ -327,13 +320,13 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
     kind = doc.get("kind")
     what = "generator spec"
     try:
-        seed = _number(doc, "rng_seed", what, int, 0)
+        seed = read_field(doc, "rng_seed", what, int, 0)
         if kind == "points":
             groups = tuple(
                 PointGroup(
-                    count=_number(g, "count", what, int),
+                    count=read_field(g, "count", what, int),
                     center=_number_pair(g["center"], f"{what}: 'center'"),
-                    dispersion=_number(g, "dispersion", what),
+                    dispersion=read_field(g, "dispersion", what),
                     size_range=_number_pair(g["size_range"], f"{what}: 'size_range'"),
                 )
                 for g in _objects(doc["groups"], f"{what}: 'groups'")
@@ -342,10 +335,10 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
         if kind == "series":
             clusters = tuple(
                 SeriesCluster(
-                    count=_number(c, "count", what, int),
-                    length=_number(c, "length", what, int),
+                    count=read_field(c, "count", what, int),
+                    length=read_field(c, "length", what, int),
                     shape=waveform_from_dict(c["shape"]),
-                    noise_sigma=_number(c, "noise_sigma", what, default=0.0),
+                    noise_sigma=read_field(c, "noise_sigma", what, default=0.0),
                 )
                 for c in _objects(doc["clusters"], f"{what}: 'clusters'")
             )

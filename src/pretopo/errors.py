@@ -10,19 +10,26 @@ class ConfigError(PretopoError):
 
 
 def read_number(value, what: str, convert=float):
-    """``convert(value)``, reporting a value it rejects as a config error;
-    an ``int`` target rejects a float with a fractional part
-    rather than truncating it.  A JSON boolean is not a number, so
-    ``True`` and ``False`` are rejected too."""
-    if isinstance(value, bool):
+    """``convert(value)`` for a JSON number ``value``, reporting any other
+    value, or one ``convert`` rejects, as a config error; an ``int`` target
+    rejects a float with a fractional part rather than truncating it.  A
+    JSON boolean or a numeric string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         number = convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if convert is int and isinstance(value, float) and number != value:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return number
+
+
+def read_field(doc: dict, key: str, what: str, convert=float, default=None):
+    """``doc[key]`` read as a number, or ``default`` when one is given and
+    the key is absent; errors name the key after ``what``."""
+    value = doc[key] if default is None else doc.get(key, default)
+    return read_number(value, f"{what}: {key!r}", convert)
 
 
 class DataError(PretopoError):

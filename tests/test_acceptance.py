@@ -41,7 +41,7 @@ from pretopo import (
     pseudoclosure_from_prefilter_roundtrip,
     quasistructural_analysis,
 )
-from pretopo.cli import main as cli_main, run_cluster
+from pretopo.cli import main as cli_main, plan_cluster, run
 from pretopo.datagen import Mix, SeriesCluster, SeriesGenSpec, Sine, Square, generate, generate_series, spec_from_dict
 from pretopo.ingest import build_resampled_table, build_resolution_criteria, load_csv
 
@@ -59,14 +59,15 @@ def load_config(name):
 
 
 def run_clustering(config, rho=None):
-    """Run a generate-dataset config through ``run_cluster``, with every
-    pearson threshold set to ``rho`` when given; returns (labels, result)."""
+    """Run a generate-dataset config through ``plan_cluster`` and ``run``,
+    with every pearson threshold set to ``rho`` when given; returns
+    (labels, result)."""
     config = copy.deepcopy(config)
     for c in config["criteria"]:
         if c["kind"] == "pearson" and rho is not None:
             c["threshold"] = rho
     _, labels = generate(spec_from_dict(config["dataset"]["spec"]))
-    _, result = run_cluster(config)
+    _, result = run(plan_cluster(config))
     return labels, result
 
 

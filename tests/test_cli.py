@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from pretopo.cli import main
+from pretopo import datagen, ingest
+from pretopo.cli import main, plan_cluster
+from pretopo.cli import run as run_plan
+from pretopo.similarity import FeatureTable
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -112,7 +116,11 @@ class TestGenerate:
          "generator spec: 'clusters' must be a list of objects, got [7]"),
         ({"groups": [dict(POINTS_SPEC["groups"][0], size_range=[1])]},
          "generator spec: 'size_range' must be a list of two numbers, got [1]"),
-    ], ids=["groups-strings", "groups-object", "center-number", "clusters-numbers", "size_range-one"])
+        # a number field takes a JSON number only, not a numeric string
+        ({"groups": [dict(POINTS_SPEC["groups"][0], count="8")]},
+         "generator spec: 'count' must be a number, got '8'"),
+    ], ids=["groups-strings", "groups-object", "center-number", "clusters-numbers", "size_range-one",
+            "count-string"])
     def test_spec_shape_error_names_the_field(self, tmp_path, capsys, edit, message):
         spec = write_json(tmp_path / "spec.json", dict(POINTS_SPEC, **edit))
         code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
@@ -122,7 +130,7 @@ class TestGenerate:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "cluster"])
-    @pytest.mark.parametrize("seed", ["x", None, float("inf"), 1.9, True])
+    @pytest.mark.parametrize("seed", ["x", None, float("inf"), 1.9, True, "7"])
     def test_bad_rng_seed_exits_2(self, tmp_path, capsys, command, seed):
         spec = dict(POINTS_SPEC, rng_seed=seed)
         if command == "generate":
@@ -415,6 +423,11 @@ class TestCluster:
                       {"kind": "pearson", "threshold": 0.5, "channel": ["a"]}]),
         ("criteria", [{"kind": "euclidean", "radius": 2.0},
                       {"kind": "pearson", "threshold": 0.5, "channel": {"a": 1}}]),
+        # numeric strings, in ASCII or other digits, are not numbers
+        ("th_qh", "0.5"),
+        ("d", " 2 "),
+        ("th_qh", "\u0660.\u0665"),
+        ("criteria", [{"kind": "euclidean", "radius": "2.0"}]),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value
@@ -529,6 +542,40 @@ class TestCluster:
         assert summary["outliers"] == 1
         text = (tmp_path / "o" / "assignment.csv").read_text()
         assert "a,0" in text and "b,0" in text and "c,-1" in text
+
+
+class TestPlanCluster:
+    @pytest.mark.parametrize("dataset, criteria", [
+        ({"kind": "features", "path": "features.csv"}, [{"kind": "euclidean", "radius": 2.0}]),
+        ({"kind": "raw_series", "path": "raw.csv", "rho": 0.8}, []),
+        ({"kind": "generate", "spec": POINTS_SPEC}, [{"kind": "euclidean", "radius": 2.0}]),
+    ], ids=["features", "raw_series", "generate"])
+    def test_planning_reads_no_data(self, monkeypatch, dataset, criteria):
+        class DataRead(Exception):
+            pass
+
+        def refuse(*args):
+            raise DataRead
+
+        monkeypatch.setattr(FeatureTable, "from_csv", refuse)
+        monkeypatch.setattr(ingest, "load_csv", refuse)
+        monkeypatch.setattr(datagen, "generate", refuse)
+        plan = plan_cluster({"dataset": dataset, "criteria": criteria,
+                             "seed_func": "random_neighbor", "d": 1})
+        assert (plan.d, plan.mode, plan.output_dir) == (1, "prefilter", ".")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.d = 2
+        with pytest.raises(DataRead):
+            run_plan(plan)
+
+    def test_missing_features_file_is_planned_then_exits_2(self, tmp_path, capsys):
+        doc = cluster_config(str(tmp_path / "missing.csv"), str(tmp_path / "out"))
+        assert plan_cluster(doc).output_dir == str(tmp_path / "out")
+        code, out, err = run(capsys, "cluster", "--config", write_json(tmp_path / "cfg.json", doc))
+        assert code == 2
+        assert out == ""
+        assert "missing.csv" in json.loads(err)["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteReadings:
@@ -768,6 +815,8 @@ class TestRawSeriesOptions:
         {"rho": 1.5},
         {"rho": "nan"},
         {"rho": {"half_hour": -1}},
+        {"rho": "0.8"},
+        {"rho": {"half_hour": "0.5"}},
     ], ids=lambda options: json.dumps(options))
     def test_bad_option_exits_2_before_readings_are_read(self, tmp_path, capsys, options):
         # the readings would exit 3 if they were read
@@ -806,7 +855,7 @@ class TestRawSeriesOptions:
         raw.write_text("\n".join(rows) + "\n")
         config = write_json(tmp_path / "cfg.json", {
             "dataset": {"kind": "raw_series", "path": str(raw), "resolutions": ["day", "week"],
-                        "rho": {"day": 0.5, "week": "0.5", "month": "unused"}},
+                        "rho": {"day": 0.5, "week": 0.5, "month": "unused"}},
             "seed_func": "random_neighbor",
         })
         code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
