@@ -327,7 +327,8 @@ def svg_scatter(
 
 
 def cmd_render(args) -> int:
-    wrote = {}
+    # every input is checked before any output is written
+    texts = {}
     if args.svg:
         if not (args.assignment and args.features):
             raise ConfigError("svg output needs --assignment and --features")
@@ -341,10 +342,7 @@ def cmd_render(args) -> int:
             cluster_ids = [int(assignment[str(i)]) for i in range(table.n_items)]
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"assignment csv: {exc!r}") from exc
-        svg = svg_scatter(table.positions, cluster_ids, table.sizes)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        wrote["svg"] = args.svg
+        texts["svg"] = svg_scatter(table.positions, cluster_ids, table.sizes)
     if args.dot:
         if not args.hierarchy:
             raise ConfigError("dot output needs --hierarchy")
@@ -353,11 +351,13 @@ def cmd_render(args) -> int:
             hierarchy = QuasiHierarchy.from_json_dict(doc)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"hierarchy json: {exc!r}") from exc
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(hierarchy.to_dot(min_size=args.min_size))
-        wrote["dot"] = args.dot
-    if not wrote:
+        texts["dot"] = hierarchy.to_dot(min_size=args.min_size)
+    if not texts:
         raise ConfigError("nothing to render: pass --svg and/or --dot")
+    wrote = {kind: getattr(args, kind) for kind in texts}
+    for kind, text in texts.items():
+        with open(wrote[kind], "w", encoding="utf-8") as fh:
+            fh.write(text)
     print(json.dumps(wrote, sort_keys=True))
     return 0
 

@@ -11,7 +11,7 @@ space kinds are provided:
 * :class:`FilterSpace` -- same storage, but the basis sets are intersected
   first; an item joins ``a(A)`` when that single intersection meets ``A``.
 * :class:`GraphSpace` -- ``a(A)`` is ``A`` plus all successors of ``A``
-  along directed edges.
+  along directed edges: the prefilter space with one basis set per item.
 
 Sets of items are bitsets (:class:`ElementSet`) over dense 0-based indices,
 so the hot operations are integer ANDs and ORs.
@@ -330,24 +330,25 @@ class PrefilterSpace(PseudoclosureSpace):
         if len(basis) != universe.size:
             raise ValueError("basis does not cover the universe")
         self.basis = basis
-        self._basis_masks = [
-            tuple(b.mask for b in row) for row in basis.sets
-        ]
-        self._slots = [
-            (pack_rows(unpack_masks(rows, universe.size).T), short)
+        self._slots = self._transposed_slots()
+
+    def _transposed_slots(self) -> list[tuple[list[int], int]]:
+        """Per basis slot j: T_j(y) for every item y, and short_j."""
+        return [
+            (pack_rows(unpack_masks(rows, self.size).T), short)
             for rows, short in self._slot_rows()
         ]
 
     def _slot_rows(self) -> list[tuple[list[int], int]]:
         """Per basis slot j: each item's basis set j (0 if it has none), short_j."""
         slots = []
-        depth = max(map(len, self._basis_masks), default=0)
+        depth = max(map(len, self.basis.sets), default=0)
         for j in range(depth):
             rows = []
             short = 0
-            for x, masks in enumerate(self._basis_masks):
-                if j < len(masks):
-                    rows.append(masks[j])
+            for x, row in enumerate(self.basis.sets):
+                if j < len(row):
+                    rows.append(row[j].mask)
                 else:
                     rows.append(0)
                     short |= 1 << x
@@ -374,8 +375,8 @@ class PrefilterSpace(PseudoclosureSpace):
 
     def neighbor_mask(self, x: int) -> int:
         union = 0
-        for bm in self._basis_masks[x]:
-            union |= bm
+        for b in self.basis.sets[x]:
+            union |= b.mask
         return union & ~(1 << x)
 
     def to_json_dict(self) -> dict:
@@ -410,18 +411,23 @@ class FilterSpace(PrefilterSpace):
         return [ElementSet(self.size, self._intersection_masks[x])]
 
 
-class GraphSpace(PseudoclosureSpace):
-    """Graph form: a(A) = A plus the out-neighbors of every item of A."""
+class GraphSpace(PrefilterSpace):
+    """Graph form: a(A) = A plus the out-neighbors of every item of A.
+
+    This is the prefilter space whose one basis set of x is x plus its
+    predecessors, which meets A exactly when x is in A or follows a member
+    of A.  Its transposed slot T(y) is y plus y's successors, read straight
+    off the edge lists, so no n x n bit matrix is transposed.
+    """
 
     kind = "graph"
 
     def __init__(self, universe: Universe, edges: Sequence[Sequence[int]]):
-        super().__init__(universe)
         n = universe.size
         if len(edges) != n:
             raise ValueError("adjacency list does not cover the universe")
-        succ = [0] * n
-        pred = [0] * n
+        succ = [1 << x for x in range(n)]
+        pred = list(succ)
         for x, targets in enumerate(edges):
             for y in targets:
                 if not 0 <= y < n:
@@ -429,27 +435,14 @@ class GraphSpace(PseudoclosureSpace):
                 succ[x] |= 1 << y
                 pred[y] |= 1 << x
         self.edges = tuple(tuple(sorted(t)) for t in edges)
-        self._succ_masks = succ
-        self._pred_masks = pred
+        self._closed_succ = succ
+        super().__init__(universe, NeighborhoodBasis.from_masks(n, [[m] for m in pred]))
 
-    def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, int]:
-        """``a(mask)`` and its reach, the union of the members' successors;
-        only the members in ``mask & ~parent`` are added to the parent's."""
-        if parent_reach is None:
-            parent, parent_reach = 0, 0
-        reach = parent_reach
-        succ = self._succ_masks
-        for y in _set_bits(mask & ~parent):
-            reach |= succ[y]
-        return mask | reach, reach
-
-    def neighborhoods_of(self, x: int) -> list[ElementSet]:
-        # x lies in i(V) exactly when V contains x and all of x's predecessors,
-        # so that set is the single minimal neighborhood.
-        return [ElementSet(self.size, self._pred_masks[x] | (1 << x))]
+    def _transposed_slots(self) -> list[tuple[list[int], int]]:
+        return [(self._closed_succ, 0)]
 
     def neighbor_mask(self, x: int) -> int:
-        return self._succ_masks[x]
+        return self._closed_succ[x] & ~(1 << x)
 
     def to_json_dict(self) -> dict:
         return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -284,26 +284,14 @@ def waveform_from_dict(doc: dict) -> Waveform:
         raise ConfigError(f"waveform spec needs a 'kind': {doc!r}") from exc
     what = f"{kind} waveform"
     try:
-        if kind == "sine":
-            return Sine(
-                period=read_field(doc, "period", what),
-                amplitude=read_field(doc, "amplitude", what, default=1.0),
-                phase=read_field(doc, "phase", what, default=0.0),
-                offset=read_field(doc, "offset", what, default=0.0),
-            )
-        if kind == "square":
-            return Square(
-                period=read_field(doc, "period", what),
-                amplitude=read_field(doc, "amplitude", what, default=1.0),
-                phase=read_field(doc, "phase", what, default=0.0),
-                duty=read_field(doc, "duty", what, default=0.5),
-                offset=read_field(doc, "offset", what, default=0.0),
-            )
-        if kind == "trend":
-            return Trend(
-                slope=read_field(doc, "slope", what),
-                intercept=read_field(doc, "intercept", what, default=0.0),
-            )
+        for shape in (Sine, Square, Trend):
+            if kind == shape.__name__.lower():
+                # every field is a number; one without a default is required
+                return shape(**{
+                    f.name: read_field(doc, f.name, what,
+                                       default=None if f.default is MISSING else f.default)
+                    for f in fields(shape)
+                })
         if kind == "mix":
             components = _objects(doc["components"], f"{what}: 'components'")
             return Mix(tuple(waveform_from_dict(c) for c in components))

@@ -44,7 +44,9 @@ class Partition:
         return len(self.items)
 
 
-def _contingency(p: Partition, q: Partition):
+def confusion_matrix(p: Partition, q: Partition):
+    """Co-membership counts: rows follow p's labels, columns q's labels,
+    both in first-appearance order. Returns (matrix, row_labels, col_labels)."""
     if set(p.items) != set(q.items):
         raise ConfigError("partitions cover different item sets")
     q_label = q.label_of()
@@ -79,7 +81,7 @@ def adjusted_rand_index(p: Partition, q: Partition) -> float:
     n = len(p)
     if n < 2:
         raise ConfigError("adjusted rand index needs at least two items")
-    matrix, _, _ = _contingency(p, q)
+    matrix, _, _ = confusion_matrix(p, q)
     sum_cells = sum(comb(c, 2) for row in matrix for c in row)
     sum_rows = sum(comb(sum(row), 2) for row in matrix)
     col_totals = [sum(row[j] for row in matrix) for j in range(len(matrix[0]))]
@@ -92,9 +94,3 @@ def adjusted_rand_index(p: Partition, q: Partition) -> float:
         # block), which is exact agreement
         return 1.0
     return (sum_cells - expected) / (maximum - expected)
-
-
-def confusion_matrix(p: Partition, q: Partition):
-    """Co-membership counts: rows follow p's labels, columns q's labels,
-    both in first-appearance order. Returns (matrix, row_labels, col_labels)."""
-    return _contingency(p, q)

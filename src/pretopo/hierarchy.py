@@ -30,7 +30,7 @@ from .core import (
     _row_blocks,
     unpack_masks,
 )
-from .errors import ConfigError
+from .errors import ConfigError, read_field, read_number
 from .similarity import Criterion, FeatureTable, _pairwise_rows, is_distance_criterion
 
 
@@ -396,18 +396,27 @@ class QuasiHierarchy:
         """Inverse of :meth:`to_json_dict`.
 
         Edges and roots index the ``sets`` list, so the sets must already be
-        in canonical order and every index must fall inside it.
+        in canonical order and every index must fall inside it.  Every
+        number must be a JSON number, an integer where it counts or indexes.
         """
-        n = int(doc["universe_size"])
+        what = "hierarchy json"
+        n = read_field(doc, "universe_size", what, int)
         universe = Universe.of_size(n)
-        listed = [ElementSet.from_members(n, members) for members in doc["sets"]]
+        listed = [
+            ElementSet.from_members(n, [read_number(x, f"{what}: set member", int) for x in members])
+            for members in doc["sets"]
+        ]
         family = ClosedFamily(listed)
         if family.sets != listed or not all(listed):
             raise ConfigError(
                 "hierarchy json: sets must be distinct, non-empty and in canonical order"
             )
-        edges = [(int(p), int(c), float(w)) for p, c, w in doc["edges"]]
-        roots = [int(r) for r in doc["roots"]]
+        edges = [
+            (read_number(p, f"{what}: edge end", int), read_number(c, f"{what}: edge end", int),
+             read_number(w, f"{what}: edge weight"))
+            for p, c, w in doc["edges"]
+        ]
+        roots = [read_number(r, f"{what}: root", int) for r in doc["roots"]]
         m = len(family)
         bad = [i for p, c, _ in edges for i in (p, c) if not 0 <= i < m]
         bad += [r for r in roots if not 0 <= r < m]
@@ -418,7 +427,7 @@ class QuasiHierarchy:
         return cls(
             universe=universe,
             family=family,
-            threshold=float(doc["threshold"]),
+            threshold=read_field(doc, "threshold", what),
             parent_edges=edges,
             roots=roots,
         )
@@ -464,30 +473,25 @@ def extract_quasihierarchy(
                 yield (rows, cols, adjacency[np.ix_(rows, cols)],
                        adjacency[np.ix_(cols, rows)].T)
 
-    return _quasihierarchy(family, read_strips, th_qh, universe, tie_break, tie_rng_seed)
+    return _quasihierarchy(family, th_qh, universe, tie_break, tie_rng_seed, read_strips)
 
 
-def _matrix_free_quasihierarchy(
+def _quasihierarchy(
     family: ClosedFamily,
     th_qh: float,
     universe: Universe | None = None,
     tie_break: str = "lowest_index",
     tie_rng_seed: int = 0,
+    strips=None,
 ) -> QuasiHierarchy:
-    """:func:`extract_quasihierarchy` over the weights of
-    :func:`extract_adjacency`, scored strip by strip from intersection
-    counts: no m x m array is ever allocated."""
-    return _quasihierarchy(
-        family, functools.partial(_scored_strips, family), th_qh, universe,
-        tie_break, tie_rng_seed,
-    )
-
-
-def _quasihierarchy(family, strips, th_qh, universe, tie_break, tie_rng_seed) -> QuasiHierarchy:
     """The two passes of :func:`extract_quasihierarchy` over the weights
     ``strips(components, mutual_at)`` yields, as :func:`_scored_strips`
-    does; nothing is stored between the passes."""
+    does; nothing is stored between the passes.  By default the weights
+    are those of :func:`extract_adjacency`, scored strip by strip from
+    intersection counts, so no m x m array is ever allocated."""
     check_quasihierarchy_options(th_qh, tie_break)
+    if strips is None:
+        strips = functools.partial(_scored_strips, family)
     m = len(family)
     if universe is None:
         n = family[0].n if m else 0
@@ -560,9 +564,7 @@ def quasistructural_analysis(
     strips, not m x m."""
     seeds = elementary_quasiclosures(space, table, d, seed_func)
     family = elementary_closed_subsets(space, seeds)
-    return _matrix_free_quasihierarchy(
-        family, th_qh, universe=space.universe, tie_break=tie_break
-    )
+    return _quasihierarchy(family, th_qh, universe=space.universe, tie_break=tie_break)
 
 
 @dataclass

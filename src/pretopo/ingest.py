@@ -481,6 +481,8 @@ def resolution_options(resolutions, aggregate, where: str) -> tuple[tuple[str, .
             f"{where}: 'resolutions' must be a non-empty list of "
             f"{', '.join(RESOLUTIONS)}; got {resolutions!r}"
         )
+    if len(set(resolutions)) != len(resolutions):
+        raise ConfigError(f"{where}: 'resolutions' names a resolution twice; got {resolutions!r}")
     _check_aggregate(aggregate)
     return tuple(resolutions), aggregate
 

@@ -817,6 +817,7 @@ class TestRawSeriesOptions:
         {"rho": {"half_hour": -1}},
         {"rho": "0.8"},
         {"rho": {"half_hour": "0.5"}},
+        {"resolutions": ["day", "day", "half_hour"]},
     ], ids=lambda options: json.dumps(options))
     def test_bad_option_exits_2_before_readings_are_read(self, tmp_path, capsys, options):
         # the readings would exit 3 if they were read
@@ -1002,6 +1003,46 @@ class TestRender:
         assert json.loads(err)["error"] == "ConfigError"
         assert not dot_path.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"universe_size": 3.9}, "'universe_size' must be an integer, got 3.9"),
+        ({"threshold": "0.5"}, "'threshold' must be a number, got '0.5'"),
+        ({"sets": [[0], [True, 2]]}, "set member must be a number, got True"),
+        ({"edges": [[1.9, 0, 1.0]]}, "edge end must be an integer, got 1.9"),
+        ({"edges": [[1, 0, "1"]]}, "edge weight must be a number, got '1'"),
+        ({"roots": [True]}, "root must be a number, got True"),
+        ({"universe_size": 3.9, "threshold": "0.5", "sets": [[0], [True, 2]],
+          "edges": [[1.9, 0, "1"]], "roots": [True]}, "must be an integer, got 3.9"),
+    ], ids=["size", "threshold", "member", "edge-end", "weight", "root", "all"])
+    def test_hierarchy_number_takes_a_json_number_only(self, tmp_path, capsys, edit, message):
+        # each edit reads as a valid hierarchy once int() or float() has run
+        doc = {"schema_version": 1, "threshold": 0.5, "universe_size": 3,
+               "sets": [[0], [0, 2]], "edges": [[1, 0, 1.0]], "roots": [1]}
+        hierarchy = write_json(tmp_path / "h.json", dict(doc, **edit))
+        dot_path = tmp_path / "t.dot"
+        code, out, err = run(capsys, "render", "--hierarchy", hierarchy, "--dot", str(dot_path))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith("hierarchy json: ")
+        assert error["message"].endswith(message)
+        assert not dot_path.exists()
+
+    def test_bad_hierarchy_writes_no_svg_either(self, tmp_path, capsys):
+        features, out = self.make_outputs(tmp_path, capsys)
+        bad = write_json(tmp_path / "bad.json", {"sets": "nope"})
+        svg_path, dot_path = tmp_path / "plot.svg", tmp_path / "t.dot"
+        outputs = ("--assignment", str(out / "assignment.csv"), "--features", features,
+                   "--svg", str(svg_path), "--dot", str(dot_path))
+        code, stdout, _ = run(capsys, "render", "--hierarchy", bad, *outputs)
+        assert (code, stdout) == (2, "")
+        assert not svg_path.exists() and not dot_path.exists()
+        code, stdout, _ = run(capsys, "render", "--hierarchy", str(out / "hierarchy.json"),
+                              *outputs, "--min-size", "1")
+        assert code == 0
+        assert json.loads(stdout) == {"svg": str(svg_path), "dot": str(dot_path)}
+        assert dot_path.read_bytes() == (out / "hierarchy.dot").read_bytes()
+        assert svg_path.read_text().startswith("<svg")
+
     def test_malformed_hierarchy_exits_2(self, tmp_path, capsys):
         hierarchy = write_json(tmp_path / "h.json", {"sets": "nope"})
         code, _, _ = run(capsys, "render", "--hierarchy", hierarchy, "--dot", str(tmp_path / "t.dot"))
@@ -1119,6 +1160,17 @@ class TestIngestCommand:
         error = json.loads(err)
         assert error["error"] == "ConfigError"
         assert repr(value) in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_resolution_exits_2_before_reading(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "ingest", "--input", "missing.csv", "--out-dir", "o",
+                             "--resolutions", "day", "day")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "ingest: 'resolutions' names a resolution twice; got ['day', 'day']",
+        }
         assert list(tmp_path.iterdir()) == []
 
     def test_all_resolutions_by_default(self, tmp_path, capsys):

@@ -25,6 +25,7 @@ from pretopo import (
     check_additivity,
     check_isotony,
     check_singleton_union,
+    core,
     space_from_json,
 )
 from pretopo.core import _kth_set_bit
@@ -167,6 +168,25 @@ class TestNeighborhoods:
     def test_graph_no_edges_gives_singleton(self):
         g = GraphSpace(Universe.of_size(4), [[], [], [], []])
         assert g.neighborhoods_of(2) == [g.universe.subset([2])]
+
+    def test_graph_is_the_one_slot_prefilter_of_predecessors(self):
+        g = GraphSpace(Universe.of_size(4), [[1, 2], [2], [], [0]])
+        assert isinstance(g, PrefilterSpace)
+        assert [row[0].members() for row in g.basis.sets] == [[0, 3], [0, 1], [0, 1, 2], [3]]
+
+    def test_graph_space_transposes_no_bit_matrix(self, monkeypatch):
+        # T(y), y plus its successors, is read off the edge lists
+        def unpack(*_):
+            raise AssertionError("GraphSpace unpacked a bit matrix")
+
+        monkeypatch.setattr(core, "unpack_masks", unpack)
+        g = GraphSpace(Universe.of_size(3), [[1], [2], []])
+        assert g.closure(g.universe.subset([0])).members() == [0, 1, 2]
+
+    def test_graph_neighbor_mask_is_successors_minus_self(self):
+        # a self-loop does not make x its own neighbor
+        g = GraphSpace(Universe.of_size(3), [[0, 2], [1], []])
+        assert [g.neighbor_mask(x) for x in range(3)] == [0b100, 0, 0]
 
     def test_basis_must_contain_owner(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """The CLI's exit-code contract as a property.
 
-Each case starts from a shipped cluster config, or from the generator spec
-inside it, and swaps one value for another JSON type, or drops it.  Whatever
-the swap, ``pretopo`` exits 0, 2 or 3, reports an error as one JSON object
-and never as a traceback, and writes nothing unless it exits 0.
+Each case starts from a shipped cluster config, from the generator spec
+inside it, or from the ``hierarchy.json`` that config's run writes, and
+swaps one value for another JSON type, or drops it.  Whatever the swap,
+``pretopo`` exits 0, 2 or 3, reports an error as one JSON object and never
+as a traceback, and writes nothing unless it exits 0.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretopo.cli import main
+from pretopo.cli import main, plan_cluster, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +77,12 @@ CASES = [
 ]
 
 
+# the hierarchy the cut-down points config's run writes, as ``render --dot`` reads it
+HIERARCHY = json.loads(json.dumps(run(plan_cluster(CONFIGS[0]))[0].to_json_dict()))
+# numbers that int() or float() would have read as valid indices and weights
+HIERARCHY_REPLACEMENTS = REPLACEMENTS + [1.5, -1, 2]
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(case=st.sampled_from(CASES), replacement=st.sampled_from(REPLACEMENTS))
 def test_one_swapped_value_keeps_the_exit_code_contract(case, replacement):
@@ -97,3 +104,26 @@ def test_one_swapped_value_keeps_the_exit_code_contract(case, replacement):
             assert stdout.getvalue() == ""
             assert set(json.loads(stderr.getvalue())) == {"error", "message"}
             assert [p.name for p in work.iterdir()] == ["input.json"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(path=st.sampled_from(list(paths(HIERARCHY))),
+       replacement=st.sampled_from(HIERARCHY_REPLACEMENTS))
+def test_render_dot_of_a_swapped_hierarchy_keeps_the_exit_code_contract(path, replacement):
+    text = json.dumps(swapped(HIERARCHY, path, replacement))
+    text = text.replace(json.dumps(OVERFLOWING_FLOAT), "1e400")
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "hierarchy.json").write_text(text, encoding="utf-8")
+        dot = work / "hierarchy.dot"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["render", "--hierarchy", str(work / "hierarchy.json"), "--dot", str(dot)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            assert dot.is_file()
+        else:
+            assert stdout.getvalue() == ""
+            assert set(json.loads(stderr.getvalue())) == {"error", "message"}
+            assert [p.name for p in work.iterdir()] == ["hierarchy.json"]

@@ -20,7 +20,7 @@ from helpers import (
 )
 from pretopo import ClosedFamily, ElementSet, Universe, core
 from pretopo.hierarchy import (
-    _matrix_free_quasihierarchy,
+    _quasihierarchy,
     extract_adjacency,
     extract_quasihierarchy,
 )
@@ -191,7 +191,7 @@ def test_matrix_free_scoring_matches_oracle(monkeypatch, block_entries):
         for th in (0.25,) + THRESHOLDS:
             for tie_break in TIE_BREAKS:
                 kwargs = dict(universe=universe, tie_break=tie_break, tie_rng_seed=f_idx)
-                got = _matrix_free_quasihierarchy(family, th, **kwargs)
+                got = _quasihierarchy(family, th, **kwargs)
                 want = brute_force_quasihierarchy(family, adj, th, **kwargs)
                 assert got.to_json_dict() == want.to_json_dict()
                 assert got.to_dot() == want.to_dot()
@@ -207,7 +207,7 @@ def test_mutual_band_edge(monkeypatch):
     family = ClosedFamily([ElementSet(4, 0b11), ElementSet(4, 0b1111)])
     adj = extract_adjacency(family)
     assert (adj[0, 1], adj[1, 0]) == (0.25, 2.0)
-    assert _matrix_free_quasihierarchy(family, 0.25).family.sets == [family[1]]
+    assert _quasihierarchy(family, 0.25).family.sets == [family[1]]
     n = 30
     for big in range(2, n + 1):
         for small in range(1, big):
@@ -215,7 +215,7 @@ def test_mutual_band_edge(monkeypatch):
             adj = brute_force_adjacency(family)
             edge = (small / big) * (small / big)
             for th in (edge, np.nextafter(edge, 2.0)):
-                got = _matrix_free_quasihierarchy(family, th).to_json_dict()
+                got = _quasihierarchy(family, th).to_json_dict()
                 assert got == brute_force_quasihierarchy(family, adj, th).to_json_dict()
                 assert len(got["sets"]) == (1 if th == edge else 2)
 
