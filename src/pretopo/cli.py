@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import _SCHEMA_VERSION
-from .errors import ConfigError, DataError, ParseError, read_field, read_number
+from .errors import ConfigError, DataError, ParseError, read_field
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
     ClosestNode,
@@ -34,13 +34,11 @@ from .hierarchy import (
 )
 from .similarity import (
     Criterion,
-    EuclideanBall,
     FeatureTable,
-    PearsonBall,
-    SizeBall,
     _csv_rows,
     build_basis,
     check_mode,
+    criterion_from_dict,
 )
 
 _PALETTE = [
@@ -75,25 +73,6 @@ def _load_json(path, what: str) -> dict:
 def _dump_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def criterion_from_dict(doc) -> Criterion:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"criterion must be an object, got {doc!r}")
-    kind = doc.get("kind")
-    try:
-        if kind == "euclidean":
-            return EuclideanBall(radius=read_number(doc["radius"], "euclidean 'radius'"))
-        if kind == "size":
-            return SizeBall(tolerance=read_number(doc["tolerance"], "size 'tolerance'"))
-        if kind == "pearson":
-            return PearsonBall(
-                threshold=read_number(doc["threshold"], "pearson 'threshold'"),
-                channel=doc.get("channel"),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"criterion {kind!r} is missing {exc}") from exc
-    raise ConfigError(f"unknown criterion kind {kind!r}")
 
 
 # -- generate ------------------------------------------------------------
@@ -327,7 +306,7 @@ def svg_scatter(
 
 
 def cmd_render(args) -> int:
-    # every input is checked before any output is written
+    # every input and every output path is checked before any output is written
     texts = {}
     if args.svg:
         if not (args.assignment and args.features):
@@ -355,6 +334,9 @@ def cmd_render(args) -> int:
     if not texts:
         raise ConfigError("nothing to render: pass --svg and/or --dot")
     wrote = {kind: getattr(args, kind) for kind in texts}
+    for kind, path in wrote.items():
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ConfigError(f"--{kind} {path!r} is not a file path in an existing directory")
     for kind, text in texts.items():
         with open(wrote[kind], "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -24,6 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -500,6 +501,37 @@ def _pseudoclosure_table(space: PseudoclosureSpace) -> list[int]:
     return [space._pseudoclosure_mask(m) for m in range(1 << space.size)]
 
 
+def _property_cases(space: PseudoclosureSpace, trials: int, rng_seed: int, every, sample):
+    """a(.) and the cases (masks or tuples of masks) a property check tries.
+
+    At most 12 items: a lookup into the a(.) table and ``every(n)``, every
+    case in a fixed order.  Above: the operator itself and ``trials`` cases
+    ``sample(draw)``, where ``draw(within)`` is a random subset of ``within``
+    (default the universe) from ``random.Random(rng_seed)``.
+    """
+    n = space.size
+    if n <= _EXHAUSTIVE_LIMIT:
+        return _pseudoclosure_table(space).__getitem__, every(n)
+    rng = random.Random(rng_seed)
+    full = space.universe.full_mask
+
+    def draw(within: int = full) -> int:
+        return rng.getrandbits(n) & within
+
+    return space._pseudoclosure_mask, (sample(draw) for _ in range(trials))
+
+
+def _nested_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """(A, B) with A a subset of B: B ascending, A over B's submasks descending to 0."""
+    for b_mask in range(1 << n):
+        a_mask = b_mask
+        while True:
+            yield a_mask, b_mask
+            if a_mask == 0:
+                break
+            a_mask = (a_mask - 1) & b_mask
+
+
 def check_isotony(space: PseudoclosureSpace, trials: int = 1000, rng_seed: int = 0) -> CheckResult:
     """Test A subset-of B implies a(A) subset-of a(B).
 
@@ -507,27 +539,10 @@ def check_isotony(space: PseudoclosureSpace, trials: int = 1000, rng_seed: int =
     otherwise ``trials`` sampled nested pairs.
     """
     n = space.size
-    if n <= _EXHAUSTIVE_LIMIT:
-        table = _pseudoclosure_table(space)
-        for b_mask in range(1 << n):
-            a_b = table[b_mask]
-            sub = b_mask
-            while True:
-                if table[sub] & ~a_b:
-                    return CheckResult(
-                        False, (ElementSet(n, sub), ElementSet(n, b_mask))
-                    )
-                if sub == 0:
-                    break
-                sub = (sub - 1) & b_mask
-        return CheckResult(True, None)
-
-    rng = random.Random(rng_seed)
-    full = space.universe.full_mask
-    for _ in range(trials):
-        b_mask = rng.getrandbits(n) & full
-        a_mask = rng.getrandbits(n) & b_mask
-        if space._pseudoclosure_mask(a_mask) & ~space._pseudoclosure_mask(b_mask):
+    # a sampled pair draws B, then A within B
+    a, cases = _property_cases(space, trials, rng_seed, _nested_pairs, lambda draw: (draw(b := draw()), b))
+    for a_mask, b_mask in cases:
+        if a(a_mask) & ~a(b_mask):
             return CheckResult(False, (ElementSet(n, a_mask), ElementSet(n, b_mask)))
     return CheckResult(True, None)
 
@@ -535,51 +550,32 @@ def check_isotony(space: PseudoclosureSpace, trials: int = 1000, rng_seed: int =
 def check_additivity(space: PseudoclosureSpace, trials: int = 1000, rng_seed: int = 0) -> CheckResult:
     """Test a(A | B) == a(A) | a(B) over pairs of subsets.
 
-    Exhaustive (with a memoized pseudoclosure table) when the universe has at
-    most 12 items, otherwise sampled.
+    Exhaustive over the pairs A <= B (as masks) when the universe has at
+    most 12 items, otherwise ``trials`` sampled pairs.
     """
     n = space.size
-    if n <= _EXHAUSTIVE_LIMIT:
-        table = _pseudoclosure_table(space)
-        for a_mask in range(1 << n):
-            for b_mask in range(a_mask, 1 << n):
-                if table[a_mask | b_mask] != table[a_mask] | table[b_mask]:
-                    return CheckResult(
-                        False, (ElementSet(n, a_mask), ElementSet(n, b_mask))
-                    )
-        return CheckResult(True, None)
-
-    rng = random.Random(rng_seed)
-    full = space.universe.full_mask
-    for _ in range(trials):
-        a_mask = rng.getrandbits(n) & full
-        b_mask = rng.getrandbits(n) & full
-        lhs = space._pseudoclosure_mask(a_mask | b_mask)
-        rhs = space._pseudoclosure_mask(a_mask) | space._pseudoclosure_mask(b_mask)
-        if lhs != rhs:
+    a, cases = _property_cases(
+        space, trials, rng_seed,
+        lambda n: combinations_with_replacement(range(1 << n), 2),
+        lambda draw: (draw(), draw()),
+    )
+    for a_mask, b_mask in cases:
+        if a(a_mask | b_mask) != a(a_mask) | a(b_mask):
             return CheckResult(False, (ElementSet(n, a_mask), ElementSet(n, b_mask)))
     return CheckResult(True, None)
 
 
 def check_singleton_union(space: PseudoclosureSpace, trials: int = 1000, rng_seed: int = 0) -> CheckResult:
-    """Test a(A) == union of a({x}) over x in A (singleton decomposition)."""
+    """Test a(A) == union of a({x}) over x in A (singleton decomposition).
+
+    Exhaustive over every subset when the universe has at most 12 items,
+    otherwise ``trials`` sampled subsets.
+    """
     n = space.size
-    singles = [space._pseudoclosure_mask(1 << i) for i in range(n)]
-
-    def decomposed(mask: int) -> int:
-        out = 0
-        for x in _set_bits(mask):
-            out |= singles[x]
-        return out
-
-    if n <= _EXHAUSTIVE_LIMIT:
-        candidates: Iterable[int] = range(1 << n)
-    else:
-        rng = random.Random(rng_seed)
-        full = space.universe.full_mask
-        candidates = (rng.getrandbits(n) & full for _ in range(trials))
-    for mask in candidates:
-        if space._pseudoclosure_mask(mask) != decomposed(mask):
+    a, cases = _property_cases(space, trials, rng_seed, lambda n: range(1 << n), lambda draw: draw())
+    singles = [a(1 << x) for x in range(n)]
+    for mask in cases:
+        if a(mask) != reduce(operator.or_, (singles[x] for x in _set_bits(mask)), 0):
             return CheckResult(False, (ElementSet(n, mask),))
     return CheckResult(True, None)
 

@@ -50,25 +50,13 @@ def confusion_matrix(p: Partition, q: Partition):
     if set(p.items) != set(q.items):
         raise ConfigError("partitions cover different item sets")
     q_label = q.label_of()
-    rows: list[Hashable] = []
-    cols: list[Hashable] = []
-    row_idx: dict[Hashable, int] = {}
-    col_idx: dict[Hashable, int] = {}
-    cells: dict[tuple[int, int], int] = {}
-    for item, p_lab in zip(p.items, p.labels):
-        q_lab = q_label[item]
-        if p_lab not in row_idx:
-            row_idx[p_lab] = len(rows)
-            rows.append(p_lab)
-        if q_lab not in col_idx:
-            col_idx[q_lab] = len(cols)
-            cols.append(q_lab)
-        key = (row_idx[p_lab], col_idx[q_lab])
-        cells[key] = cells.get(key, 0) + 1
-    matrix = [[0] * len(cols) for _ in rows]
-    for (i, j), count in cells.items():
-        matrix[i][j] = count
-    return matrix, rows, cols
+    q_labels = [q_label[item] for item in p.items]
+    row_idx = {lab: i for i, lab in enumerate(dict.fromkeys(p.labels))}
+    col_idx = {lab: j for j, lab in enumerate(dict.fromkeys(q_labels))}
+    matrix = [[0] * len(col_idx) for _ in row_idx]
+    for p_lab, q_lab in zip(p.labels, q_labels):
+        matrix[row_idx[p_lab]][col_idx[q_lab]] += 1
+    return matrix, list(row_idx), list(col_idx)
 
 
 def adjusted_rand_index(p: Partition, q: Partition) -> float:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .core import (
     _row_blocks,
     pack_rows,
 )
-from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError
+from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError, read_number
 
 
 def _csv_rows(fh):
@@ -308,6 +309,27 @@ class PearsonBall:
 
 
 Criterion = EuclideanBall | SizeBall | PearsonBall
+
+
+def criterion_from_dict(doc) -> Criterion:
+    """The criterion a config object describes: ``kind`` is the class name
+    without ``Ball``, lower-cased; a field without a default is a required
+    JSON number, and one with a default is taken as given."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"criterion must be an object, got {doc!r}")
+    kind = doc.get("kind")
+    for ball in get_args(Criterion):
+        if kind == ball.__name__.removesuffix("Ball").lower():
+            try:
+                return ball(**{
+                    f.name: read_number(doc[f.name], f"{kind} {f.name!r}")
+                    if f.default is MISSING else doc.get(f.name, f.default)
+                    for f in fields(ball)
+                })
+            except KeyError as exc:
+                raise ConfigError(f"criterion {kind!r} is missing {exc}") from exc
+    raise ConfigError(f"unknown criterion kind {kind!r}")
+
 
 DISTANCE_KINDS = (EuclideanBall, SizeBall)
 

@@ -22,6 +22,7 @@ from pretopo import (
     NeighborhoodBasis,
     PearsonBall,
     PrefilterSpace,
+    PseudoclosureSpace,
     QuasiHierarchy,
     SizeBall,
     Universe,
@@ -238,6 +239,13 @@ def random_graph_space(rng, n, p=0.3):
         [y for y in range(n) if y != x and rng.random() < p] for x in range(n)
     ]
     return GraphSpace(Universe.of_size(n), edges)
+
+
+class OddBumpSpace(PseudoclosureSpace):
+    """Deliberately non-isotone: odd-sized sets get item 0 added."""
+
+    def grow(self, mask, parent=0, parent_reach=None):
+        return (mask | 1 if mask.bit_count() % 2 else mask), None
 
 
 def random_isotone_space(rng, n):

@@ -1043,6 +1043,25 @@ class TestRender:
         assert dot_path.read_bytes() == (out / "hierarchy.dot").read_bytes()
         assert svg_path.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("bad", ["svg", "dot"])
+    @pytest.mark.parametrize("path", ["nodir/out", "existing-dir"])
+    def test_bad_output_path_writes_neither_output(self, tmp_path, capsys, monkeypatch, bad, path):
+        # the other output's path is fine, and is not written either
+        features, out = self.make_outputs(tmp_path, capsys)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing-dir").mkdir()
+        outputs = {"svg": "plot.svg", "dot": "t.dot", bad: path}
+        code, stdout, err = run(capsys, "render", "--assignment", str(out / "assignment.csv"),
+                                "--features", features, "--svg", outputs["svg"],
+                                "--hierarchy", str(out / "hierarchy.json"), "--dot", outputs["dot"])
+        assert (code, stdout) == (2, "")
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"--{bad} {path!r} is not a file path in an existing directory",
+        }
+        assert not (tmp_path / "plot.svg").exists() and not (tmp_path / "t.dot").exists()
+        assert not any((tmp_path / "existing-dir").iterdir())
+
     def test_malformed_hierarchy_exits_2(self, tmp_path, capsys):
         hierarchy = write_json(tmp_path / "h.json", {"sets": "nope"})
         code, _, _ = run(capsys, "render", "--hierarchy", hierarchy, "--dot", str(tmp_path / "t.dot"))
@@ -1051,6 +1070,53 @@ class TestRender:
     def test_nothing_to_render_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "render")
         assert code == 2
+
+
+XY_CSV = "x,y\n0.0,0.0\n1.0,0.0\n"
+ASSIGNMENT_CSV = "item_id,cluster_id\n0,0\n1,0\n"
+LABELS_CSV = "item_id,label\n0,a\n1,b\n"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"c.json": "[]"}, ["cluster", "--config", "c.json", "--out-dir", "out"],
+     "cluster config: expected a JSON object"),
+    ({}, ["cluster", "--config", "missing.json", "--out-dir", "out"],
+     "No such file or directory"),
+    ({"a.csv": "", "l.csv": LABELS_CSV}, ["eval", "--assignment", "a.csv", "--labels", "l.csv"],
+     "assignment and labels cover different item ids"),
+    ({"a.csv": "item_id,cluster_id\n0\n", "l.csv": LABELS_CSV},
+     ["eval", "--assignment", "a.csv", "--labels", "l.csv"], "assignment csv: malformed row"),
+    ({"l.csv": LABELS_CSV}, ["eval", "--assignment", ".", "--labels", "l.csv"],
+     "Is a directory"),
+    ({"a.csv": ASSIGNMENT_CSV}, ["render", "--assignment", "a.csv", "--svg", "r.svg"],
+     "svg output needs --assignment and --features"),
+    ({"a.csv": ASSIGNMENT_CSV, "f.csv": "size\n1.0\n2.0\n"},
+     ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "r.svg"],
+     "scatter rendering needs x,y columns"),
+    ({"a.csv": "item_id,cluster_id\n0,0\n", "f.csv": XY_CSV},
+     ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "r.svg"],
+     "assignment and features disagree on item count"),
+    ({"a.csv": "item_id,cluster_id\n0,0\n1,x\n", "f.csv": XY_CSV},
+     ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "r.svg"],
+     "invalid literal for int()"),
+    ({}, ["render", "--dot", "t.dot"], "dot output needs --hierarchy"),
+], ids=[
+    "cluster-config-list", "cluster-config-missing", "eval-empty-csv", "eval-one-column-row",
+    "eval-directory", "svg-without-features", "features-without-xy", "item-count-differs",
+    "non-integer-cluster-id", "dot-without-hierarchy",
+])
+def test_error_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert message in error["message"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def write_pinned_readings(path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OddBumpSpace,
     all_subsets,
     brute_force_closure,
     brute_force_pseudoclosure_prefilter,
@@ -20,7 +21,6 @@ from pretopo import (
     GraphSpace,
     NeighborhoodBasis,
     PrefilterSpace,
-    PseudoclosureSpace,
     Universe,
     check_additivity,
     check_isotony,
@@ -193,15 +193,6 @@ class TestNeighborhoods:
             NeighborhoodBasis.from_masks(2, [[0b10], [0b10]])
 
 
-class _OddBumpSpace(PseudoclosureSpace):
-    """Deliberately non-isotone: odd-sized sets get item 0 added."""
-
-    def grow(self, mask, parent=0, parent_reach=None):
-        if mask.bit_count() % 2 == 1:
-            return mask | 1, None
-        return mask, None
-
-
 class TestPropertyChecks:
     def test_prefilter_and_graph_are_isotone(self):
         rng = random.Random(5)
@@ -210,7 +201,7 @@ class TestPropertyChecks:
             assert check_isotony(random_graph_space(rng, 5)).ok
 
     def test_non_isotone_space_yields_witness(self):
-        space = _OddBumpSpace(Universe.of_size(4))
+        space = OddBumpSpace(Universe.of_size(4))
         ok, witness = check_isotony(space)
         assert not ok
         small, large = witness
@@ -252,6 +243,25 @@ class TestPropertyChecks:
         g = random_graph_space(rng, 14)
         assert check_isotony(g, trials=200, rng_seed=1).ok
         assert check_additivity(g, trials=200, rng_seed=1).ok
+        assert check_singleton_union(g, trials=200, rng_seed=1).ok
+
+    def test_sampled_witnesses_are_pinned(self):
+        # above 12 items the checks draw their cases from random.Random(0);
+        # these witnesses fix the order of the draws
+        space = OddBumpSpace(Universe.of_size(14))
+
+        def members(witness):
+            return tuple(set(w.members()) for w in witness)
+
+        ok, witness = check_isotony(space)
+        assert not ok
+        assert members(witness) == ({7, 12, 13}, {1, 7, 12, 13})
+        ok, witness = check_additivity(space)
+        assert not ok
+        assert members(witness) == ({1, 4, 7, 12}, {1, 3, 6, 7, 8, 10, 11, 12, 13})
+        ok, witness = check_singleton_union(space)
+        assert not ok
+        assert members(witness) == ({1, 7, 12, 13},)
 
 
 class TestAxioms:

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from helpers import (
+    OddBumpSpace,
     all_subsets,
     random_filter_space,
     random_graph_space,
@@ -17,7 +18,6 @@ from helpers import (
 )
 from pretopo import (
     GraphSpace,
-    PseudoclosureSpace,
     Universe,
     UnsupportedSpaceError,
     pseudoclosure_from_prefilter_roundtrip,
@@ -66,14 +66,9 @@ def test_graph_reconstruction_is_predecessors_plus_self():
         assert families[x] == g.neighborhoods_of(x)
 
 
-class _OddBumpSpace(PseudoclosureSpace):
-    def grow(self, mask, parent=0, parent_reach=None):
-        return (mask | 1 if mask.bit_count() % 2 else mask), None
-
-
 def test_non_isotone_space_rejected():
     with pytest.raises(UnsupportedSpaceError):
-        pseudoclosure_from_prefilter_roundtrip(_OddBumpSpace(Universe.of_size(4)))
+        pseudoclosure_from_prefilter_roundtrip(OddBumpSpace(Universe.of_size(4)))
 
 
 def test_empty_universe_roundtrip():
