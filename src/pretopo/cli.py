@@ -48,12 +48,6 @@ _PALETTE = [
 _OUTLIER_COLOR = "#000000"
 
 
-def _check_schema_version(doc: dict, what: str) -> None:
-    version = doc.get("schema_version", _SCHEMA_VERSION)
-    if isinstance(version, bool) or version != _SCHEMA_VERSION:
-        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
-
-
 def _load_json(path, what: str) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -66,19 +60,37 @@ def _load_json(path, what: str) -> dict:
         raise ConfigError(f"{what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what}: expected a JSON object")
-    _check_schema_version(doc, what)
+    version = doc.get("schema_version", _SCHEMA_VERSION)
+    if isinstance(version, bool) or version != _SCHEMA_VERSION:
+        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
     return doc
 
 
-def _dump_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _write_text(text: str) -> Callable[[Path], None]:
+    """A write step that puts ``text`` in its path as UTF-8."""
+    return lambda path: Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_outputs(outputs) -> None:
+    """Run ``write(path)`` for every ``(name, path, write)``, once every path
+    is checked to name its own file in an existing directory."""
+    files = {}
+    for name, path, _ in outputs:
+        shown = f"{name} {str(path)!r}"
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ConfigError(f"{shown} is not a file path in an existing directory")
+        file = Path(path).resolve()
+        if file in files:
+            raise ConfigError(f"{shown} names the same file as {files[file]}")
+        files[file] = shown
+    for _, path, write in outputs:
+        write(path)
 
 
 # -- generate ------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> dict:
     from . import datagen
 
     spec = datagen.spec_from_dict(_load_json(args.spec, "generator spec"))
@@ -87,14 +99,15 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     features_path = out_dir / "features.csv"
     labels_path = out_dir / "labels.csv"
-    table.to_csv(features_path)
-    datagen.write_labels_csv(labels_path, labels)
-    print(json.dumps({
+    _write_outputs([
+        ("output", features_path, table.to_csv),
+        ("output", labels_path, lambda path: datagen.write_labels_csv(path, labels)),
+    ])
+    return {
         "items": table.n_items,
         "features_csv": str(features_path),
         "labels_csv": str(labels_path),
-    }, sort_keys=True))
-    return 0
+    }
 
 
 # -- cluster --------------------------------------------------------------
@@ -191,23 +204,23 @@ def run(plan: RunPlan) -> tuple[QuasiHierarchy, ClusteringResult]:
     return hierarchy, flatten(hierarchy)
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> dict:
     plan = plan_cluster(_load_json(args.config, "cluster config"))
     hierarchy, result = run(plan)
     out_dir = Path(args.out_dir or plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result.to_csv(out_dir / "assignment.csv")
-    _dump_json(hierarchy.to_json_dict(), out_dir / "hierarchy.json")
-    with open(out_dir / "hierarchy.dot", "w", encoding="utf-8") as fh:
-        fh.write(hierarchy.to_dot())
-    summary = {
+    _write_outputs([
+        ("output", out_dir / "assignment.csv", result.to_csv),
+        ("output", out_dir / "hierarchy.json",
+         _write_text(json.dumps(hierarchy.to_json_dict(), sort_keys=True, indent=2) + "\n")),
+        ("output", out_dir / "hierarchy.dot", _write_text(hierarchy.to_dot())),
+    ])
+    return {
         "clusters": len(result.clusters),
         "outliers": len(result.outliers),
         "sets": len(hierarchy.family),
         "roots": len(hierarchy.roots),
     }
-    print(json.dumps(summary, sort_keys=True))
-    return 0
 
 
 # -- eval -----------------------------------------------------------------
@@ -215,28 +228,24 @@ def cmd_cluster(args) -> int:
 
 def _read_two_column_csv(path, what: str) -> dict[str, str]:
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = _csv_rows(fh)
-            header = next(reader, None)
-            if header is None:
-                return {}
-            out = {}
-            seen_at = {}
-            for line, row in enumerate(reader, start=2):
-                if len(row) < 2:
-                    raise ConfigError(f"{what}: malformed row {row!r}")
-                if row[0] in out:
-                    raise ConfigError(
-                        f"{what}: line {line}: item id {row[0]!r} repeats line {seen_at[row[0]]}"
-                    )
-                out[row[0]] = row[1]
-                seen_at[row[0]] = line
-            return out
+        reader = _csv_rows(path)
+        next(reader, None)  # the header
+        out, seen_at = {}, {}
+        for line, row in enumerate(reader, start=2):
+            if len(row) < 2:
+                raise ConfigError(f"{what}: malformed row {row!r}")
+            if row[0] in out:
+                raise ConfigError(
+                    f"{what}: line {line}: item id {row[0]!r} repeats line {seen_at[row[0]]}"
+                )
+            out[row[0]] = row[1]
+            seen_at[row[0]] = line
+        return out
     except OSError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     found = _read_two_column_csv(args.assignment, "assignment csv")
     truth = _read_two_column_csv(args.labels, "labels csv")
     if set(found) != set(truth):
@@ -245,12 +254,11 @@ def cmd_eval(args) -> int:
     p = Partition(tuple(items), tuple(truth[i] for i in items))
     q = Partition(tuple(items), tuple(found[i] for i in items))
     matrix, rows, cols = confusion_matrix(p, q)
-    print(json.dumps({
+    return {
         "ari": adjusted_rand_index(p, q),
         "confusion": {"matrix": matrix, "rows": rows, "cols": cols},
         "n_items": len(items),
-    }, sort_keys=True))
-    return 0
+    }
 
 
 # -- render ---------------------------------------------------------------
@@ -305,8 +313,8 @@ def svg_scatter(
     return "\n".join(lines) + "\n"
 
 
-def cmd_render(args) -> int:
-    # every input and every output path is checked before any output is written
+def cmd_render(args) -> dict:
+    # every input is read before any output is written
     texts = {}
     if args.svg:
         if not (args.assignment and args.features):
@@ -334,20 +342,14 @@ def cmd_render(args) -> int:
     if not texts:
         raise ConfigError("nothing to render: pass --svg and/or --dot")
     wrote = {kind: getattr(args, kind) for kind in texts}
-    for kind, path in wrote.items():
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
-            raise ConfigError(f"--{kind} {path!r} is not a file path in an existing directory")
-    for kind, text in texts.items():
-        with open(wrote[kind], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(json.dumps(wrote, sort_keys=True))
-    return 0
+    _write_outputs([(f"--{kind}", wrote[kind], _write_text(text)) for kind, text in texts.items()])
+    return wrote
 
 
 # -- ingest ---------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> dict:
     from . import ingest
 
     resolutions, aggregate = ingest.resolution_options(
@@ -357,15 +359,16 @@ def cmd_ingest(args) -> int:
     if not sites:
         raise DataError("input csv contains no readings")
     table = ingest.build_resampled_table(sites, resolutions, aggregate)
-    written = table.write_csvs(args.out_dir)
-    print(json.dumps({
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    outputs = table.csv_outputs(args.out_dir)
+    _write_outputs([("output", path, write) for path, write in outputs])
+    return {
         "sites": len(table.site_ids),
         "dropped": [list(d) for d in table.dropped],
         "window": list(table.window),
         "buckets": {r: int(table.data[r].shape[1]) for r in table.resolutions},
-        "files": written,
-    }, sort_keys=True))
-    return 0
+        "files": [str(path) for path, _ in outputs],
+    }
 
 
 # -- entry point ------------------------------------------------------------
@@ -416,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print(json.dumps(args.func(args), sort_keys=True))
+        return 0
     except UnicodeDecodeError as exc:
         error, code = ParseError(f"input is not UTF-8 text ({exc})"), 2
     except (ConfigError, ParseError, OSError) as exc:

@@ -13,8 +13,10 @@ import csv
 import logging
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -212,51 +214,45 @@ def _load_rows(path) -> list[RawSeries]:
     """The row reader: ``csv`` rows one at a time, every check with its line."""
     per_site: dict[str, tuple[list[float], list[float]]] = {}
     last_ts: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        return []
+    try:
+        si, ti, vi = (header.index(column) for column in _RAW_COLUMNS)
+    except ValueError:
+        raise ParseError("header must contain site_id,timestamp,value", line=1) from None
+    inf = math.inf
+    for lineno, row in enumerate(reader, start=2):  # the header is line 1
+        if not row:
+            continue
         try:
-            si = header.index("site_id")
-            ti = header.index("timestamp")
-            vi = header.index("value")
-        except ValueError:
-            raise ParseError("header must contain site_id,timestamp,value", line=1) from None
-        inf = math.inf
-        lineno = 1
-        for row in reader:
-            lineno += 1
-            if not row:
-                continue
-            try:
-                site = row[si]
-                ts_raw = row[ti]
-                value = float(row[vi])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            ts = _parse_timestamp(ts_raw, lineno)
-            prev = last_ts.get(site, -inf)
-            # A comparison with NaN is false, so this one test on the hot
-            # path also rejects every non-finite reading; the branch below
-            # only works out which rule the row broke.
-            if not (0.0 <= value < inf and prev < ts < inf):
-                if not (math.isfinite(value) and math.isfinite(ts)):
-                    raise DataError(
-                        f"line {lineno}: non-finite reading "
-                        f"(timestamp {ts_raw!r}, value {row[vi]!r})"
-                    )
-                if value < 0:
-                    raise DataError(f"line {lineno}: negative consumption {value}")
+            site = row[si]
+            ts_raw = row[ti]
+            value = float(row[vi])
+        except (IndexError, ValueError) as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        ts = _parse_timestamp(ts_raw, lineno)
+        prev = last_ts.get(site, -inf)
+        # A comparison with NaN is false, so this one test on the hot
+        # path also rejects every non-finite reading; the branch below
+        # only works out which rule the row broke.
+        if not (0.0 <= value < inf and prev < ts < inf):
+            if not (math.isfinite(value) and math.isfinite(ts)):
                 raise DataError(
-                    f"line {lineno}: timestamps for site {site!r} must be strictly increasing"
+                    f"line {lineno}: non-finite reading (timestamp {ts_raw!r}, value {row[vi]!r})"
                 )
-            last_ts[site] = ts
-            if site not in per_site:
-                per_site[site] = ([], [])
-            bucket = per_site[site]
-            bucket[0].append(ts)
-            bucket[1].append(value)
+            if value < 0:
+                raise DataError(f"line {lineno}: negative consumption {value}")
+            raise DataError(
+                f"line {lineno}: timestamps for site {site!r} must be strictly increasing"
+            )
+        last_ts[site] = ts
+        if site not in per_site:
+            per_site[site] = ([], [])
+        bucket = per_site[site]
+        bucket[0].append(ts)
+        bucket[1].append(value)
     return [
         RawSeries(site, np.asarray(per_site[site][0]), np.asarray(per_site[site][1]))
         for site in sorted(per_site)
@@ -361,25 +357,19 @@ class ResampledTable:
     def as_feature_table(self) -> FeatureTable:
         return FeatureTable(channels=dict(self.data))
 
-    def write_csvs(self, out_dir) -> list[str]:
-        """One features CSV per resolution plus the site index; returns paths."""
-        from pathlib import Path
+    def csv_outputs(self, out_dir) -> list[tuple[Path, Callable[[Path], None]]]:
+        """``(path, write)`` for the site index, then a features CSV per
+        resolution, whose rows become Python floats only while it is written."""
 
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        sites_path = out / "sites.csv"
-        with open(sites_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item_id", "site_id"])
-            for i, site in enumerate(self.site_ids):
-                writer.writerow([i, site])
-        written.append(str(sites_path))
-        for resolution, matrix in self.data.items():
-            path = out / f"features_{resolution}.csv"
-            FeatureTable(series=[list(map(float, row)) for row in matrix]).to_csv(path)
-            written.append(str(path))
-        return written
+        def write_sites(path) -> None:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([("item_id", "site_id"), *enumerate(self.site_ids)])
+
+        return [(Path(out_dir) / "sites.csv", write_sites)] + [
+            (Path(out_dir) / f"features_{resolution}.csv",
+             lambda path, matrix=matrix: FeatureTable(series=matrix.tolist()).to_csv(path))
+            for resolution, matrix in self.data.items()
+        ]
 
 
 def _widest_drop(pool: list[RawSeries]) -> RawSeries:

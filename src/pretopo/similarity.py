@@ -27,18 +27,19 @@ from .core import (
 from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError, read_number
 
 
-def _csv_rows(fh):
-    """``csv`` rows of ``fh``; a malformed row, such as a field longer than
-    ``csv.field_size_limit()``, raises :class:`ParseError` with the file's
-    name and the row's line, and bytes that are not UTF-8 one with the
-    file's name."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"{fh.name}: {exc}", line=reader.line_num) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{fh.name}: input is not UTF-8 text ({exc})") from None
+def _csv_rows(path):
+    """``csv`` rows of the UTF-8 file at ``path``, past any byte-order mark;
+    the file stays open until the rows run out or the generator is dropped.
+    A malformed row, such as a field longer than ``csv.field_size_limit()``,
+    or bytes that are not UTF-8 raise :class:`ParseError` naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ParseError(f"{fh.name}: {exc}", line=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{fh.name}: input is not UTF-8 text ({exc})") from None
 
 
 def _hands_over(text: str) -> bool:
@@ -143,8 +144,8 @@ class FeatureTable:
         :meth:`_from_rows` alone: quotes, a NUL or U+001C..U+001F, a blank
         line, a short row, number spellings numpy rejects but ``float``
         accepts (``1_000``, non-ASCII digits), a NaN or infinite cell, a
-        ``series_`` column without an integer index, bytes that are not
-        UTF-8 and a field longer than ``csv.field_size_limit()``.
+        negative size, a ``series_`` column without an integer index, bytes
+        that are not UTF-8 and a field longer than ``csv.field_size_limit()``.
         """
         table = cls._from_columns(path)
         return cls._from_rows(path) if table is None else table
@@ -201,6 +202,8 @@ class FeatureTable:
         data = {}
         for feature, columns in features.items():
             data[feature], values = values[:, :len(columns)], values[:, len(columns):]
+        if "sizes" in data and (data["sizes"] < 0).any():
+            return None
         return cls(
             positions=list(map(tuple, data["positions"].tolist())) if "positions" in data else None,
             sizes=data["sizes"][:, 0].tolist() if "sizes" in data else None,
@@ -211,12 +214,11 @@ class FeatureTable:
     def _from_rows(cls, path) -> "FeatureTable":
         """The row reader: ``csv`` rows, every cell through ``float`` and
         every check with its line."""
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = _csv_rows(fh)
-            header = next(reader, None)
-            if header is None:
-                return cls()
-            rows = list(reader)
+        reader = _csv_rows(path)
+        header = next(reader, None)
+        if header is None:
+            return cls()
+        rows = list(reader)
         features = _feature_columns(header, path)
 
         def column(name: str, idx: int) -> list[float]:
@@ -234,6 +236,8 @@ class FeatureTable:
                     raise DataError(
                         f"{path}: line {line}: column {name!r} holds non-finite {value!r}"
                     )
+                if value < 0 and name == "size":
+                    raise DataError(f"{path}: line {line}: column 'size' holds negative {value!r}")
                 values.append(value)
             return values
 

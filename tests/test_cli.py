@@ -516,6 +516,23 @@ class TestCluster:
         assert err["error"] == "DataError"
         assert repr(column) in err["message"]
 
+    @pytest.mark.parametrize("text", [
+        "x,y,size\n0.0,0.0,1.0\n1.0,0.0,-2.5\n",  # read by numpy's columnar reader at first
+        'x,y,size\n0.0,0.0,1.0\n1.0,0.0,"-2.5"\n',  # read by the row reader only
+    ], ids=["columnar", "quoted"])
+    def test_negative_size_exits_3_with_its_line(self, tmp_path, capsys, text):
+        code, err = self.features_run(tmp_path, capsys, text)
+        assert code == 3
+        assert err == {
+            "error": "DataError",
+            "message": f"{tmp_path / 'f.csv'}: line 3: column 'size' holds negative -2.5",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_zero_size_is_accepted(self, tmp_path, capsys):
+        code, err = self.features_run(tmp_path, capsys, "x,y,size\n0.0,0.0,-0\n1.0,0.0,0.5\n")
+        assert (code, err) == (0, None)
+
     def test_raw_series_dataset(self, tmp_path, capsys):
         # two sites share a weekly rhythm, the third follows its own beat
         rows = ["site_id,timestamp,value"]
@@ -1062,6 +1079,22 @@ class TestRender:
         assert not (tmp_path / "plot.svg").exists() and not (tmp_path / "t.dot").exists()
         assert not any((tmp_path / "existing-dir").iterdir())
 
+    def test_svg_of_header_only_inputs_is_empty(self, tmp_path, capsys):
+        features_csv = tmp_path / "f.csv"
+        features_csv.write_text("x,y\n")
+        assignment = tmp_path / "a.csv"
+        assignment.write_text("item_id,cluster_id\n")
+        svg_path = tmp_path / "plot.svg"
+        code, out, _ = run(capsys, "render", "--assignment", str(assignment),
+                           "--features", str(features_csv), "--svg", str(svg_path))
+        assert (code, json.loads(out)) == (0, {"svg": str(svg_path)})
+        assert svg_path.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
+            'viewBox="0 0 640 480">\n'
+            '<rect width="640" height="480" fill="#ffffff"/>\n'
+            "</svg>\n"
+        )
+
     def test_malformed_hierarchy_exits_2(self, tmp_path, capsys):
         hierarchy = write_json(tmp_path / "h.json", {"sets": "nope"})
         code, _, _ = run(capsys, "render", "--hierarchy", hierarchy, "--dot", str(tmp_path / "t.dot"))
@@ -1075,6 +1108,23 @@ class TestRender:
 XY_CSV = "x,y\n0.0,0.0\n1.0,0.0\n"
 ASSIGNMENT_CSV = "item_id,cluster_id\n0,0\n1,0\n"
 LABELS_CSV = "item_id,label\n0,a\n1,b\n"
+HIERARCHY_JSON = json.dumps({"threshold": 0.5, "universe_size": 2, "sets": [[0, 1]],
+                             "edges": [], "roots": [0]})
+# two sites over two days, read at the same three times
+TWO_DAY_READINGS = "site_id,timestamp,value\na,0,1\na,86400,2\na,172800,3\nb,0,2\nb,86400,1\nb,172800,3\n"
+RENDER_BOTH = ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "same.out",
+               "--hierarchy", "h.json", "--dot"]
+RENDER_INPUTS = {"a.csv": ASSIGNMENT_CSV, "f.csv": XY_CSV, "h.json": HIERARCHY_JSON}
+
+
+def series_spec(**cluster):
+    return json.dumps({"kind": "series", "rng_seed": 1, "clusters": [
+        dict({"count": 2, "length": 10, "shape": {"kind": "sine", "period": 5}}, **cluster)]})
+
+
+def features_config(path, criterion, **options):
+    return json.dumps(dict({"dataset": {"kind": "features", "path": path},
+                            "criteria": [criterion]}, **options))
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -1100,15 +1150,48 @@ LABELS_CSV = "item_id,label\n0,a\n1,b\n"
      ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "r.svg"],
      "invalid literal for int()"),
     ({}, ["render", "--dot", "t.dot"], "dot output needs --hierarchy"),
+    ({"s.json": series_spec(count=0)}, ["generate", "--spec", "s.json", "--out-dir", "out"],
+     "cluster count must be >= 1"),
+    ({"s.json": series_spec(length=1)}, ["generate", "--spec", "s.json", "--out-dir", "out"],
+     "series length must be >= 2"),
+    ({"s.json": series_spec(noise_sigma=-1)}, ["generate", "--spec", "s.json", "--out-dir", "out"],
+     "noise sigma must be >= 0"),
+    ({"f.csv": XY_CSV, "c.json": features_config("f.csv", {"kind": "size", "tolerance": 1.0})},
+     ["cluster", "--config", "c.json", "--out-dir", "out"], "size criterion needs a size feature"),
+    ({"f.csv": "series_0,series_1\n0.0,1.0\n1.0,0.0\n",
+      "c.json": features_config("f.csv", {"kind": "pearson", "threshold": 0.5, "channel": "day"},
+                                seed_func="random_neighbor")},
+     ["cluster", "--config", "c.json", "--out-dir", "out"], "table has no series channel 'day'"),
+    # an output that cannot be written leaves the others unwritten too
+    ({"f.csv": XY_CSV, "c.json": features_config("f.csv", {"kind": "euclidean", "radius": 2.0}),
+      "out/hierarchy.json": None}, ["cluster", "--config", "c.json", "--out-dir", "out"],
+     "output 'out/hierarchy.json' is not a file path in an existing directory"),
+    ({"s.json": json.dumps(POINTS_SPEC), "out/labels.csv": None},
+     ["generate", "--spec", "s.json", "--out-dir", "out"],
+     "output 'out/labels.csv' is not a file path in an existing directory"),
+    ({"r.csv": TWO_DAY_READINGS, "out/features_day.csv": None},
+     ["ingest", "--input", "r.csv", "--out-dir", "out", "--resolutions", "half_hour", "day"],
+     "output 'out/features_day.csv' is not a file path in an existing directory"),
+    (RENDER_INPUTS, [*RENDER_BOTH, "same.out"],
+     "--dot 'same.out' names the same file as --svg 'same.out'"),
+    (RENDER_INPUTS, [*RENDER_BOTH, "./same.out"],
+     "--dot './same.out' names the same file as --svg 'same.out'"),
 ], ids=[
     "cluster-config-list", "cluster-config-missing", "eval-empty-csv", "eval-one-column-row",
     "eval-directory", "svg-without-features", "features-without-xy", "item-count-differs",
-    "non-integer-cluster-id", "dot-without-hierarchy",
+    "non-integer-cluster-id", "dot-without-hierarchy", "series-count-0", "series-length-1",
+    "negative-noise-sigma", "size-criterion-without-sizes", "missing-series-channel",
+    "cluster-output-is-a-directory", "generate-output-is-a-directory",
+    "ingest-output-is-a-directory", "render-one-file-twice", "render-one-file-twice-dot-slash",
 ])
 def test_error_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, files, argv, message):
+    # a file given as None is made a directory
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if text is None:
+            (tmp_path / name).mkdir(parents=True)
+        else:
+            (tmp_path / name).write_text(text)
     before = sorted(tmp_path.rglob("*"))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -1117,6 +1200,23 @@ def test_error_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, fi
     assert error["error"] == "ConfigError"
     assert message in error["message"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("readings, options, message", [
+    ("site_id,timestamp,value\na,0,1\n", [], "sites share no common time window"),
+    ("site_id,timestamp,value\nX,1000,1\nX,101000,1\nY,0,1\nY,100000,1\n",
+     ["--resolutions", "day"], "every site was dropped during resampling"),
+], ids=["one-reading", "every-site-dropped"])
+def test_ingest_bad_data_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                    readings, options, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_text(readings)
+    code, out, err = run(capsys, "ingest", "--input", "r.csv", "--out-dir", "out", *options)
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    # "dropping site ..." warnings come first
+    assert json.loads(err.splitlines()[-1]) == {"error": "DataError", "message": message}
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "r.csv"]
 
 
 def write_pinned_readings(path):
@@ -1238,6 +1338,18 @@ class TestIngestCommand:
             "message": "ingest: 'resolutions' names a resolution twice; got ['day', 'day']",
         }
         assert list(tmp_path.iterdir()) == []
+
+    def test_files_are_named_as_out_dir_is_given(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.csv").write_text(TWO_DAY_READINGS)
+        code, out, _ = run(capsys, "ingest", "--input", "r.csv", "--out-dir", "./x",
+                           "--resolutions", "half_hour", "day")
+        assert code == 0
+        assert out == (
+            '{"buckets": {"day": 2, "half_hour": 96}, "dropped": [], '
+            '"files": ["x/sites.csv", "x/features_half_hour.csv", "x/features_day.csv"], '
+            '"sites": 2, "window": [0.0, 172800.0]}\n'
+        )
 
     def test_all_resolutions_by_default(self, tmp_path, capsys):
         raw = write_pinned_readings(tmp_path / "raw.csv")

@@ -18,6 +18,7 @@ from helpers import (
 )
 from pretopo import (
     ConfigError,
+    DataError,
     DegenerateSeriesError,
     EuclideanBall,
     FeatureTable,
@@ -495,10 +496,11 @@ class TestColumnarFromCsv:
         b"\xe9x,y\n1,2\n",
         b"label\nfoo\n",
         b"",
+        b"x,y,size\n0,0,1\n1,0,-2\n",
     ], ids=["quote", "nul", "u001c", "u001f", "blank-line", "trailing-blank-line",
             "trailing-blank-crlf", "only-blank-rows", "space-line", "short-row", "underscore", "arabic-digit", "nan",
             "inf", "overflow", "series-index", "undecodable", "undecodable-header", "no-feature",
-            "empty"])
+            "empty", "negative-size"])
     @pytest.mark.filterwarnings("error")
     def test_hands_over_what_it_cannot_vouch_for(self, tmp_path, data):
         path = write_bytes(tmp_path, data)
@@ -517,6 +519,13 @@ class TestColumnarFromCsv:
         plain = [table_outcome(read, path) for read in readers]
         write_bytes(tmp_path, b"\xef\xbb\xbf" + text.encode())
         assert [table_outcome(read, path) for read in readers] == plain
+
+    def test_negative_size_is_bad_data_from_the_row_reader(self, tmp_path):
+        path = write_bytes(tmp_path, "x,y,size\n0,0,-0\n1,0,1e-300\n2,0,-1e-300\n")
+        with pytest.raises(DataError) as err:
+            FeatureTable.from_csv(path)
+        assert str(err.value) == f"{path}: line 4: column 'size' holds negative -1e-300"
+        assert table_outcome(FeatureTable._from_rows, path) == table_outcome(FeatureTable.from_csv, path)
 
     def test_hands_over_when_loadtxt_drops_a_line(self, tmp_path):
         path = write_bytes(tmp_path, "x,y\n1,2\n3,4\n")
