@@ -226,28 +226,28 @@ def cmd_cluster(args) -> dict:
 # -- eval -----------------------------------------------------------------
 
 
-def _read_two_column_csv(path, what: str) -> dict[str, str]:
+def _read_two_column_csv(path) -> dict[str, str]:
     try:
         reader = _csv_rows(path)
         next(reader, None)  # the header
         out, seen_at = {}, {}
-        for line, row in enumerate(reader, start=2):
+        for line, row in reader:
             if len(row) < 2:
-                raise ConfigError(f"{what}: malformed row {row!r}")
+                raise ConfigError(f"malformed row {row!r}", path=path, line=line)
             if row[0] in out:
                 raise ConfigError(
-                    f"{what}: line {line}: item id {row[0]!r} repeats line {seen_at[row[0]]}"
+                    f"item id {row[0]!r} repeats line {seen_at[row[0]]}", path=path, line=line
                 )
             out[row[0]] = row[1]
             seen_at[row[0]] = line
         return out
     except OSError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_eval(args) -> dict:
-    found = _read_two_column_csv(args.assignment, "assignment csv")
-    truth = _read_two_column_csv(args.labels, "labels csv")
+    found = _read_two_column_csv(args.assignment)
+    truth = _read_two_column_csv(args.labels)
     if set(found) != set(truth):
         raise ConfigError("assignment and labels cover different item ids")
     items = list(truth)
@@ -322,13 +322,13 @@ def cmd_render(args) -> dict:
         table = FeatureTable.from_csv(args.features)
         if table.positions is None:
             raise ConfigError("scatter rendering needs x,y columns in the features csv")
-        assignment = _read_two_column_csv(args.assignment, "assignment csv")
+        assignment = _read_two_column_csv(args.assignment)
         if len(assignment) != table.n_items:
             raise ConfigError("assignment and features disagree on item count")
         try:
             cluster_ids = [int(assignment[str(i)]) for i in range(table.n_items)]
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"assignment csv: {exc!r}") from exc
+            raise ConfigError(f"{args.assignment}: {exc!r}") from exc
         texts["svg"] = svg_scatter(table.positions, cluster_ids, table.sizes)
     if args.dot:
         if not args.hierarchy:

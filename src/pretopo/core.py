@@ -67,9 +67,6 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def full_set(self) -> "ElementSet":
-        return ElementSet(self.size, self.full_mask)
-
     def empty_set(self) -> "ElementSet":
         return ElementSet(self.size, 0)
 
@@ -280,9 +277,6 @@ class PseudoclosureSpace:
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # Row strips are sized so that each temporary holds about this many entries:

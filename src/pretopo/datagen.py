@@ -17,7 +17,6 @@ part of the format: per point an x normal, a y normal, then a size uniform
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -334,10 +333,6 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
     except KeyError as exc:
         raise ConfigError(f"generator spec is missing {exc}") from exc
     raise ConfigError(f"generator spec kind must be 'points' or 'series', got {kind!r}")
-
-
-def spec_from_json(text: str) -> PointGenSpec | SeriesGenSpec:
-    return spec_from_dict(json.loads(text))
 
 
 def generate(spec: PointGenSpec | SeriesGenSpec) -> tuple[FeatureTable, list[int]]:

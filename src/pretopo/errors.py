@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class PretopoError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  An error at a
+    place in an input file reads ``PATH: line N: message``; ``line`` is the
+    physical line, counted from 1, and is kept on the error."""
+
+    def __init__(self, message, path=None, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class ConfigError(PretopoError):
@@ -13,9 +25,12 @@ def read_number(value, what: str, convert=float):
     """``convert(value)`` for a JSON number ``value``, reporting any other
     value, or one ``convert`` rejects, as a config error; an ``int`` target
     rejects a float with a fractional part rather than truncating it.  A
-    JSON boolean or a numeric string is not a number."""
+    JSON boolean or a numeric string is not a number, and a float must be
+    finite: JSON's ``NaN`` and ``Infinity``, and ``1e400``, are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     try:
         number = convert(value)
     except (ValueError, OverflowError) as exc:
@@ -37,13 +52,7 @@ class DataError(PretopoError):
 
 
 class ParseError(PretopoError):
-    """A file could not be parsed. Carries the offending line number when known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """A file could not be parsed."""
 
 
 class DegenerateSeriesError(DataError):

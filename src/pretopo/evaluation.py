@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from .errors import ConfigError
 
@@ -31,11 +31,6 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[Hashable]) -> "Partition":
         return cls(tuple(range(len(labels))), tuple(labels))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Hashable, Hashable]) -> "Partition":
-        items = tuple(mapping)
-        return cls(items, tuple(mapping[i] for i in items))
 
     def label_of(self) -> dict[Hashable, Hashable]:
         return dict(zip(self.items, self.labels))

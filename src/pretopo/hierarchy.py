@@ -356,14 +356,6 @@ class QuasiHierarchy:
     parent_edges: list[tuple[int, int, float]]
     roots: list[int]
 
-    @property
-    def universe_coverage(self) -> ElementSet:
-        """The items that belong to at least one set of the family."""
-        mask = 0
-        for s in self.family:
-            mask |= s.mask
-        return ElementSet(self.universe.size, mask)
-
     def children_of(self, idx: int) -> list[int]:
         return [c for p, c, _ in self.parent_edges if p == idx]
 

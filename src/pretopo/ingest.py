@@ -52,15 +52,15 @@ class RawSeries:
         return float(self.timestamps[0]), float(self.timestamps[-1])
 
 
-def _parse_timestamp(raw: str, lineno: int) -> float:
+def _parse_timestamp(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
         pass
     try:
         dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ParseError(f"bad timestamp {raw!r}", line=lineno) from exc
+    except ValueError:
+        raise ValueError(f"bad timestamp {raw!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
@@ -215,38 +215,36 @@ def _load_rows(path) -> list[RawSeries]:
     per_site: dict[str, tuple[list[float], list[float]]] = {}
     last_ts: dict[str, float] = {}
     reader = _csv_rows(path)
-    header = next(reader, None)
+    _, header = next(reader, (1, None))
     if header is None:
         return []
     try:
         si, ti, vi = (header.index(column) for column in _RAW_COLUMNS)
     except ValueError:
-        raise ParseError("header must contain site_id,timestamp,value", line=1) from None
+        raise ParseError("header must contain site_id,timestamp,value", path=path, line=1) from None
     inf = math.inf
-    for lineno, row in enumerate(reader, start=2):  # the header is line 1
+    for line, row in reader:
         if not row:
             continue
         try:
             site = row[si]
             ts_raw = row[ti]
             value = float(row[vi])
+            ts = _parse_timestamp(ts_raw)
         except (IndexError, ValueError) as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        ts = _parse_timestamp(ts_raw, lineno)
+            raise ParseError(str(exc), path=path, line=line) from None
         prev = last_ts.get(site, -inf)
         # A comparison with NaN is false, so this one test on the hot
         # path also rejects every non-finite reading; the branch below
         # only works out which rule the row broke.
         if not (0.0 <= value < inf and prev < ts < inf):
             if not (math.isfinite(value) and math.isfinite(ts)):
-                raise DataError(
-                    f"line {lineno}: non-finite reading (timestamp {ts_raw!r}, value {row[vi]!r})"
-                )
-            if value < 0:
-                raise DataError(f"line {lineno}: negative consumption {value}")
-            raise DataError(
-                f"line {lineno}: timestamps for site {site!r} must be strictly increasing"
-            )
+                message = f"non-finite reading (timestamp {ts_raw!r}, value {row[vi]!r})"
+            elif value < 0:
+                message = f"negative consumption {value}"
+            else:
+                message = f"timestamps for site {site!r} must be strictly increasing"
+            raise DataError(message, path=path, line=line)
         last_ts[site] = ts
         if site not in per_site:
             per_site[site] = ([], [])

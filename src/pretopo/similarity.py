@@ -28,18 +28,25 @@ from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError, r
 
 
 def _csv_rows(path):
-    """``csv`` rows of the UTF-8 file at ``path``, past any byte-order mark;
-    the file stays open until the rows run out or the generator is dropped.
-    A malformed row, such as a field longer than ``csv.field_size_limit()``,
-    or bytes that are not UTF-8 raise :class:`ParseError` naming the file."""
+    """``(line, row)`` for each ``csv`` row of the UTF-8 file at ``path``,
+    past any byte-order mark, where ``line`` is the physical line the row
+    starts on: the header's is 1, and a blank line, a quoted field's line
+    breaks and each LF, CR or CRLF ending count as in an editor.  The file
+    stays open until the rows run out or the generator is dropped.  A
+    malformed row, such as a field longer than ``csv.field_size_limit()``,
+    raises :class:`ParseError` naming the file and the line the row starts
+    on; bytes that are not UTF-8 raise one naming the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        line = 1
         try:
-            yield from reader
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
         except csv.Error as exc:
-            raise ParseError(f"{fh.name}: {exc}", line=reader.line_num) from None
+            raise ParseError(str(exc), path=fh.name, line=line) from None
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{fh.name}: input is not UTF-8 text ({exc})") from None
+            raise ParseError(f"input is not UTF-8 text ({exc})", path=fh.name) from None
 
 
 def _hands_over(text: str) -> bool:
@@ -215,7 +222,7 @@ class FeatureTable:
         """The row reader: ``csv`` rows, every cell through ``float`` and
         every check with its line."""
         reader = _csv_rows(path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None:
             return cls()
         rows = list(reader)
@@ -223,21 +230,20 @@ class FeatureTable:
 
         def column(name: str, idx: int) -> list[float]:
             values = []
-            # the header is line 1
-            for line, row in enumerate(rows, start=2):
+            for line, row in rows:
                 try:
                     value = float(row[idx])
                 except (IndexError, ValueError) as exc:
                     cell = row[idx] if idx < len(row) else None
                     raise ParseError(
-                        f"{path}: column {name!r} needs a number, got {cell!r}", line=line
+                        f"column {name!r} needs a number, got {cell!r}", path=path, line=line
                     ) from exc
                 if not math.isfinite(value):
                     raise DataError(
-                        f"{path}: line {line}: column {name!r} holds non-finite {value!r}"
+                        f"column {name!r} holds non-finite {value!r}", path=path, line=line
                     )
                 if value < 0 and name == "size":
-                    raise DataError(f"{path}: line {line}: column 'size' holds negative {value!r}")
+                    raise DataError(f"column 'size' holds negative {value!r}", path=path, line=line)
                 values.append(value)
             return values
 
@@ -261,7 +267,7 @@ def _feature_columns(header: list[str], path) -> dict[str, list[tuple[str, int]]
             return int(name.split("_", 1)[1])
         except ValueError as exc:
             raise ParseError(
-                f"{path}: series column {name!r} needs an integer index", line=1
+                f"series column {name!r} needs an integer index", path=path, line=1
             ) from exc
 
     names = {}

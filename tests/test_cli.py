@@ -170,9 +170,9 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert out == ""
-        assert json.loads(err) == {
-            "error": "ConfigError", "message": f"waveform period must be > 0, got {float(period)}",
-        }
+        message = (f"{kind} waveform: 'period' must be finite, got nan" if math.isnan(period)
+                   else f"waveform period must be > 0, got {float(period)}")
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "o").exists()
 
 
@@ -311,7 +311,7 @@ class TestCluster:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {
-            "error": "ConfigError", "message": "PointGroup center must be finite, got (nan, 0.0)",
+            "error": "ConfigError", "message": "generator spec: 'center' must be finite, got nan",
         }
         assert not (tmp_path / "o").exists()
 
@@ -428,6 +428,9 @@ class TestCluster:
         ("d", " 2 "),
         ("th_qh", "\u0660.\u0665"),
         ("criteria", [{"kind": "euclidean", "radius": "2.0"}]),
+        # json.dumps writes the Infinity token, which Python's JSON reader accepts
+        ("criteria", [{"kind": "euclidean", "radius": math.inf}]),
+        ("criteria", [{"kind": "size", "tolerance": math.inf}]),
     ])
     def test_bad_option_exits_2_before_any_output(
         self, tmp_path, capsys, features_text, key, value
@@ -441,6 +444,20 @@ class TestCluster:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_radius_exits_2(self, tmp_path, capsys):
+        # Python's JSON reader reads 1e400 as inf
+        features = tmp_path / "f.csv"
+        features.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cluster_config(str(features), str(tmp_path / "out")))
+                          .replace('"radius": 2.0', '"radius": 1e400'))
+        code, out, err = run(capsys, "cluster", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "euclidean 'radius' must be finite, got inf",
+        }
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("features_text", [
@@ -486,7 +503,7 @@ class TestCluster:
         )
         assert code == 2
         assert err["error"] == "ParseError"
-        assert err["message"].startswith("line 3:")
+        assert err["message"].startswith(f"{tmp_path / 'f.csv'}: line 3:")
 
     @pytest.mark.parametrize("column", ["series_a", "series_", "series_1.5"])
     def test_non_integer_series_header_exits_2(self, tmp_path, capsys, column):
@@ -495,7 +512,7 @@ class TestCluster:
         )
         assert code == 2
         assert err["error"] == "ParseError"
-        assert err["message"].startswith("line 1:")
+        assert err["message"].startswith(f"{tmp_path / 'f.csv'}: line 1:")
         assert repr(column) in err["message"]
         assert not (tmp_path / "out").exists()
 
@@ -605,7 +622,7 @@ class TestNonFiniteReadings:
         assert out == ""
         assert json.loads(err) == {
             "error": "DataError",
-            "message": f"line 3: non-finite reading (timestamp {reading.split(',')[1]!r}, "
+            "message": f"{raw}: line 3: non-finite reading (timestamp {reading.split(',')[1]!r}, "
                        f"value {reading.split(',')[2]!r})",
         }
 
@@ -624,7 +641,7 @@ class TestNonFiniteReadings:
         code, out, err = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
         assert code == 3
         assert out == ""
-        assert json.loads(err)["message"].startswith("line 11: non-finite reading")
+        assert json.loads(err)["message"].startswith(f"{raw}: line 11: non-finite reading")
 
 
 class TestOversizedCsvField:
@@ -644,7 +661,7 @@ class TestOversizedCsvField:
         assert out == ""
         assert json.loads(err) == {
             "error": "ParseError",
-            "message": f"line 2: {raw}: field larger than field limit (131072)",
+            "message": f"{raw}: line 2: field larger than field limit (131072)",
         }
         assert not (tmp_path / "o").exists()
 
@@ -666,7 +683,7 @@ class TestOversizedCsvField:
         assert out == ""
         assert json.loads(err) == {
             "error": "ParseError",
-            "message": f"line {line}: {path}: field larger than field limit (131072)",
+            "message": f"{path}: line {line}: field larger than field limit (131072)",
         }
 
     def test_features_cluster_exits_2(self, tmp_path, capsys):
@@ -765,6 +782,64 @@ class TestNonUtf8Input:
             assert json.loads(err)["error"] == "ParseError"
             assert json.loads(err)["message"].startswith(f"{bad}: input is not UTF-8 text")
             assert not (work / "o").exists()
+
+
+FEATURES = ["cluster", "--config", "features.json"]
+RAW = ["ingest", "--input", "raw.csv", "--out-dir", "o", "--resolutions", "day"]
+EVAL = ["eval", "--assignment", "assignment.csv", "--labels", "labels.csv"]
+SVG = ["render", "--assignment", "assignment.csv", "--features", "features.csv", "--svg", "o"]
+LONG_FIELD = "s" * 200_000
+
+# (file, command, the rows before the bad one, the bad row, error, exit code,
+# message after "PATH: line N: "); each file holds a quoted field that spans lines
+ROW_POSITIONS = [
+    ("features.csv", FEATURES, 'x,y,note\n0,0,c\n1,1,"a\nb"\n', "nan,2,d\n",
+     "DataError", 3, "column 'x' holds non-finite nan"),
+    ("features.csv", FEATURES, 'x,y,note\r\n0,0,"a\r\nb"\r\n', "abc,2,d\r\n",
+     "ParseError", 2, "column 'x' needs a number, got 'abc'"),
+    ("features.csv", FEATURES, 'x,y,note\r0,0,"a\rb"\r', "\r1,1,e\r",
+     "ParseError", 2, "column 'x' needs a number, got None"),
+    ("features.csv", FEATURES, 'x,y,size\n0,"0\n",1\n', f"1,0,{LONG_FIELD}\n",
+     "ParseError", 2, "field larger than field limit (131072)"),
+    ("raw.csv", RAW, 'site_id,timestamp,value,note\na,0,1,"x\ny"\n', "a,60,-1,z\n",
+     "DataError", 3, "negative consumption -1.0"),
+    ("raw.csv", RAW, 'site_id,timestamp,value,note\r\n\r\na,0,1,"x\r\ny"\r\n\r\n', "a,0,2,z\r\n",
+     "DataError", 3, "timestamps for site 'a' must be strictly increasing"),
+    ("raw.csv", RAW, 'site_id,timestamp,value\r"a\rb",0,1\r', "a,yesterday,1\r",
+     "ParseError", 2, "bad timestamp 'yesterday'"),
+    ("raw.csv", RAW, 'site_id,timestamp,value\n"a\nb",0,1\n', f'"a\n{LONG_FIELD}",60,1\n',
+     "ParseError", 2, "field larger than field limit (131072)"),
+    ("assignment.csv", EVAL, 'item_id,cluster_id\n1,"a\nb"\n0,0\n', "0,1\n",
+     "ConfigError", 2, "item id '0' repeats line 4"),
+    ("labels.csv", EVAL, 'item_id,label\n1,"a\nb"\n', "0\n",
+     "ConfigError", 2, "malformed row ['0']"),
+    ("labels.csv", EVAL, 'item_id,label\r\n0,"a\r\nb"\r\n', "\r\n1,0\r\n",
+     "ConfigError", 2, "malformed row []"),
+    ("assignment.csv", SVG, 'item_id,cluster_id\r1,"a\rb"\r', "1,0\r",
+     "ConfigError", 2, "item id '1' repeats line 2"),
+    ("assignment.csv", SVG, 'item_id,cluster_id\n1,"a\nb"\n', f"{LONG_FIELD},0\n",
+     "ParseError", 2, "field larger than field limit (131072)"),
+]
+
+
+@pytest.mark.parametrize("bad, argv, before, row, error, code, detail", ROW_POSITIONS, ids=[
+    "features-non-finite", "features-crlf-not-a-number", "features-cr-blank-line",
+    "features-oversized", "raw-negative", "raw-crlf-blank-lines", "raw-cr-bad-timestamp",
+    "raw-oversized", "eval-repeated-id", "eval-one-column-row", "eval-crlf-blank-line",
+    "svg-cr-repeated-id", "svg-oversized",
+])
+def test_row_error_names_the_physical_line(tmp_path, capsys, monkeypatch,
+                                           bad, argv, before, row, error, code, detail):
+    """A row error reads ``PATH: line N:``, where N is the physical line the
+    row starts on: one plus the LF, CR and CRLF breaks before it."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    (tmp_path / bad).write_bytes((before + row).encode())
+    line = 1 + len(re.findall(r"\r\n|\r|\n", before))
+    assert run(capsys, *argv) == (code, "", json.dumps({
+        "error": error, "message": f"{bad}: line {line}: {detail}",
+    }) + "\n")
+    assert not (tmp_path / "o").exists()
 
 
 ENCODING_PROBE = """
@@ -916,7 +991,7 @@ class TestEval:
         assert out == ""
         assert json.loads(err) == {
             "error": "ConfigError",
-            "message": f"{repeated} csv: line 4: item id '0' repeats line 2",
+            "message": f"{a if repeated == 'assignment' else b}: line 4: item id '0' repeats line 2",
         }
 
     def test_mismatched_ids_exit_2(self, tmp_path, capsys):
@@ -971,9 +1046,25 @@ class TestRender:
         assert out == ""
         assert json.loads(err) == {
             "error": "ConfigError",
-            "message": "assignment csv: line 4: item id '0' repeats line 2",
+            "message": f"{assignment}: line 4: item id '0' repeats line 2",
         }
         assert not svg_path.exists()
+
+    @pytest.mark.parametrize("weight", ["1e400", "NaN"])
+    def test_non_finite_weight_exits_2(self, tmp_path, capsys, weight):
+        hierarchy = tmp_path / "h.json"
+        hierarchy.write_text(
+            '{"threshold": 0.5, "universe_size": 2, "sets": [[0], [0, 1]], '
+            f'"edges": [[1, 0, {weight}]], "roots": [1]}}'
+        )
+        dot = tmp_path / "t.dot"
+        code, out, err = run(capsys, "render", "--hierarchy", str(hierarchy), "--dot", str(dot))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"hierarchy json: edge weight must be finite, got {float(weight)!r}",
+        }
+        assert not dot.exists()
 
     def test_dot_chain_and_size_filter(self, tmp_path, capsys):
         doc = {
@@ -1135,7 +1226,7 @@ def features_config(path, criterion, **options):
     ({"a.csv": "", "l.csv": LABELS_CSV}, ["eval", "--assignment", "a.csv", "--labels", "l.csv"],
      "assignment and labels cover different item ids"),
     ({"a.csv": "item_id,cluster_id\n0\n", "l.csv": LABELS_CSV},
-     ["eval", "--assignment", "a.csv", "--labels", "l.csv"], "assignment csv: malformed row"),
+     ["eval", "--assignment", "a.csv", "--labels", "l.csv"], "a.csv: line 2: malformed row ['0']"),
     ({"l.csv": LABELS_CSV}, ["eval", "--assignment", ".", "--labels", "l.csv"],
      "Is a directory"),
     ({"a.csv": ASSIGNMENT_CSV}, ["render", "--assignment", "a.csv", "--svg", "r.svg"],

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -18,7 +17,6 @@ from pretopo.datagen import (
     generate_points,
     generate_series,
     spec_from_dict,
-    spec_from_json,
     waveform_from_dict,
 )
 from pretopo.rng import normals, splitmix64, uniforms
@@ -404,7 +402,3 @@ class TestSpecParsing:
     def test_sizes_beyond_numpy_index_range_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             spec_from_dict(doc)
-
-    def test_spec_from_json(self):
-        spec = spec_from_json('{"kind": "points", "groups": []}')
-        assert isinstance(spec, PointGenSpec)

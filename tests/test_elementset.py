@@ -58,7 +58,7 @@ def test_universe_helpers():
     u = Universe.with_labels(["a", "b", "c"])
     assert u.size == 3
     assert u.label_of(1) == "b"
-    assert u.full_set().members() == [0, 1, 2]
+    assert ElementSet(u.size, u.full_mask).members() == [0, 1, 2]
     assert not u.empty_set()
     with pytest.raises(ValueError):
         Universe.with_labels(["a", "a"])

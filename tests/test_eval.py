@@ -92,8 +92,8 @@ class TestAdjustedRandIndex:
         assert adjusted_rand_index(p, q) == 1.0
 
     def test_mismatched_items_rejected(self):
-        p = Partition.from_mapping({"a": 0, "b": 1})
-        q = Partition.from_mapping({"a": 0, "c": 1})
+        p = Partition(("a", "b"), (0, 1))
+        q = Partition(("a", "c"), (0, 1))
         with pytest.raises(ConfigError):
             adjusted_rand_index(p, q)
 
@@ -103,9 +103,9 @@ class TestAdjustedRandIndex:
             adjusted_rand_index(p, p)
 
     def test_item_order_does_not_matter(self):
-        p1 = Partition.from_mapping({"a": 0, "b": 0, "c": 1})
-        p2 = Partition.from_mapping({"c": 1, "a": 0, "b": 0})
-        q = Partition.from_mapping({"a": 0, "b": 1, "c": 1})
+        p1 = Partition(("a", "b", "c"), (0, 0, 1))
+        p2 = Partition(("c", "a", "b"), (1, 0, 0))
+        q = Partition(("a", "b", "c"), (0, 1, 1))
         assert adjusted_rand_index(p1, q) == adjusted_rand_index(p2, q)
 
 

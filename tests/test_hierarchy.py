@@ -346,11 +346,6 @@ class TestExtractQuasihierarchy:
                     if i != j and small.issubset(big) and len(small) < len(big):
                         assert (j, i) in edges
 
-    def test_coverage_is_union_of_survivors(self):
-        family = family_of(6, [0, 1], [3, 4])
-        h = extract_quasihierarchy(family, extract_adjacency(family), 0.5)
-        assert h.universe_coverage.members() == [0, 1, 3, 4]
-
 
 class TestQuasistructuralAnalysis:
     def test_empty_universe(self):
