@@ -226,7 +226,8 @@ def cmd_cluster(args) -> dict:
 # -- eval -----------------------------------------------------------------
 
 
-def _read_two_column_csv(path) -> dict[str, str]:
+def _read_two_column_csv(path) -> tuple[dict[str, str], dict[str, int]]:
+    """Item id -> second column, and item id -> the line of its row."""
     try:
         reader = _csv_rows(path)
         next(reader, None)  # the header
@@ -240,14 +241,14 @@ def _read_two_column_csv(path) -> dict[str, str]:
                 )
             out[row[0]] = row[1]
             seen_at[row[0]] = line
-        return out
+        return out, seen_at
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def cmd_eval(args) -> dict:
-    found = _read_two_column_csv(args.assignment)
-    truth = _read_two_column_csv(args.labels)
+    found, _ = _read_two_column_csv(args.assignment)
+    truth, _ = _read_two_column_csv(args.labels)
     if set(found) != set(truth):
         raise ConfigError("assignment and labels cover different item ids")
     items = list(truth)
@@ -322,13 +323,22 @@ def cmd_render(args) -> dict:
         table = FeatureTable.from_csv(args.features)
         if table.positions is None:
             raise ConfigError("scatter rendering needs x,y columns in the features csv")
-        assignment = _read_two_column_csv(args.assignment)
+        assignment, line_of = _read_two_column_csv(args.assignment)
         if len(assignment) != table.n_items:
             raise ConfigError("assignment and features disagree on item count")
-        try:
-            cluster_ids = [int(assignment[str(i)]) for i in range(table.n_items)]
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{args.assignment}: {exc!r}") from exc
+        cluster_ids = []
+        for item in map(str, range(table.n_items)):
+            if item not in assignment:
+                raise ConfigError(
+                    f"no row for item id {item!r} of the features", path=args.assignment
+                )
+            try:
+                cluster_ids.append(int(assignment[item]))
+            except ValueError:
+                raise ConfigError(
+                    f"cluster id {assignment[item]!r} is not an integer",
+                    path=args.assignment, line=line_of[item],
+                ) from None
         texts["svg"] = svg_scatter(table.positions, cluster_ids, table.sizes)
     if args.dot:
         if not args.hierarchy:

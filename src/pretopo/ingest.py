@@ -10,7 +10,6 @@ criterion, so a site's profile must match at every time scale at once.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import warnings
 from collections.abc import Callable
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, read_number
 from .similarity import FeatureTable, PearsonBall, _csv_rows, _hands_over
-
-logger = logging.getLogger(__name__)
 
 RESOLUTIONS = ("half_hour", "day", "week", "month")
 AGGREGATES = ("mean", "sum")
@@ -103,7 +100,7 @@ def _load_columnar(path) -> list[RawSeries] | None:
     character outside ASCII, as float64.
     """
     run_sites: list[str] = []  # the site id of each run of equal ids, in file order
-    run_lengths: list[int] = []
+    run_lengths: list[np.ndarray] = []  # per block, the lengths of its runs
     ts_blocks, value_blocks = [], []
     field_limit = csv.field_size_limit()
     integer_ts = True
@@ -127,15 +124,18 @@ def _load_columnar(path) -> list[RawSeries] | None:
             # lines after the first lie inside the block
             if len(block) > field_limit or (lines and len(lines[0]) > field_limit):
                 return None  # a field may be longer than csv accepts
-            n_rows = len(lines) - lines.count("")
+            # A line's site id is the text before its first comma, and
+            # "\n" + site + "," can only start a line.
+            site = lines[0].partition(",")[0] if lines else ""
+            site_lines = (
+                text.count("\n" + site + ",", 0, len(text) - len(tail))
+                + text.startswith(site + ",")
+                if site_first and lines and lines[-1].startswith(site + ",") else 0
+            )
+            # an empty line starts with no site id, so if every line does, none is empty
+            n_rows = len(lines) if site_lines == len(lines) else len(lines) - lines.count("")
             if n_rows:
-                # A line's site id is the text before its first comma, and
-                # "\n" + site + "," can only start a line.
-                site = lines[0].partition(",")[0]
-                one_site = site_first and lines[-1].startswith(site + ",") and n_rows == (
-                    text.count("\n" + site + ",", 0, len(text) - len(tail))
-                    + text.startswith(site + ",")
-                )
+                one_site = site_lines == n_rows
                 columns = usecols[1:] if one_site else usecols
                 rows = None
                 # numpy's integer parser reads some non-ASCII characters as
@@ -157,12 +157,12 @@ def _load_columnar(path) -> list[RawSeries] | None:
                     return None
                 if one_site:
                     run_sites.append(site)
-                    run_lengths.append(n_rows)
+                    run_lengths.append(np.array([n_rows]))
                 else:
                     sites = rows["site_id"]
                     starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
                     run_sites += sites[np.append(0, starts)].tolist()
-                    run_lengths += np.diff(starts, prepend=0, append=n_rows).tolist()
+                    run_lengths.append(np.diff(starts, prepend=0, append=n_rows))
                 ts_blocks.append(rows["timestamp"].astype(np.float64))
                 value_blocks.append(rows["value"].copy())
             if not block:
@@ -177,9 +177,9 @@ def _load_columnar(path) -> list[RawSeries] | None:
     # each site's rows, in file order, gathered in site-id order
     site_ids = sorted(set(run_sites))
     rank = {site: k for k, site in enumerate(site_ids)}
-    run_rank = [rank[site] for site in run_sites]
-    row_rank = np.repeat(run_rank, run_lengths)
-    if run_rank != sorted(run_rank):
+    run_rank = np.fromiter(map(rank.__getitem__, run_sites), np.intp, len(run_sites))
+    row_rank = np.repeat(run_rank, np.concatenate(run_lengths))
+    if (np.diff(run_rank) < 0).any():
         order = np.argsort(row_rank, kind="stable")
         ts, values = ts[order], values[order]
     ends = np.cumsum(np.bincount(row_rank, minlength=len(site_ids)))
@@ -313,16 +313,17 @@ def resample(
 
 def _resample(series: RawSeries, edges: np.ndarray, aggregate: str) -> np.ndarray:
     n_buckets = len(edges) - 1
-    ts, values = series.timestamps, series.values
-    lo = np.searchsorted(ts, edges[0], side="left")
-    hi = np.searchsorted(ts, edges[-1], side="right")
+    ts = series.timestamps
+    # bucket k holds readings bounds[k]:bounds[k + 1]; the last bucket is closed
+    bounds = np.searchsorted(ts, edges, side="left")
+    bounds[-1] = np.searchsorted(ts, edges[-1], side="right")
+    lo, hi = bounds[0], bounds[-1]
     if lo == hi:
         raise DataError(f"site {series.site_id!r} has no samples inside the window")
-    ts, values = ts[lo:hi], values[lo:hi]
-    idx = np.searchsorted(edges, ts, side="right") - 1
-    np.minimum(idx, n_buckets - 1, out=idx)
-    sums = np.bincount(idx, weights=values, minlength=n_buckets)
-    counts = np.bincount(idx, minlength=n_buckets)
+    counts = np.diff(bounds)
+    idx = np.repeat(np.arange(n_buckets), counts)
+    # bincount adds a bucket's readings in reading order, from 0.0
+    sums = np.bincount(idx, weights=series.values[lo:hi], minlength=n_buckets)
     filled = np.flatnonzero(counts)
     if filled[0] != 0 or filled[-1] != n_buckets - 1:
         raise DataError(
@@ -368,6 +369,14 @@ class ResampledTable:
              lambda path, matrix=matrix: FeatureTable(series=matrix.tolist()).to_csv(path))
             for resolution, matrix in self.data.items()
         ]
+
+
+def _drop(dropped: list[tuple[str, str]], site_id: str, reason: str) -> None:
+    """Record a dropped site and log it; ``logging`` is imported only here."""
+    import logging
+
+    dropped.append((site_id, reason))
+    logging.getLogger(__name__).warning("dropping site %s: %s", site_id, reason)
 
 
 def _widest_drop(pool: list[RawSeries]) -> RawSeries:
@@ -425,8 +434,7 @@ def build_resampled_table(
             break
         best_site = _widest_drop(pool)
         pool = [s for s in pool if s is not best_site]
-        dropped.append((best_site.site_id, "shrinks the common window"))
-        logger.warning("dropping site %s: shrinks the common window", best_site.site_id)
+        _drop(dropped, best_site.site_id, "shrinks the common window")
 
     window = _common_window(pool)
     if window[1] <= window[0]:
@@ -447,8 +455,7 @@ def build_resampled_table(
         try:
             rows.append([_resample(s, edges[resolution], aggregate) for resolution in resolutions])
         except DataError as exc:
-            dropped.append((s.site_id, str(exc)))
-            logger.warning("dropping site %s: %s", s.site_id, exc)
+            _drop(dropped, s.site_id, str(exc))
             continue
         kept.append(s.site_id)
     if not kept:

@@ -13,6 +13,7 @@ import numpy as np
 from pretopo import (
     ClosedFamily,
     ConfigError,
+    DataError,
     DegenerateSeriesError,
     ElementSet,
     EuclideanBall,
@@ -373,6 +374,36 @@ def brute_force_widest_drop(pool):
         if w1 - w0 > best_width:
             best_site, best_width = candidate, w1 - w0
     return best_site
+
+
+def brute_force_resample(timestamps, values, edges, aggregate, site_id="s"):
+    """One site's bucket aggregates: each reading placed by a scan of the
+    edges, bucket k holding edges[k] <= t < edges[k + 1] and the last bucket
+    closed at the window end; a bucket's sum adds its readings in reading
+    order, from 0.0.  Interior empty buckets are interpolated with
+    ``np.interp``, as in the package."""
+    edges = [float(e) for e in edges]
+    n = len(edges) - 1
+    sums, counts = [0.0] * n, [0] * n
+    for t, v in zip(timestamps.tolist(), values.tolist()):
+        for k in range(n):
+            if edges[k] <= t < edges[k + 1] or (k == n - 1 and t == edges[n]):
+                sums[k] += v
+                counts[k] += 1
+                break
+    if not any(counts):
+        raise DataError(f"site {site_id!r} has no samples inside the window")
+    if not (counts[0] and counts[-1]):
+        raise DataError(f"site {site_id!r} leaves a leading or trailing bucket empty")
+    filled = [k for k in range(n) if counts[k]]
+    empty = [k for k in range(n) if not counts[k]]
+    out = [0.0] * n
+    for k in filled:
+        out[k] = sums[k] / counts[k] if aggregate == "mean" else sums[k]
+    gaps = np.interp(empty, filled, [out[k] for k in filled]).tolist() if empty else []
+    for k, value in zip(empty, gaps):
+        out[k] = value
+    return np.asarray(out, dtype=np.float64)
 
 
 _MASK64 = (1 << 64) - 1

@@ -1239,7 +1239,10 @@ def features_config(path, criterion, **options):
      "assignment and features disagree on item count"),
     ({"a.csv": "item_id,cluster_id\n0,0\n1,x\n", "f.csv": XY_CSV},
      ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "r.svg"],
-     "invalid literal for int()"),
+     "a.csv: line 3: cluster id 'x' is not an integer"),
+    ({"a.csv": "item_id,cluster_id\n0,0\n2,1\n", "f.csv": XY_CSV},
+     ["render", "--assignment", "a.csv", "--features", "f.csv", "--svg", "r.svg"],
+     "a.csv: no row for item id '1' of the features"),
     ({}, ["render", "--dot", "t.dot"], "dot output needs --hierarchy"),
     ({"s.json": series_spec(count=0)}, ["generate", "--spec", "s.json", "--out-dir", "out"],
      "cluster count must be >= 1"),
@@ -1270,8 +1273,8 @@ def features_config(path, criterion, **options):
 ], ids=[
     "cluster-config-list", "cluster-config-missing", "eval-empty-csv", "eval-one-column-row",
     "eval-directory", "svg-without-features", "features-without-xy", "item-count-differs",
-    "non-integer-cluster-id", "dot-without-hierarchy", "series-count-0", "series-length-1",
-    "negative-noise-sigma", "size-criterion-without-sizes", "missing-series-channel",
+    "non-integer-cluster-id", "missing-item-id", "dot-without-hierarchy", "series-count-0",
+    "series-length-1", "negative-noise-sigma", "size-criterion-without-sizes", "missing-series-channel",
     "cluster-output-is-a-directory", "generate-output-is-a-directory",
     "ingest-output-is-a-directory", "render-one-file-twice", "render-one-file-twice-dot-slash",
 ])

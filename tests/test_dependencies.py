@@ -68,4 +68,4 @@ def test_cluster_loads_only_the_layers_it_runs(tmp_path):
         code, loaded[kind] = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, result.stderr
     assert loaded["features"] == []
-    assert loaded["raw_series"] == ["pretopo.ingest", "logging"]
+    assert loaded["raw_series"] == ["pretopo.ingest"]

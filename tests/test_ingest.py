@@ -1,4 +1,6 @@
+import logging
 import math
+import random
 import re
 import warnings
 from unittest import mock
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ODD_NUMBERS, brute_force_widest_drop
+from helpers import ODD_NUMBERS, brute_force_resample, brute_force_widest_drop
 from pretopo import ConfigError, DataError, ParseError, build_basis, ingest
 from pretopo.ingest import (
     RESOLUTIONS,
@@ -364,6 +366,40 @@ class TestBucketEdges:
         assert edges == [start + i * width for i in range(count)] + [end]
 
 
+def random_resample_case(rng, resolution):
+    """A window and one site's readings: some exactly on bucket edges or on
+    the window end, some outside the window, values of 0.0 and -0.0, and
+    buckets left empty inside the window or at its ends.  Returns the
+    window, the timestamps, the values and the set of those situations drawn."""
+    width = {"half_hour": 1800.0, "day": DAY, "week": 7 * DAY, "month": 30 * DAY}[resolution]
+    start = 1609459200.0 + rng.choice([0.0, rng.randrange(2 * 86400 * 90) / 2])
+    n = rng.randint(1, 8)
+    end = start + (n if rng.random() < 0.3 else rng.uniform(n - 1, n) + 1e-3) * width
+    edges = _bucket_edges(resolution, (start, end)).tolist()
+    kinds, ts = set(), set()
+    for k in range(len(edges) - 1):
+        if rng.random() < 0.15:
+            if 0 < k < len(edges) - 2:
+                kinds.add("interior gap")
+            continue
+        if rng.random() < 0.4:
+            ts.add(edges[k])
+            if k:
+                kinds.add("on an interior edge")
+        ts.update(rng.uniform(edges[k], edges[k + 1]) for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.4:
+        ts.add(end)
+        kinds.add("on the window end")
+    for outside in (start - rng.uniform(1.0, width), end + rng.uniform(1.0, width)):
+        if rng.random() < 0.3:
+            ts.add(outside)
+            kinds.add("outside the window")
+    ts = sorted(ts)
+    values = [rng.choice([0.0, -0.0, rng.uniform(0.0, 100.0), float(rng.randrange(10))]) for _ in ts]
+    kinds.update(str(v) for v in values if v == 0.0)
+    return (start, end), ts, values, kinds
+
+
 class TestResample:
     def test_constant_series_constant_everywhere(self):
         ts = [i * 1800.0 for i in range(48 * 40)]
@@ -412,6 +448,33 @@ class TestResample:
         s = series("s", ts, values)
         out = resample(s, "day", (0.0, 48 * 3600.0))
         assert abs(out[0] - 5.0) < 1e-9 and abs(out[1] - 7.0) < 1e-9
+
+    @pytest.mark.parametrize("aggregate", ["mean", "sum"])
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    def test_matches_brute_force_oracle(self, resolution, aggregate):
+        rng = random.Random(f"{resolution}:{aggregate}")
+        seen = set()
+        for _ in range(300):
+            window, ts, values, kinds = random_resample_case(rng, resolution)
+            s = series("s", ts, values)
+            edges = _bucket_edges(resolution, window)
+            try:
+                expected = ("ok", brute_force_resample(s.timestamps, s.values, edges, aggregate).tobytes())
+            except DataError as exc:
+                expected = ("error", str(exc))
+                seen.add(str(exc).split("' ", 1)[1])
+            try:
+                got = ("ok", resample(s, resolution, window, aggregate).tobytes())
+            except DataError as exc:
+                got = ("error", str(exc))
+            assert got == expected, (window, ts, values)
+            seen |= kinds if expected[0] == "ok" else kinds - {"interior gap"}
+        # every situation the cases are drawn to cover came up
+        assert seen >= {
+            "on an interior edge", "on the window end", "outside the window", "-0.0", "0.0",
+            "interior gap", "has no samples inside the window",
+            "leaves a leading or trailing bucket empty",
+        }, seen
 
 
 class TestBuildResampledTable:
@@ -494,6 +557,19 @@ class TestBuildResampledTable:
             build_resampled_table(sites, resolutions=("year",), aggregate="median")
         with pytest.raises(ConfigError, match="unknown resolution 'year'"):
             build_resampled_table(sites, resolutions=("day", "year"))
+
+    def test_dropped_sites_are_logged(self, caplog):
+        holey = [-DAY] + [d * DAY + DAY / 2 for d in range(1, 100)]  # no reading on day 0
+        sites = [self.make_site("a", 0, 100), self.make_site("b", 0, 100),
+                 self.make_site("late", 90, 100), series("holey", holey, [1.0] * len(holey))]
+        with caplog.at_level(logging.WARNING, logger="pretopo.ingest"):
+            table = build_resampled_table(sites, resolutions=("day",))
+        assert table.site_ids == ["a", "b"]
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("pretopo.ingest", logging.WARNING, "dropping site late: shrinks the common window"),
+            ("pretopo.ingest", logging.WARNING,
+             "dropping site holey: site 'holey' leaves a leading or trailing bucket empty"),
+        ]
 
     def test_site_with_interior_outage_kept(self):
         ts = [d * DAY for d in range(0, 50) if not 20 <= d <= 25]
