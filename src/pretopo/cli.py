@@ -272,13 +272,10 @@ def svg_scatter(
     width: int = 640,
     height: int = 480,
 ) -> str:
-    """Static scatter plot: one fill color per cluster, outliers black."""
+    """Static scatter plot of n x 2 positions: one color per cluster, outliers black."""
     margin = 40.0
-    xs = [p[0] for p in positions]
-    ys = [p[1] for p in positions]
-    if positions:
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+    if len(positions):
+        (x0, y0), (x1, y1) = positions.min(axis=0), positions.max(axis=0)
     else:
         x0 = y0 = 0.0
         x1 = y1 = 1.0
@@ -292,7 +289,7 @@ def svg_scatter(
             height - margin - (p[1] - y0) * scale,
         )
 
-    if sizes is not None and sizes:
+    if sizes is not None and len(sizes):
         s_hi = max(sizes) or 1.0
         radii = [3.0 + 9.0 * math.sqrt(max(s, 0.0) / s_hi) for s in sizes]
     else:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import _row_blocks
 from .errors import ConfigError, read_field, read_number
-from .rng import normals, splitmix64, uniforms
+from .rng import _per_element, normals, splitmix64, uniforms
 from .similarity import FeatureTable
 
 # A spec is refused before anything is drawn when one of its arrays would
@@ -98,8 +98,9 @@ class Sine:
         _check_period(self.period)
         _check_finite(self)
 
-    def value(self, t: int) -> float:
-        return self.offset + self.amplitude * math.sin(2.0 * math.pi * (t - self.phase) / self.period)
+    def values(self, t: np.ndarray) -> np.ndarray:
+        angle = 2.0 * math.pi * (t - self.phase) / self.period
+        return self.offset + self.amplitude * _per_element(math.sin, angle)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,10 @@ class Square:
         _check_period(self.period)
         _check_finite(self)
 
-    def value(self, t: int) -> float:
+    def values(self, t: np.ndarray) -> np.ndarray:
+        # numpy's % rounds as Python's float % does
         frac = ((t - self.phase) % self.period) / self.period
-        return self.offset + (self.amplitude if frac < self.duty else -self.amplitude)
+        return self.offset + np.where(frac < self.duty, self.amplitude, -self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class Trend:
     def __post_init__(self):
         _check_finite(self)
 
-    def value(self, t: int) -> float:
+    def values(self, t: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * t
 
 
@@ -143,8 +145,9 @@ class Mix:
         if not self.components:
             raise ConfigError("mix waveform needs at least one component")
 
-    def value(self, t: int) -> float:
-        return sum(c.value(t) for c in self.components)
+    def values(self, t: np.ndarray) -> np.ndarray:
+        # sum adds arrays left to right from 0; it compensates Python floats from 3.12
+        return sum(c.values(t) for c in self.components)
 
 
 Waveform = Sine | Square | Trend | Mix
@@ -209,21 +212,18 @@ def generate_points(spec: PointGenSpec) -> tuple[FeatureTable, list[int]]:
     Per point the stream consumes exactly two normals (x, y offsets) and one
     uniform (the size), in that order: five draws.
     """
-    positions: list[tuple[float, float]] = []
-    sizes: list[float] = []
+    positions = np.empty((sum(g.count for g in spec.groups), 2))
+    sizes = np.empty(len(positions))
     labels: list[int] = []
-    drawn = 0
+    item = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for g_idx, g in enumerate(spec.groups):
-            cx, cy = g.center
-            raw = splitmix64(spec.rng_seed, drawn, 5 * g.count).reshape(g.count, 5)
-            drawn += raw.size
-            x = cx + g.dispersion * normals(raw[:, 0:2])
-            y = cy + g.dispersion * normals(raw[:, 2:4])
-            s = uniforms(raw[:, 4], *g.size_range)
-            _check_drawn(f"point group {g_idx}", x, y, s)
-            positions.extend(zip(x.tolist(), y.tolist()))
-            sizes.extend(s.tolist())
+            raw = splitmix64(spec.rng_seed, 5 * item, 5 * g.count).reshape(g.count, 5)
+            rows = slice(item, item + g.count)
+            positions[rows] = g.dispersion * normals(raw[:, :4].reshape(g.count, 2, 2)) + g.center
+            sizes[rows] = uniforms(raw[:, 4], *g.size_range)
+            _check_drawn(f"point group {g_idx}", positions[rows], sizes[rows])
+            item += g.count
             labels.extend([g_idx] * g.count)
     return FeatureTable(positions=positions, sizes=sizes), labels
 
@@ -234,28 +234,30 @@ def generate_series(spec: SeriesGenSpec) -> tuple[FeatureTable, list[int]]:
     A noisy cluster is drawn in blocks of whole series, so the stream for a
     large cluster is never held at once.
     """
-    series: list[list[float]] = []
+    length = spec.clusters[0].length if spec.clusters else 0
+    series = np.empty((sum(c.count for c in spec.clusters), length))
     labels: list[int] = []
-    drawn = 0
+    item = drawn = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for c_idx, cluster in enumerate(spec.clusters):
             what = f"series cluster {c_idx}"
             try:
-                base = np.array([cluster.shape.value(t) for t in range(cluster.length)])
+                base = cluster.shape.values(np.arange(length))
             except ValueError as exc:  # math.sin of an angle that overflowed
                 raise _overflow(what) from exc
             if not cluster.noise_sigma:
                 _check_drawn(what, base)
-                series.extend(base.tolist() for _ in range(cluster.count))
+                series[item:item + cluster.count] = base
             else:
-                width = 2 * cluster.length  # draws per series
+                width = 2 * length  # draws per series
                 for lo, hi in _row_blocks(cluster.count, width):
                     raw = splitmix64(spec.rng_seed, drawn + lo * width, (hi - lo) * width)
-                    noise = normals(raw.reshape(hi - lo, cluster.length, 2), 0.0, cluster.noise_sigma)
-                    rows = base + noise
+                    noise = normals(raw.reshape(hi - lo, length, 2), 0.0, cluster.noise_sigma)
+                    rows = series[item + lo:item + hi]
+                    np.add(base, noise, out=rows)
                     _check_drawn(what, rows)
-                    series.extend(rows.tolist())
                 drawn += cluster.count * width
+            item += cluster.count
             labels.extend([c_idx] * cluster.count)
     return FeatureTable(series=series), labels
 

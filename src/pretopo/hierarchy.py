@@ -106,8 +106,8 @@ def _walker(
             last = first_node
             for _ in range(d):
                 row = rows(last, last + 1)[0]
-                # as a strict < scan: NaN and visited items never compete
-                row[visited | np.isnan(row)] = np.inf
+                # as a strict < scan: visited items never compete
+                row[visited] = np.inf
                 best = int(row.argmin())  # ties go to the lowest index
                 if row[best] == np.inf:
                     break

@@ -177,12 +177,15 @@ def _load_columnar(path) -> list[RawSeries] | None:
     # each site's rows, in file order, gathered in site-id order
     site_ids = sorted(set(run_sites))
     rank = {site: k for k, site in enumerate(site_ids)}
-    run_rank = np.fromiter(map(rank.__getitem__, run_sites), np.intp, len(run_sites))
-    row_rank = np.repeat(run_rank, np.concatenate(run_lengths))
-    if (np.diff(run_rank) < 0).any():
-        order = np.argsort(row_rank, kind="stable")
+    # the smallest unsigned type, so that numpy sorts up to 65,536 sites by radix sort
+    rank_type = np.min_scalar_type(len(site_ids) - 1)
+    run_rank = np.fromiter(map(rank.__getitem__, run_sites), rank_type, len(run_sites))
+    lengths = np.concatenate(run_lengths)
+    if (run_rank[1:] < run_rank[:-1]).any():
+        order = np.argsort(np.repeat(run_rank, lengths), kind="stable")
         ts, values = ts[order], values[order]
-    ends = np.cumsum(np.bincount(row_rank, minlength=len(site_ids)))
+    # rows per site, summed over its runs (exact in float64)
+    ends = np.cumsum(np.bincount(run_rank, lengths, len(site_ids))).astype(np.intp)
     rising = ts[1:] > ts[:-1]
     rising[ends[:-1] - 1] = True  # a site's first reading follows another site's last
     if not rising.all():
@@ -358,7 +361,7 @@ class ResampledTable:
 
     def csv_outputs(self, out_dir) -> list[tuple[Path, Callable[[Path], None]]]:
         """``(path, write)`` for the site index, then a features CSV per
-        resolution, whose rows become Python floats only while it is written."""
+        resolution, whose rows become Python floats one at a time as it is written."""
 
         def write_sites(path) -> None:
             with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -366,7 +369,7 @@ class ResampledTable:
 
         return [(Path(out_dir) / "sites.csv", write_sites)] + [
             (Path(out_dir) / f"features_{resolution}.csv",
-             lambda path, matrix=matrix: FeatureTable(series=matrix.tolist()).to_csv(path))
+             lambda path, matrix=matrix: FeatureTable(series=matrix).to_csv(path))
             for resolution, matrix in self.data.items()
         ]
 

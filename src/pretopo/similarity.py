@@ -57,36 +57,40 @@ def _hands_over(text: str) -> bool:
     return any(char in text for char in '"\x00\x1c\x1d\x1e\x1f')
 
 
+def _float_array(rows, name: str, empty_shape: tuple[int, ...]) -> np.ndarray | None:
+    """``rows`` (None stays None) as a float64 array, shaped ``empty_shape``
+    when it holds no item; :class:`DataError` if a value is not finite."""
+    if rows is None:
+        return None
+    array = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise DataError(f"{name} holds a non-finite value")
+    return array if len(array) else array.reshape(empty_shape)
+
+
 @dataclass
 class FeatureTable:
-    """Per-item features. Every present feature covers all items.
+    """Per-item features as float64 arrays, each covering all items:
+    ``positions`` n x 2, ``sizes`` n, ``series`` and every channel n x L.
+    Lists are converted; a NaN or infinite value is a :class:`DataError`.
 
     ``channels`` holds named auxiliary series matrices (one series per item
     and channel); they let several series-based criteria with different
     sampling coexist over the same items.
     """
 
-    positions: list[tuple[float, ...]] | None = None
-    sizes: list[float] | None = None
-    series: list[list[float]] | None = None
-    channels: dict[str, list[list[float]]] = field(default_factory=dict)
+    positions: np.ndarray | None = None
+    sizes: np.ndarray | None = None
+    series: np.ndarray | None = None
+    channels: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        counts = {
-            name: len(rows)
-            for name, rows in (
-                ("positions", self.positions),
-                ("sizes", self.sizes),
-                ("series", self.series),
-            )
-            if rows is not None
-        }
+        features = {"positions": self.positions, "sizes": self.sizes, "series": self.series}
+        counts = {name: len(rows) for name, rows in features.items() if rows is not None}
         counts.update({f"channel {k!r}": len(v) for k, v in self.channels.items()})
         if len(set(counts.values())) > 1:
             raise ConfigError(f"feature lengths disagree: {counts}")
-        for name, rows in [("series", self.series)] + [
-            (k, v) for k, v in self.channels.items()
-        ]:
+        for name, rows in [("series", self.series), *self.channels.items()]:
             if rows is None:
                 continue
             lengths = {len(s) for s in rows}
@@ -94,7 +98,11 @@ class FeatureTable:
                 raise ConfigError(f"{name}: all series must share one length, got {sorted(lengths)}")
             if len(rows) and min(lengths) < 2:
                 raise ConfigError(f"{name}: series must have length >= 2")
-        if self.sizes is not None and any(s < 0 for s in self.sizes):
+        self.positions = _float_array(self.positions, "positions", (0, 2))
+        self.sizes = _float_array(self.sizes, "sizes", (0,))
+        self.series = _float_array(self.series, "series", (0, 0))
+        self.channels = {k: _float_array(v, f"channel {k!r}", (0, 0)) for k, v in self.channels.items()}
+        if self.sizes is not None and (self.sizes < 0).any():
             raise ConfigError("sizes must be non-negative")
 
     @property
@@ -104,7 +112,7 @@ class FeatureTable:
                 return len(rows)
         return 0
 
-    def series_channel(self, channel: str | None) -> list[list[float]]:
+    def series_channel(self, channel: str | None) -> np.ndarray:
         if channel is None:
             if self.series is None:
                 raise ConfigError("table has no series feature")
@@ -119,27 +127,21 @@ class FeatureTable:
         header name or float ``repr`` needs quoting."""
         header = []
         if self.positions is not None:
-            dims = len(self.positions[0]) if self.positions else 2
-            if dims != 2:
+            if self.positions.shape[1] != 2:
                 raise ConfigError("csv schema supports planar positions only")
             header += ["x", "y"]
         if self.sizes is not None:
             header.append("size")
-        length = 0
         if self.series is not None:
-            length = len(self.series[0]) if self.series else 0
-            header += [f"series_{i}" for i in range(length)]
+            header += [f"series_{i}" for i in range(self.series.shape[1])]
+        columns = [c for c in (self.positions, self.sizes, self.series) if c is not None]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            for i in range(self.n_items):
-                row: list = []
-                if self.positions is not None:
-                    row += [self.positions[i][0], self.positions[i][1]]
-                if self.sizes is not None:
-                    row.append(self.sizes[i])
-                if self.series is not None:
-                    row += self.series[i]
-                fh.write(",".join(map(repr, row)) + "\r\n")
+            # blocks of 4,096 values, or of one row, become Python floats at once
+            for lo, hi in _row_blocks(self.n_items, 64 * len(header)):
+                # the empty block writes empty rows for a table of channels alone
+                block = np.hstack([np.empty((hi - lo, 0)), *(c[lo:hi].reshape(hi - lo, -1) for c in columns)])
+                fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
@@ -212,9 +214,9 @@ class FeatureTable:
         if "sizes" in data and (data["sizes"] < 0).any():
             return None
         return cls(
-            positions=list(map(tuple, data["positions"].tolist())) if "positions" in data else None,
-            sizes=data["sizes"][:, 0].tolist() if "sizes" in data else None,
-            series=data["series"].tolist() if "series" in data else None,
+            positions=data.get("positions"),
+            sizes=data["sizes"][:, 0] if "sizes" in data else None,
+            series=data.get("series"),
         )
 
     @classmethod
@@ -249,9 +251,9 @@ class FeatureTable:
 
         data = {feature: [column(*c) for c in columns] for feature, columns in features.items()}
         return cls(
-            positions=list(zip(*data["positions"])) if "positions" in data else None,
+            positions=np.column_stack(data["positions"]) if "positions" in data else None,
             sizes=data["sizes"][0] if "sizes" in data else None,
-            series=[list(row) for row in zip(*data["series"])] if "series" in data else None,
+            series=np.column_stack(data["series"]) if "series" in data else None,
         )
 
 
@@ -352,29 +354,25 @@ def _pairwise_rows(table: FeatureTable, criterion: Criterion):
     """The criterion's pairwise matrix as a function of ``(lo, hi)`` that
     returns rows ``lo:hi``: distances (diagonal 0) or correlations (diagonal 1).
 
-    The feature arrays are built once, here; each call allocates only its
-    own rows, so no n x n array exists unless a caller asks for all rows.
+    Each call allocates only its own rows, so no n x n array exists unless
+    a caller asks for all rows.
     """
     n = table.n_items
     if isinstance(criterion, EuclideanBall):
         if table.positions is None:
             raise ConfigError("euclidean criterion needs a position feature")
-        pts = np.asarray(table.positions, dtype=np.float64).reshape(n, -1)
 
         def euclidean_rows(lo: int, hi: int) -> np.ndarray:
-            diff = pts[lo:hi, None, :] - pts[None, :, :]
-            out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            np.fill_diagonal(out[:, lo:], 0.0)
-            return out
+            diff = table.positions[lo:hi, None, :] - table.positions[None, :, :]
+            return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
         return euclidean_rows
     if isinstance(criterion, SizeBall):
         if table.sizes is None:
             raise ConfigError("size criterion needs a size feature")
-        s = np.asarray(table.sizes, dtype=np.float64)
-        return lambda lo, hi: np.abs(s[lo:hi, None] - s[None, :])
+        return lambda lo, hi: np.abs(table.sizes[lo:hi, None] - table.sizes[None, :])
     if isinstance(criterion, PearsonBall):
-        data = np.asarray(table.series_channel(criterion.channel), dtype=np.float64)
+        data = table.series_channel(criterion.channel)
         centered = data - data.mean(axis=1, keepdims=True)
         norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
         for i, nv in enumerate(norms):

@@ -29,6 +29,7 @@ from pretopo import (
     Universe,
 )
 from pretopo.core import unpack_masks
+from pretopo.datagen import Sine, Square, Trend
 
 # Cell spellings on both sides of what np.loadtxt and float() accept alike.
 ODD_NUMBERS = [
@@ -452,12 +453,27 @@ def scalar_generate_points(spec):
     return FeatureTable(positions=positions, sizes=sizes), labels
 
 
+def scalar_waveform(shape, t: int) -> float:
+    """A ``datagen`` waveform's reading at step ``t``, in Python floats."""
+    if isinstance(shape, Sine):
+        return shape.offset + shape.amplitude * math.sin(2.0 * math.pi * (t - shape.phase) / shape.period)
+    if isinstance(shape, Square):
+        frac = ((t - shape.phase) % shape.period) / shape.period
+        return shape.offset + (shape.amplitude if frac < shape.duty else -shape.amplitude)
+    if isinstance(shape, Trend):
+        return shape.intercept + shape.slope * t
+    total = 0  # a Mix, added left to right: sum() compensates from Python 3.12
+    for component in shape.components:
+        total = total + scalar_waveform(component, t)
+    return total
+
+
 def scalar_generate_series(spec):
     """``datagen.generate_series`` as one scalar draw at a time."""
     rng = SplitMix64(spec.rng_seed)
     series, labels = [], []
     for c_idx, cluster in enumerate(spec.clusters):
-        base = [cluster.shape.value(t) for t in range(cluster.length)]
+        base = [scalar_waveform(cluster.shape, t) for t in range(cluster.length)]
         for _ in range(cluster.count):
             if cluster.noise_sigma:
                 series.append([b + rng.gauss(0.0, cluster.noise_sigma) for b in base])
@@ -475,16 +491,16 @@ def csv_writer_to_csv(table, path):
     if table.sizes is not None:
         header.append("size")
     if table.series is not None:
-        header += [f"series_{i}" for i in range(len(table.series[0]) if table.series else 0)]
+        header += [f"series_{i}" for i in range(len(table.series[0]) if len(table.series) else 0)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(table.n_items):
             row = []
             if table.positions is not None:
-                row += [repr(table.positions[i][0]), repr(table.positions[i][1])]
+                row += [repr(float(table.positions[i][0])), repr(float(table.positions[i][1]))]
             if table.sizes is not None:
-                row.append(repr(table.sizes[i]))
+                row.append(repr(float(table.sizes[i])))
             if table.series is not None:
-                row += [repr(v) for v in table.series[i]]
+                row += [repr(float(v)) for v in table.series[i]]
             writer.writerow(row)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from helpers import SplitMix64, scalar_generate_points, scalar_generate_series
+from helpers import SplitMix64, scalar_generate_points, scalar_generate_series, scalar_waveform
 from pretopo import core
 from pretopo.errors import ConfigError
 from pretopo.datagen import (
@@ -178,14 +179,16 @@ class TestGeneratePoints:
     def test_bit_identical_reproduction(self):
         t1, l1 = generate_points(self.spec(seed=42))
         t2, l2 = generate_points(self.spec(seed=42))
-        assert t1.positions == t2.positions
-        assert t1.sizes == t2.sizes
+        assert t1.positions.tobytes() == t2.positions.tobytes()
+        assert t1.sizes.tobytes() == t2.sizes.tobytes()
+        assert t1.positions.shape == (8, 2) and t1.sizes.shape == (8,)
+        assert t1.positions.dtype == t1.sizes.dtype == np.float64
         assert l1 == l2
 
     def test_different_seeds_differ(self):
         t1, _ = generate_points(self.spec(seed=1))
         t2, _ = generate_points(self.spec(seed=2))
-        assert t1.positions != t2.positions
+        assert t1.positions.tobytes() != t2.positions.tobytes()
 
     def test_tiny_dispersion_collapses_to_center(self):
         spec = PointGenSpec(
@@ -213,21 +216,30 @@ class TestGeneratePoints:
 class TestWaveforms:
     def test_sine_period_and_amplitude(self):
         w = Sine(period=4.0, amplitude=2.0)
-        assert w.value(0) == pytest.approx(0.0)
-        assert w.value(1) == pytest.approx(2.0)
-        assert w.value(3) == pytest.approx(-2.0)
+        v = w.values(np.arange(4))
+        assert v[0] == pytest.approx(0.0)
+        assert v[1] == pytest.approx(2.0)
+        assert v[3] == pytest.approx(-2.0)
 
     def test_square_duty(self):
         w = Square(period=4.0, amplitude=1.0, duty=0.25)
-        assert [w.value(t) for t in range(4)] == [1.0, -1.0, -1.0, -1.0]
+        assert w.values(np.arange(4)).tolist() == [1.0, -1.0, -1.0, -1.0]
 
     def test_trend(self):
         w = Trend(slope=0.5, intercept=1.0)
-        assert [w.value(t) for t in range(3)] == [1.0, 1.5, 2.0]
+        assert w.values(np.arange(3)).tolist() == [1.0, 1.5, 2.0]
 
     def test_mix_sums_components(self):
         w = Mix((Trend(slope=1.0), Trend(slope=0.0, intercept=2.0)))
-        assert w.value(3) == 5.0
+        assert w.values(np.arange(4))[3] == 5.0
+
+    def test_mix_adds_left_to_right_on_every_python(self):
+        # 1e16 + 1.0 rounds back to 1e16; sum() compensates from Python 3.12 and gives 1.0
+        w = Mix((Trend(0.0, 1e16), Trend(0.0, 1.0), Trend(0.0, -1e16)))
+        assert w.values(np.arange(3)).tolist() == [0.0, 0.0, 0.0]
+        assert scalar_waveform(w, 0) == 0.0
+        table, _ = generate_series(SeriesGenSpec((SeriesCluster(2, 3, w),)))
+        assert table.series.tolist() == [[0.0, 0.0, 0.0]] * 2
 
 
 class TestGenerateSeries:
@@ -248,7 +260,7 @@ class TestGenerateSeries:
 
     def test_zero_noise_gives_identical_series_and_full_correlation(self):
         table, labels = generate_series(self.spec(noise=0.0))
-        assert table.series[0] == table.series[1]
+        assert table.series[0].tobytes() == table.series[1].tobytes()
         m = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
         assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert m[4, 5] == pytest.approx(1.0, abs=1e-12)
@@ -278,7 +290,8 @@ class TestGenerateSeries:
     def test_reproducible(self):
         t1, _ = generate_series(self.spec(noise=0.2, seed=9))
         t2, _ = generate_series(self.spec(noise=0.2, seed=9))
-        assert t1.series == t2.series
+        assert t1.series.tobytes() == t2.series.tobytes()
+        assert t1.series.shape == (8, 12) and t1.series.dtype == np.float64
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):

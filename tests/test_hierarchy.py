@@ -144,18 +144,16 @@ class TestClosestWalkOracle:
         assert _walker(space, table, 2, ClosestNode(EuclideanBall(1.0)))(0) == [2, 4]
 
     def test_non_finite_distances_never_chosen(self):
-        # the NaN item is at distance NaN from everyone, the inf item at inf
-        table = FeatureTable(
-            positions=[(0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (3.0, 0.0)],
-            sizes=[1.0, math.nan, math.inf, 2.0],
-        )
-        for criterion in (EuclideanBall(1.0), SizeBall(0.5)):
-            with np.errstate(invalid="ignore"):
-                space = build_basis(table, [criterion])
-                matrix = brute_force_pairwise_matrix(table, criterion).tolist()
-                for x in range(4):
-                    path = _walker(space, table, 3, ClosestNode(criterion))(x)
-                    assert path == brute_force_closest_walk(matrix, x, 3)
+        # finite positions 1e200 apart are at distance inf: the square overflows
+        table = FeatureTable(positions=[(0.0, 0.0), (1e200, 0.0), (-1e200, 0.0), (3.0, 0.0)])
+        criterion = EuclideanBall(1.0)
+        with np.errstate(over="ignore"):
+            space = build_basis(table, [criterion])
+            matrix = brute_force_pairwise_matrix(table, criterion).tolist()
+            assert matrix[0] == [0.0, math.inf, math.inf, 3.0]
+            for x in range(4):
+                path = _walker(space, table, 3, ClosestNode(criterion))(x)
+                assert path == brute_force_closest_walk(matrix, x, 3)
             assert _walker(space, table, 3, ClosestNode(criterion))(0) == [3]
 
     def test_rows_built_once_per_seed_pass(self, monkeypatch):

@@ -2,6 +2,7 @@ import logging
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ODD_NUMBERS, brute_force_resample, brute_force_widest_drop
-from pretopo import ConfigError, DataError, ParseError, build_basis, ingest
+from pretopo import ConfigError, DataError, FeatureTable, ParseError, build_basis, ingest
 from pretopo.ingest import (
     RESOLUTIONS,
     RawSeries,
+    ResampledTable,
     _bucket_edges,
     build_resampled_table,
     build_resolution_criteria,
@@ -210,6 +212,16 @@ class TestColumnarLoad:
         expected = load_outcome(ingest._load_rows, path)
         with mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
             assert load_outcome(load_csv, path) == expected
+
+    def test_round_robin_past_256_sites_keep_file_order(self, tmp_path):
+        # 300 sites take 16-bit ranks, which numpy sorts by radix sort
+        lines = ["site_id,timestamp,value"]
+        lines += [f"s{t % 300},{t},{t % 7}" for t in range(1200)]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
+            assert load_outcome(load_csv, path) == expected
+        assert len(expected[1]) == 300
 
     @pytest.mark.parametrize("sites", [["s1"], ["s1", "s2"]], ids=["one-site", "two-sites"])
     @pytest.mark.parametrize("spelling", ["-0", "-00", "+0", "9007199254740993", "99999999999999999999"])
@@ -577,6 +589,23 @@ class TestBuildResampledTable:
         other = self.make_site("full", 0, 50)
         table = build_resampled_table([site, other], resolutions=("day",))
         assert set(table.site_ids) == {"full", "gappy"}
+
+
+class TestCsvOutputs:
+    def test_writing_features_follows_the_data(self, tmp_path):
+        # one year of half-hours for 40 sites: 5.3 MB of float64
+        matrix = np.random.default_rng(3).random((40, 17_520))
+        table = ResampledTable([f"s{i}" for i in range(40)], {"half_hour": matrix}, (0.0, 1.0))
+        outputs = table.csv_outputs(tmp_path)
+        tracemalloc.start()
+        try:
+            for path, write_file in outputs:
+                write_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix.nbytes
+        assert FeatureTable.from_csv(tmp_path / "features_half_hour.csv").series.tobytes() == matrix.tobytes()
 
 
 class TestResolutionCriteria:

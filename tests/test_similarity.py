@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -276,12 +277,6 @@ class TestPairwiseRowsOracle:
             assert masks == brute_force_ball_masks(table, criterion)
             assert masks[0] >> 1 & 1
 
-    def test_distance_to_self_is_zero_for_non_finite_position(self):
-        table = FeatureTable(positions=[(math.inf, 0.0), (0.0, 0.0)])
-        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-            matrix = _pairwise_rows(table, EuclideanBall(1.0))(0, table.n_items)
-        assert matrix.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
-
     @pytest.mark.parametrize("criterion", [EuclideanBall(0.5), SizeBall(0.01)])
     def test_ball_masks_never_hold_a_square_matrix(self, criterion):
         n = 3000
@@ -310,6 +305,32 @@ class TestFeatureTableValidation:
         with pytest.raises(ConfigError):
             FeatureTable(sizes=[-1.0])
 
+    def test_ragged_series_are_checked_before_conversion(self):
+        with pytest.raises(ConfigError, match=r"^series: all series must share one length, got \[2, 3\]$"):
+            FeatureTable(series=[[1, 2], [1, 2, 3]])
+        with pytest.raises(ConfigError, match=r"^day: all series must share one length, got \[2, 3\]$"):
+            FeatureTable(channels={"day": [[1, 2, 3], [1, 2]]})
+
+    def test_lists_become_float64_arrays(self):
+        table = FeatureTable(positions=[(0, 1), (2, 3)], sizes=[1, 2], series=[[1, 2], [3, 4]],
+                             channels={"day": [[5, 6], [7, 8]]})
+        features = [table.positions, table.sizes, table.series, table.channels["day"]]
+        assert [(f.dtype, f.shape) for f in features] == [
+            (np.float64, (2, 2)), (np.float64, (2,)), (np.float64, (2, 2)), (np.float64, (2, 2))]
+        empty = FeatureTable(positions=[], sizes=[], series=[], channels={"day": []})
+        assert [f.shape for f in (empty.positions, empty.sizes, empty.series, empty.channels["day"])] == [
+            (0, 2), (0,), (0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("name, features", [
+        ("positions", {"positions": [(0, 0), (0.5, 0), (math.nan, 0), (10, 0)]}),
+        ("sizes", {"sizes": [1, 1, math.inf, 1]}),
+        ("series", {"series": [[0.0, 1.0], [math.nan, 2.0]]}),
+        ("channel 'day'", {"channels": {"day": [[0.0, 1.0], [1.0, -math.inf]]}}),
+    ], ids=["positions", "sizes", "series", "channel"])
+    def test_non_finite_values_rejected(self, name, features):
+        with pytest.raises(DataError, match=f"^{re.escape(name)} holds a non-finite value$"):
+            FeatureTable(**features)
+
 
 class TestCsvRoundTrip:
     def test_positions_and_sizes(self, tmp_path):
@@ -317,8 +338,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "f.csv"
         t.to_csv(path)
         back = FeatureTable.from_csv(path)
-        assert back.positions == t.positions
-        assert back.sizes == t.sizes
+        assert table_bits(back) == table_bits(t)
         assert back.series is None
 
     def test_series(self, tmp_path):
@@ -326,7 +346,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "s.csv"
         t.to_csv(path)
         back = FeatureTable.from_csv(path)
-        assert back.series == t.series
+        assert table_bits(back) == table_bits(t)
         assert back.positions is None
 
     def test_empty_file(self, tmp_path):
@@ -374,17 +394,12 @@ def features_csv_bytes(draw):
 
 
 def table_bits(table):
-    """Every feature's rows, with the type and bits of each value, so that
-    -0.0 and 0.0, or a numpy and a Python float, differ."""
+    """Every feature's dtype, shape and bytes, so that -0.0 and 0.0, or two
+    shapes of the same values, differ."""
     def bits(rows):
-        if rows is None:
-            return None
-        return [
-            (type(row), tuple((type(v), v.hex()) for v in row))
-            if isinstance(row, (list, tuple)) else (type(row), row.hex())
-            for row in rows
-        ]
-    return bits(table.positions), bits(table.sizes), bits(table.series), table.channels
+        return None if rows is None else (rows.dtype, rows.shape, rows.tobytes())
+    channels = {name: bits(rows) for name, rows in table.channels.items()}
+    return bits(table.positions), bits(table.sizes), bits(table.series), channels
 
 
 def table_outcome(read, path):
@@ -458,7 +473,7 @@ class TestColumnarFromCsv:
 
     def test_served_values(self, tmp_path):
         path = write_bytes(tmp_path, "x,y,x\n1,2,3\n")
-        assert FeatureTable.from_csv(path).positions == [(3.0, 2.0)]
+        assert table_bits(FeatureTable.from_csv(path)) == table_bits(FeatureTable(positions=[(3.0, 2.0)]))
         path = write_bytes(tmp_path, "size,series_1,series_0\n-0,.5,5.\n1E-300,4.9e-324,-0\n")
         table = FeatureTable.from_csv(path)
         assert table_bits(table) == table_bits(
