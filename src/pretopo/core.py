@@ -279,8 +279,10 @@ class PseudoclosureSpace:
         raise NotImplementedError
 
 
-# Row strips are sized so that each temporary holds about this many entries:
-# besides a returned matrix, no square array is ever allocated.
+# Row strips are sized so that each temporary holds about this many entries.
+# Square arrays sit outside them: extract_adjacency returns an m x m matrix,
+# and PrefilterSpace._transposed_slots unpacks each basis slot into an n x n
+# uint8 matrix, whose transpose pack_rows copies whole.
 _BLOCK_ENTRIES = 1 << 18
 
 

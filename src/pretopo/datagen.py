@@ -206,13 +206,21 @@ def _check_drawn(what: str, *arrays: np.ndarray) -> None:
         raise _overflow(what)
 
 
+def _table(rows: int, width: int) -> np.ndarray:
+    """An uninitialised float64 table; past numpy's byte limit, a MemoryError."""
+    try:
+        return np.empty((rows, width))
+    except ValueError as exc:  # "array is too big", raised before allocating
+        raise MemoryError(str(exc)) from None
+
+
 def generate_points(spec: PointGenSpec) -> tuple[FeatureTable, list[int]]:
     """Draw every group's points and sizes; labels record the group index.
 
     Per point the stream consumes exactly two normals (x, y offsets) and one
     uniform (the size), in that order: five draws.
     """
-    positions = np.empty((sum(g.count for g in spec.groups), 2))
+    positions = _table(sum(g.count for g in spec.groups), 2)
     sizes = np.empty(len(positions))
     labels: list[int] = []
     item = 0
@@ -235,7 +243,7 @@ def generate_series(spec: SeriesGenSpec) -> tuple[FeatureTable, list[int]]:
     large cluster is never held at once.
     """
     length = spec.clusters[0].length if spec.clusters else 0
-    series = np.empty((sum(c.count for c in spec.clusters), length))
+    series = _table(sum(c.count for c in spec.clusters), length)
     labels: list[int] = []
     item = drawn = 0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,7 +31,7 @@ from .core import (
     unpack_masks,
 )
 from .errors import ConfigError, read_field, read_number
-from .similarity import Criterion, FeatureTable, _pairwise_rows, is_distance_criterion
+from .similarity import Criterion, FeatureTable
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ClosestNode:
     criterion: Criterion
 
     def __post_init__(self):
-        if not is_distance_criterion(self.criterion):
+        if not getattr(self.criterion, "distance", False):
             raise ConfigError(
                 f"{type(self.criterion).__name__} does not define a distance"
             )
@@ -61,43 +61,16 @@ class ClosestNode:
     @classmethod
     def from_criteria(cls, criteria: list[Criterion]) -> "ClosestNode":
         for c in criteria:
-            if is_distance_criterion(c):
+            if getattr(c, "distance", False):
                 return cls(c)
         raise ConfigError("no distance-kind criterion available for the closest-node walk")
 
-
-@dataclass(frozen=True)
-class RandomNeighbor:
-    """Walk to a uniformly random unvisited neighbor of the current item."""
-
-    rng_seed: int = 0
-
-
-SeedFunc = ClosestNode | RandomNeighbor
-
-
-def _walker(
-    space: PseudoclosureSpace,
-    table: FeatureTable | None,
-    d: int,
-    seed_func: SeedFunc,
-):
-    """The ``d``-step walk of ``seed_func`` as a function of its first node;
-    whatever it reads off ``table`` is built here, once.
-
-    Each step starts from the last node reached and never revisits a node.
-    The walk ends early when no candidate remains, so the path may be
-    shorter than ``d``.
-    """
-    if d < 0:
-        raise ValueError("neighbor count d must be >= 0")
-    n = space.size
-
-    if isinstance(seed_func, ClosestNode):
+    def walker(self, space: PseudoclosureSpace, table: FeatureTable | None, d: int):
         if table is None:
             raise ConfigError("closest-node walk needs a feature table")
+        n = space.size
         # the distances the criterion's balls threshold, one row per step
-        rows = _pairwise_rows(table, seed_func.criterion)
+        rows = self.criterion.rows(table)
 
         def closest_walk(first_node: int) -> list[int]:
             path: list[int] = []
@@ -118,11 +91,17 @@ def _walker(
 
         return closest_walk
 
-    if isinstance(seed_func, RandomNeighbor):
 
+@dataclass(frozen=True)
+class RandomNeighbor:
+    """Walk to a uniformly random unvisited neighbor of the current item."""
+
+    rng_seed: int = 0
+
+    def walker(self, space: PseudoclosureSpace, table: FeatureTable | None, d: int):
         def random_walk(first_node: int) -> list[int]:
             # one stream per origin so seeds are independent of walk order
-            rng = random.Random(f"{seed_func.rng_seed}:{first_node}")
+            rng = random.Random(f"{self.rng_seed}:{first_node}")
             path: list[int] = []
             visited = 1 << first_node
             last = first_node
@@ -139,7 +118,13 @@ def _walker(
 
         return random_walk
 
-    raise ConfigError(f"unknown seed function {seed_func!r}")
+
+# Each seed function gives ``walker(space, table, d)``: its ``d``-step walk
+# as a function of the first node, with whatever it reads off ``table``
+# built once.  Each step starts from the last node reached and never
+# revisits a node; the walk ends early when no candidate remains, so the
+# path may be shorter than ``d``.
+SeedFunc = ClosestNode | RandomNeighbor
 
 
 def elementary_quasiclosures(
@@ -152,7 +137,11 @@ def elementary_quasiclosures(
     n = space.size
     if not n:
         return []
-    walk = _walker(space, table, d, seed_func)
+    if d < 0:
+        raise ValueError("neighbor count d must be >= 0")
+    if not isinstance(seed_func, SeedFunc):
+        raise ConfigError(f"unknown seed function {seed_func!r}")
+    walk = seed_func.walker(space, table, d)
     return [Seed(x, ElementSet.from_members(n, [x, *walk(x)])) for x in range(n)]
 
 

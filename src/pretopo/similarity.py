@@ -288,10 +288,24 @@ class EuclideanBall:
     """Items within Euclidean distance ``radius`` of each other's position."""
 
     radius: float
+    distance = True
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ConfigError(f"euclidean radius must be > 0, got {self.radius}")
+
+    def rows(self, table: FeatureTable):
+        if table.positions is None:
+            raise ConfigError("euclidean criterion needs a position feature")
+
+        def euclidean_rows(lo: int, hi: int) -> np.ndarray:
+            diff = table.positions[lo:hi, None, :] - table.positions[None, :, :]
+            return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+        return euclidean_rows
+
+    def within(self, rows: np.ndarray) -> np.ndarray:
+        return rows <= self.radius
 
 
 @dataclass(frozen=True)
@@ -299,10 +313,19 @@ class SizeBall:
     """Items whose size differs by at most ``tolerance``."""
 
     tolerance: float
+    distance = True
 
     def __post_init__(self):
         if not self.tolerance >= 0:
             raise ConfigError(f"size tolerance must be >= 0, got {self.tolerance}")
+
+    def rows(self, table: FeatureTable):
+        if table.sizes is None:
+            raise ConfigError("size criterion needs a size feature")
+        return lambda lo, hi: np.abs(table.sizes[lo:hi, None] - table.sizes[None, :])
+
+    def within(self, rows: np.ndarray) -> np.ndarray:
+        return rows <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -312,6 +335,7 @@ class PearsonBall:
 
     threshold: float
     channel: str | None = None
+    distance = False
 
     def __post_init__(self):
         if not -1 < self.threshold <= 1:
@@ -319,7 +343,37 @@ class PearsonBall:
         if self.channel is not None and not isinstance(self.channel, str):
             raise ConfigError(f"pearson channel must be a string, got {self.channel!r}")
 
+    def rows(self, table: FeatureTable):
+        data = table.series_channel(self.channel)
+        n = table.n_items
+        centered = data - data.mean(axis=1, keepdims=True)
+        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
+        for i, nv in enumerate(norms):
+            if nv == 0.0:
+                raise DegenerateSeriesError("constant series has no linear signal", item=i)
 
+        def pearson_rows(lo: int, hi: int) -> np.ndarray:
+            # one matvec per row: a block matmul rounds most entries differently
+            out = np.empty((hi - lo, n), dtype=np.float64)
+            for i in range(lo, hi):
+                row = centered @ centered[i]
+                np.divide(row, norms * norms[i], out=row)
+                out[i - lo] = row
+                out[i - lo, i] = 1.0
+            np.clip(out, -1.0, 1.0, out=out)
+            return out
+
+        return pearson_rows
+
+    def within(self, rows: np.ndarray) -> np.ndarray:
+        return rows >= self.threshold
+
+
+# Each criterion gives ``rows(table)``, its pairwise matrix as a function of
+# ``(lo, hi)`` that allocates only rows ``lo:hi``: distances (diagonal 0) or
+# correlations (diagonal 1); ``within(rows)``, which of them its balls hold;
+# and ``distance``, a class attribute: whether the closest-node walk may rank
+# items by those rows.
 Criterion = EuclideanBall | SizeBall | PearsonBall
 
 
@@ -343,57 +397,6 @@ def criterion_from_dict(doc) -> Criterion:
     raise ConfigError(f"unknown criterion kind {kind!r}")
 
 
-DISTANCE_KINDS = (EuclideanBall, SizeBall)
-
-
-def is_distance_criterion(criterion: Criterion) -> bool:
-    return isinstance(criterion, DISTANCE_KINDS)
-
-
-def _pairwise_rows(table: FeatureTable, criterion: Criterion):
-    """The criterion's pairwise matrix as a function of ``(lo, hi)`` that
-    returns rows ``lo:hi``: distances (diagonal 0) or correlations (diagonal 1).
-
-    Each call allocates only its own rows, so no n x n array exists unless
-    a caller asks for all rows.
-    """
-    n = table.n_items
-    if isinstance(criterion, EuclideanBall):
-        if table.positions is None:
-            raise ConfigError("euclidean criterion needs a position feature")
-
-        def euclidean_rows(lo: int, hi: int) -> np.ndarray:
-            diff = table.positions[lo:hi, None, :] - table.positions[None, :, :]
-            return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-        return euclidean_rows
-    if isinstance(criterion, SizeBall):
-        if table.sizes is None:
-            raise ConfigError("size criterion needs a size feature")
-        return lambda lo, hi: np.abs(table.sizes[lo:hi, None] - table.sizes[None, :])
-    if isinstance(criterion, PearsonBall):
-        data = table.series_channel(criterion.channel)
-        centered = data - data.mean(axis=1, keepdims=True)
-        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-        for i, nv in enumerate(norms):
-            if nv == 0.0:
-                raise DegenerateSeriesError("constant series has no linear signal", item=i)
-
-        def pearson_rows(lo: int, hi: int) -> np.ndarray:
-            # one matvec per row: a block matmul rounds most entries differently
-            out = np.empty((hi - lo, n), dtype=np.float64)
-            for i in range(lo, hi):
-                row = centered @ centered[i]
-                np.divide(row, norms * norms[i], out=row)
-                out[i - lo] = row
-                out[i - lo, i] = 1.0
-            np.clip(out, -1.0, 1.0, out=out)
-            return out
-
-        return pearson_rows
-    raise ConfigError(f"unknown criterion {criterion!r}")
-
-
 def criterion_ball_masks(table: FeatureTable, criterion: Criterion) -> list[int]:
     """Per item, the bitmask of items inside its criterion ball (self included).
 
@@ -402,16 +405,12 @@ def criterion_ball_masks(table: FeatureTable, criterion: Criterion) -> list[int]
     n = table.n_items
     if not n:
         return []
-    rows = _pairwise_rows(table, criterion)
+    if not isinstance(criterion, Criterion):
+        raise ConfigError(f"unknown criterion {criterion!r}")
+    rows = criterion.rows(table)
     masks: list[int] = []
     for lo, hi in _row_blocks(n, n):
-        block = rows(lo, hi)
-        if isinstance(criterion, PearsonBall):
-            hits = block >= criterion.threshold
-        elif isinstance(criterion, EuclideanBall):
-            hits = block <= criterion.radius
-        else:
-            hits = block <= criterion.tolerance
+        hits = criterion.within(rows(lo, hi))
         np.fill_diagonal(hits[:, lo:], True)  # self-pair by fiat
         masks += pack_rows(hits)
     return masks

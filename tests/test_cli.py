@@ -54,6 +54,14 @@ def cluster_config(features_csv, out_dir):
     }
 
 
+def points_dense_spec(seed):
+    """The benchmark's points-dense input: 4 groups of 150 points."""
+    groups = [((0, 0), (1, 2)), ((10, 0), (8, 10)), ((30, 0), (8, 10)), ((10, 25), (4, 5))]
+    return {"kind": "points", "rng_seed": seed, "groups": [
+        {"count": 150, "center": list(c), "dispersion": 2.0, "size_range": list(r)}
+        for c, r in groups]}
+
+
 class TestGenerate:
     def test_writes_two_csvs(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", POINTS_SPEC)
@@ -255,6 +263,23 @@ class TestGenerate:
         assert json.loads(err)["message"].startswith("Unable to allocate")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "points", "groups": [dict(POINTS_SPEC["groups"][0], count=1_500_000_000_000_000_000)]},
+        {"kind": "series", "clusters": [
+            {"count": 10**12, "length": 10**7, "shape": {"kind": "sine", "period": 4}}]},
+    ], ids=["points", "noise-free-series"])
+    def test_table_past_numpy_byte_limit_exits_3(self, tmp_path, capsys, spec):
+        # the table's byte count passes what numpy can index: it refuses
+        # before allocating, with a ValueError rather than a MemoryError
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        code, out, err = run(capsys, "generate", "--spec", spec_path, "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "MemoryError"
+        assert json.loads(err)["message"].startswith("array is too big")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name, seed, digests", [
         ("points_multicriteria", None, (
             "b3856955e92eed56c238a4f517fc0118420f8d3f8001f35c82b5d73b9a1befb8",
@@ -277,11 +302,8 @@ class TestGenerate:
     def test_outputs_pinned(self, tmp_path, capsys, name, seed, digests):
         """The shipped configs' specs and the benchmark's generated inputs,
         byte for byte."""
-        if name == "points-dense":  # 4 groups of 150 points
-            groups = [((0, 0), (1, 2)), ((10, 0), (8, 10)), ((30, 0), (8, 10)), ((10, 25), (4, 5))]
-            doc = {"kind": "points", "rng_seed": seed, "groups": [
-                {"count": 150, "center": list(c), "dispersion": 2.0, "size_range": list(r)}
-                for c, r in groups]}
+        if name == "points-dense":
+            doc = points_dense_spec(seed)
         else:
             doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())["dataset"]["spec"]
         if name == "series_benchmark" and seed is not None:  # series-walk: 200 series per shape
@@ -1509,6 +1531,42 @@ class TestDeterminism:
             "assignment.csv": "11ee355c98b9b33eb6ab79aacc1a501cf88467a97a280e4ee581ba1cff5b28c9",
             "hierarchy.json": "abb2969e8151cfd5112c919c440602c225b32433933d259acac008ad01e8c871",
             "hierarchy.dot": "bfb83c58ab2daf045d3afa8e5dfec447c5fe36a2dc5f2db5f3be8c1adae00552",
+        }
+
+    def test_filter_mode_outputs_pinned(self, tmp_path, capsys):
+        """Filter mode on points-dense input 8: one witness in both balls
+        at once splits it into 20 clusters, where prefilter mode finds 8."""
+        spec = write_json(tmp_path / "spec.json", points_dense_spec(8))
+        assert run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "data"))[0] == 0
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "features", "path": str(tmp_path / "data" / "features.csv")},
+            "criteria": [{"kind": "euclidean", "radius": 1.0}, {"kind": "size", "tolerance": 0.5}],
+            "mode": "filter", "d": 0, "seed_func": "closest_node", "th_qh": 0.5,
+        })
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))
+        assert code == 0
+        assert json.loads(out) == {"clusters": 20, "outliers": 50, "roots": 70, "sets": 800}
+        assert sha256_of(out_dir, ("assignment.csv", "hierarchy.json", "hierarchy.dot")) == {
+            "assignment.csv": "6c8ad21f60208f922d29fb05e35b2b043fd731b3f4197dfea519d499c888240c",
+            "hierarchy.json": "2b2e5e2183bc3719a8ffa5f9475b872a7da280dc290a0836a43ffbbb3bedcefd",
+            "hierarchy.dot": "649524053d6c0c4db96c1c7e6511877430462cd496abffade847c6d1b602e013",
+        }
+
+    def test_random_tie_break_outputs_pinned(self, tmp_path, capsys):
+        """The shipped series config with a random pick among equally large
+        equivalent sets: hierarchy.json differs from the lowest-index one."""
+        doc = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
+        doc["equivalence_tie_break"] = "random"
+        out_dir = tmp_path / "out"
+        config = write_json(tmp_path / "cfg.json", doc)
+        code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))
+        assert code == 0
+        assert json.loads(out) == {"clusters": 6, "outliers": 0, "roots": 6, "sets": 149}
+        assert sha256_of(out_dir, ("assignment.csv", "hierarchy.json", "hierarchy.dot")) == {
+            "assignment.csv": "172bfedef6275ed0929bbb2fce8644eaa10633063d215a1b0f022cf486f83acd",
+            "hierarchy.json": "1afaa01bf855e8620712a064e70a9a244c8fde5cd04a49531500268313ae8bfa",
+            "hierarchy.dot": "51c2eca9b5ff45a818a145c1746d2cbf19a4b51c41c245b7a0c4f2f633a80fee",
         }
 
     @pytest.mark.parametrize("name, digests", [

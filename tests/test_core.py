@@ -16,6 +16,7 @@ from helpers import (
     unpack_kth_set_bit,
 )
 from pretopo import (
+    ConfigError,
     ElementSet,
     FilterSpace,
     GraphSpace,
@@ -26,7 +27,9 @@ from pretopo import (
     check_isotony,
     check_singleton_union,
     core,
+    reconstruct_neighborhoods,
     space_from_json,
+    space_from_json_dict,
 )
 from pretopo.core import _kth_set_bit
 
@@ -315,3 +318,33 @@ class TestKthSetBit:
         for mask in (1, 1 << (n - 1), (1 << n) - 1, 1 | 1 << (n - 1)):
             for k in range(mask.bit_count()):
                 assert _kth_set_bit(mask, k) == unpack_kth_set_bit(mask, n, k)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Universe(-1), ValueError, "universe size must be >= 0, got -1"),
+    (lambda: Universe(2, ("a",)), ValueError, "label count does not match universe size"),
+    (lambda: ElementSet(3, 1) | ElementSet(4, 1), ValueError,
+     "element sets belong to universes of different size"),
+    (lambda: NeighborhoodBasis(((),)), ValueError, "item 0 has an empty basis list"),
+    (lambda: PrefilterSpace(Universe(2), NeighborhoodBasis.from_masks(2, [[1]])), ValueError,
+     "basis does not cover the universe"),
+    (lambda: GraphSpace(Universe(2), [[1]]), ValueError, "adjacency list does not cover the universe"),
+    (lambda: GraphSpace(Universe(2), [[2], []]), ValueError, "edge 0->2 leaves the universe"),
+    (lambda: space_from_json_dict({"kind": "graph"}), ConfigError,
+     "space document is missing 'universe'"),
+    (lambda: space_from_json_dict({"universe": ["a", "b"], "kind": "graph", "edges": [[]]}),
+     ConfigError, "graph space document needs one successor list per item"),
+    (lambda: space_from_json_dict({"universe": ["a"], "kind": "prefilter", "bases": []}),
+     ConfigError, "neighborhood space document needs one basis list per item"),
+    (lambda: space_from_json_dict({"universe": [], "kind": "tree"}), ConfigError,
+     "unknown space kind 'tree'"),
+    (lambda: reconstruct_neighborhoods(GraphSpace(Universe(13), [[]] * 13)), ConfigError,
+     "neighborhood reconstruction is exponential; universe of 13 items exceeds 12"),
+], ids=["universe-negative-size", "universe-label-count", "elementset-universes",
+        "empty-basis-list", "prefilter-basis-cover", "graph-edge-list-length", "graph-edge-leaves",
+        "json-missing-key", "json-graph-edge-count", "json-basis-count", "json-unknown-kind",
+        "reconstruct-too-large"])
+def test_invalid_input_raises(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert str(exc_info.value) == message

@@ -21,7 +21,7 @@ from pretopo.datagen import (
     waveform_from_dict,
 )
 from pretopo.rng import normals, splitmix64, uniforms
-from pretopo.similarity import PearsonBall, _pairwise_rows
+from pretopo.similarity import PearsonBall
 
 # splitmix64 test vectors as published with the original algorithm
 PUBLISHED = {
@@ -261,7 +261,7 @@ class TestGenerateSeries:
     def test_zero_noise_gives_identical_series_and_full_correlation(self):
         table, labels = generate_series(self.spec(noise=0.0))
         assert table.series[0].tobytes() == table.series[1].tobytes()
-        m = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
+        m = PearsonBall(0.5).rows(table)(0, table.n_items)
         assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert m[4, 5] == pytest.approx(1.0, abs=1e-12)
 
@@ -281,7 +281,7 @@ class TestGenerateSeries:
             clusters=tuple(SeriesCluster(10, 60, s, 0.15) for s in shapes), rng_seed=5
         )
         table, labels = generate_series(spec)
-        m = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
+        m = PearsonBall(0.5).rows(table)(0, table.n_items)
         n = table.n_items
         within = [m[i, j] for i in range(n) for j in range(i + 1, n) if labels[i] == labels[j]]
         between = [m[i, j] for i in range(n) for j in range(i + 1, n) if labels[i] != labels[j]]
@@ -415,3 +415,14 @@ class TestSpecParsing:
     def test_sizes_beyond_numpy_index_range_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Sine(period=1.0, amplitude=math.inf), "Sine amplitude must be finite, got inf"),
+    (lambda: PointGroup(4, (0.0, math.nan), 1.0, (1.0, 2.0)),
+     "PointGroup center must be finite, got (0.0, nan)"),
+], ids=["sine-amplitude", "point-group-center"])
+def test_non_finite_field_raises(call, message):
+    with pytest.raises(ConfigError) as exc_info:
+        call()
+    assert str(exc_info.value) == message

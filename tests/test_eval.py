@@ -139,3 +139,13 @@ class TestConfusionMatrix:
         for lab, row in zip(rows, matrix):
             assert sum(row) == labels_p.count(lab)
         assert sum(map(sum, matrix)) == 40
+
+
+@pytest.mark.parametrize("items, labels, message", [
+    ((0, 1), (0,), "one label per item required"),
+    ((0, 0), (0, 1), "duplicate items in partition"),
+], ids=["label-count", "duplicate-items"])
+def test_invalid_partition_raises(items, labels, message):
+    with pytest.raises(ConfigError) as exc_info:
+        Partition(items, labels)
+    assert str(exc_info.value) == message

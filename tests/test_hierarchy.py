@@ -38,10 +38,8 @@ from pretopo import (
     extract_adjacency,
     extract_quasihierarchy,
     flatten,
-    hierarchy,
     quasistructural_analysis,
 )
-from pretopo.hierarchy import _walker
 
 TOL = 1e-12
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -57,26 +55,26 @@ def line_space():
 
 class TestFindNeighbors:
     def test_zero_steps(self):
-        assert _walker(line_space(), line_table(), 0, ClosestNode(EuclideanBall(1.5)))(0) == []
+        assert ClosestNode(EuclideanBall(1.5)).walker(line_space(), line_table(), 0)(0) == []
 
     def test_closest_walk_on_line(self):
-        path = _walker(line_space(), line_table(), 2, ClosestNode(EuclideanBall(1.5)))(0)
+        path = ClosestNode(EuclideanBall(1.5)).walker(line_space(), line_table(), 2)(0)
         assert path == [1, 2]
 
     def test_walk_never_revisits(self):
-        path = _walker(line_space(), line_table(), 3, ClosestNode(EuclideanBall(1.5)))(1)
+        path = ClosestNode(EuclideanBall(1.5)).walker(line_space(), line_table(), 3)(1)
         assert sorted(path + [1]) == [0, 1, 2, 3]
 
     def test_random_walk_reproducible(self):
         space, table = line_space(), line_table()
-        first = _walker(space, table, 3, RandomNeighbor(99))(2)
-        second = _walker(space, table, 3, RandomNeighbor(99))(2)
+        first = RandomNeighbor(99).walker(space, table, 3)(2)
+        second = RandomNeighbor(99).walker(space, table, 3)(2)
         assert first == second
 
     def test_random_walk_stays_in_neighbor_structure(self):
         space, table = line_space(), line_table()
         # item 3 has no neighbors within the ball, so the walk halts at once
-        assert _walker(space, table, 5, RandomNeighbor(1))(3) == []
+        assert RandomNeighbor(1).walker(space, table, 5)(3) == []
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
     def test_random_walk_matches_candidate_list_draw(self, n):
@@ -84,7 +82,7 @@ class TestFindNeighbors:
         for space in (random_prefilter_space(rng, n), random_graph_space(rng, n, p=0.05)):
             for rng_seed in (0, 7):
                 for x in range(n):
-                    assert _walker(space, None, 4, RandomNeighbor(rng_seed))(x) == (
+                    assert RandomNeighbor(rng_seed).walker(space, None, 4)(x) == (
                         brute_force_random_walk(space, x, 4, rng_seed)
                     )
 
@@ -107,7 +105,7 @@ class TestFindNeighbors:
         assert ClosestNode.from_criteria([PearsonBall(0.5), SizeBall(1.0)]).criterion == SizeBall(1.0)
 
     def test_shorter_path_when_universe_exhausted(self):
-        path = _walker(line_space(), line_table(), 99, ClosestNode(EuclideanBall(1.5)))(0)
+        path = ClosestNode(EuclideanBall(1.5)).walker(line_space(), line_table(), 99)(0)
         assert len(path) == 3
 
 
@@ -135,13 +133,13 @@ class TestClosestWalkOracle:
             seeds = elementary_quasiclosures(space, table, d, ClosestNode(criterion))
             for x in range(n):
                 want = brute_force_closest_walk(matrix, x, d)
-                assert _walker(space, table, d, ClosestNode(criterion))(x) == want
+                assert ClosestNode(criterion).walker(space, table, d)(x) == want
                 assert seeds[x].members.members() == sorted([x, *want])
 
     def test_ties_go_to_lowest_index(self):
         table = FeatureTable(positions=[(0.0, 0.0), (5.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)])
         space = build_basis(table, [EuclideanBall(1.0)])
-        assert _walker(space, table, 2, ClosestNode(EuclideanBall(1.0)))(0) == [2, 4]
+        assert ClosestNode(EuclideanBall(1.0)).walker(space, table, 2)(0) == [2, 4]
 
     def test_non_finite_distances_never_chosen(self):
         # finite positions 1e200 apart are at distance inf: the square overflows
@@ -152,15 +150,16 @@ class TestClosestWalkOracle:
             matrix = brute_force_pairwise_matrix(table, criterion).tolist()
             assert matrix[0] == [0.0, math.inf, math.inf, 3.0]
             for x in range(4):
-                path = _walker(space, table, 3, ClosestNode(criterion))(x)
+                path = ClosestNode(criterion).walker(space, table, 3)(x)
                 assert path == brute_force_closest_walk(matrix, x, 3)
-            assert _walker(space, table, 3, ClosestNode(criterion))(0) == [3]
+            assert ClosestNode(criterion).walker(space, table, 3)(0) == [3]
 
     def test_rows_built_once_per_seed_pass(self, monkeypatch):
+        space = line_space()  # its balls read the rows too: built before counting
         calls = []
-        real = hierarchy._pairwise_rows
-        monkeypatch.setattr(hierarchy, "_pairwise_rows", lambda *a: calls.append(a) or real(*a))
-        seeds = elementary_quasiclosures(line_space(), line_table(), 2, ClosestNode(EuclideanBall(1.5)))
+        real = EuclideanBall.rows
+        monkeypatch.setattr(EuclideanBall, "rows", lambda *a: calls.append(a) or real(*a))
+        seeds = elementary_quasiclosures(space, line_table(), 2, ClosestNode(EuclideanBall(1.5)))
         assert len(seeds) == 4 and len(calls) == 1
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -170,7 +169,7 @@ class TestClosestWalkOracle:
         space = build_basis(table, [SizeBall(0.5)])
         matrix = brute_force_pairwise_matrix(table, SizeBall(0.5)).tolist()
         for x in range(n):
-            path = _walker(space, table, n + 5, ClosestNode(SizeBall(0.5)))(x)
+            path = ClosestNode(SizeBall(0.5)).walker(space, table, n + 5)(x)
             assert sorted([x, *path]) == list(range(n))
             assert path == brute_force_closest_walk(matrix, x, n + 5)
 
@@ -504,3 +503,14 @@ class TestDeterminismAndExport:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "item_id,cluster_id"
         assert len(rows) == 7
+
+
+@pytest.mark.parametrize("table, d, seed_func, error, message", [
+    (line_table(), -1, RandomNeighbor(0), ValueError, "neighbor count d must be >= 0"),
+    (None, 1, ClosestNode(EuclideanBall(1.5)), ConfigError, "closest-node walk needs a feature table"),
+    (line_table(), 1, "walk", ConfigError, "unknown seed function 'walk'"),
+], ids=["negative-d", "closest-node-without-table", "not-a-seed-function"])
+def test_invalid_walk_raises(table, d, seed_func, error, message):
+    with pytest.raises(error) as exc_info:
+        elementary_quasiclosures(line_space(), table, d, seed_func)
+    assert str(exc_info.value) == message

@@ -652,3 +652,15 @@ class TestResolutionCriteria:
         probe = day_only.universe.subset([0])
         assert 1 in day_only.pseudoclosure(probe)
         assert 1 not in both.pseudoclosure(probe)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: resample(RawSeries("s", np.array([5.0]), np.array([1.0])), "day", (5.0, 5.0)),
+     "empty window (5.0, 5.0)"),
+    (lambda: build_resolution_criteria(ResampledTable([], {}, (0.0, 1.0)), 0.5),
+     "resampled table is empty"),
+], ids=["empty-window", "empty-table"])
+def test_invalid_input_raises(call, message):
+    with pytest.raises(ConfigError) as exc_info:
+        call()
+    assert str(exc_info.value) == message

@@ -32,7 +32,7 @@ from pretopo import (
     core,
     datagen,
 )
-from pretopo.similarity import _pairwise_rows, criterion_ball_masks
+from pretopo.similarity import criterion_ball_masks
 
 TOL = 1e-12
 
@@ -75,25 +75,25 @@ class TestPearson:
 class TestPairwiseMatrix:
     def test_single_item_conventions(self):
         pos_table = FeatureTable(positions=[(1.0, 2.0)], sizes=[3.0])
-        assert _pairwise_rows(pos_table, EuclideanBall(1.0))(0, 1).tolist() == [[0.0]]
-        assert _pairwise_rows(pos_table, SizeBall(1.0))(0, 1).tolist() == [[0.0]]
+        assert EuclideanBall(1.0).rows(pos_table)(0, 1).tolist() == [[0.0]]
+        assert SizeBall(1.0).rows(pos_table)(0, 1).tolist() == [[0.0]]
         ser_table = FeatureTable(series=[[1.0, 2.0, 3.0]])
-        assert _pairwise_rows(ser_table, PearsonBall(0.5))(0, 1).tolist() == [[1.0]]
+        assert PearsonBall(0.5).rows(ser_table)(0, 1).tolist() == [[1.0]]
 
     def test_identical_series_correlate_fully(self):
         t = FeatureTable(series=[[1.0, 5.0, 2.0], [1.0, 5.0, 2.0]])
-        m = _pairwise_rows(t, PearsonBall(0.5))(0, t.n_items)
+        m = PearsonBall(0.5).rows(t)(0, t.n_items)
         assert m[0, 1] == pytest.approx(1.0, abs=TOL)
 
     def test_collinear_points_distances(self):
         t = FeatureTable(positions=[(0.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
-        m = _pairwise_rows(t, EuclideanBall(1.0))(0, t.n_items)
+        m = EuclideanBall(1.0).rows(t)(0, t.n_items)
         assert m.tolist() == [[0, 3, 4], [3, 0, 1], [4, 1, 0]]
 
     def test_matrix_agrees_with_scalar_pearson(self):
         series = [[1.0, 4.0, 2.0, 8.0], [0.5, 3.0, 3.0, 6.0], [9.0, 2.0, 4.0, 1.0]]
         t = FeatureTable(series=series)
-        m = _pairwise_rows(t, PearsonBall(0.5))(0, t.n_items)
+        m = PearsonBall(0.5).rows(t)(0, t.n_items)
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -102,15 +102,15 @@ class TestPairwiseMatrix:
     def test_degenerate_series_carries_index(self):
         t = FeatureTable(series=[[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
         with pytest.raises(DegenerateSeriesError) as err:
-            _pairwise_rows(t, PearsonBall(0.5))
+            PearsonBall(0.5).rows(t)
         assert err.value.item == 1
 
     def test_missing_feature_is_config_error(self):
         t = FeatureTable(series=[[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ConfigError):
-            _pairwise_rows(t, EuclideanBall(1.0))
+            EuclideanBall(1.0).rows(t)
         with pytest.raises(ConfigError):
-            _pairwise_rows(FeatureTable(positions=[(0, 0)]), PearsonBall(0.5))
+            PearsonBall(0.5).rows(FeatureTable(positions=[(0, 0)]))
 
 
 class TestCriterionValidation:
@@ -245,7 +245,7 @@ class TestPairwiseRowsOracle:
     def test_matrix_equals_full_broadcast(self, n, criterion):
         table = random_table(np.random.default_rng(n), n)
         assert np.array_equal(
-            _pairwise_rows(table, criterion)(0, n), brute_force_pairwise_matrix(table, criterion)
+            criterion.rows(table)(0, n), brute_force_pairwise_matrix(table, criterion)
         )
 
     @pytest.mark.parametrize("block_entries", [1, 37])
@@ -253,7 +253,7 @@ class TestPairwiseRowsOracle:
     def test_small_strips_match_oracles(self, monkeypatch, block_entries, criterion):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
         table = random_table(np.random.default_rng(11), 65)
-        rows = _pairwise_rows(table, criterion)
+        rows = criterion.rows(table)
         strips = np.vstack([rows(lo, hi) for lo, hi in core._row_blocks(65, 65)])
         assert np.array_equal(strips, brute_force_pairwise_matrix(table, criterion))
         assert criterion_ball_masks(table, criterion) == brute_force_ball_masks(table, criterion)
@@ -262,7 +262,7 @@ class TestPairwiseRowsOracle:
         # proportional and shifted copies round to 1 + 2**-52 before the clip
         x = np.random.default_rng(0).normal(size=6)
         table = FeatureTable(series=[list(x), list(3.0 * x), list(x + 1.0), list(-x)])
-        matrix = _pairwise_rows(table, PearsonBall(0.5))(0, table.n_items)
+        matrix = PearsonBall(0.5).rows(table)(0, table.n_items)
         assert np.array_equal(matrix, brute_force_pairwise_matrix(table, PearsonBall(0.5)))
         assert matrix.max() == 1.0 and matrix.min() == -1.0
 
@@ -599,3 +599,18 @@ class TestToCsv:
         csv_writer_to_csv(table, tmp_path / "oracle.csv")
         assert hashlib.sha256((tmp_path / "fast.csv").read_bytes()).hexdigest() == hashlib.sha256(
             (tmp_path / "oracle.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: FeatureTable(positions=[(0.0, 0.0, 0.0)]).to_csv(path),
+     "csv schema supports planar positions only"),
+    (lambda path: build_basis(FeatureTable(sizes=[1.0, 2.0]), [SizeBall(1.0)], labels=["a"]),
+     "label count does not match item count"),
+    (lambda path: build_basis(FeatureTable(sizes=[1.0, 2.0]), ["euclid"]),
+     "unknown criterion 'euclid'"),
+], ids=["non-planar-csv", "label-count", "not-a-criterion"])
+def test_invalid_input_raises(tmp_path, call, message):
+    with pytest.raises(ConfigError) as exc_info:
+        call(tmp_path / "t.csv")
+    assert str(exc_info.value) == message
+    assert not (tmp_path / "t.csv").exists()
