@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import _SCHEMA_VERSION
+from .core import _check_document
 from .errors import ConfigError, DataError, ParseError, read_field
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
@@ -35,7 +35,7 @@ from .hierarchy import (
 from .similarity import (
     Criterion,
     FeatureTable,
-    _csv_rows,
+    _read_item_csv,
     build_basis,
     check_mode,
     criterion_from_dict,
@@ -58,12 +58,7 @@ def _load_json(path, what: str) -> dict:
         raise ParseError(f"{path}: input is not UTF-8 text ({exc})") from None
     except OSError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what}: expected a JSON object")
-    version = doc.get("schema_version", _SCHEMA_VERSION)
-    if isinstance(version, bool) or version != _SCHEMA_VERSION:
-        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
-    return doc
+    return _check_document(doc, what)
 
 
 def _write_text(text: str) -> Callable[[Path], None]:
@@ -211,8 +206,7 @@ def cmd_cluster(args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_outputs([
         ("output", out_dir / "assignment.csv", result.to_csv),
-        ("output", out_dir / "hierarchy.json",
-         _write_text(json.dumps(hierarchy.to_json_dict(), sort_keys=True, indent=2) + "\n")),
+        ("output", out_dir / "hierarchy.json", _write_text(hierarchy.to_json())),
         ("output", out_dir / "hierarchy.dot", _write_text(hierarchy.to_dot())),
     ])
     return {
@@ -226,29 +220,9 @@ def cmd_cluster(args) -> dict:
 # -- eval -----------------------------------------------------------------
 
 
-def _read_two_column_csv(path) -> tuple[dict[str, str], dict[str, int]]:
-    """Item id -> second column, and item id -> the line of its row."""
-    try:
-        reader = _csv_rows(path)
-        next(reader, None)  # the header
-        out, seen_at = {}, {}
-        for line, row in reader:
-            if len(row) < 2:
-                raise ConfigError(f"malformed row {row!r}", path=path, line=line)
-            if row[0] in out:
-                raise ConfigError(
-                    f"item id {row[0]!r} repeats line {seen_at[row[0]]}", path=path, line=line
-                )
-            out[row[0]] = row[1]
-            seen_at[row[0]] = line
-        return out, seen_at
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_eval(args) -> dict:
-    found, _ = _read_two_column_csv(args.assignment)
-    truth, _ = _read_two_column_csv(args.labels)
+    found, _ = _read_item_csv(args.assignment)
+    truth, _ = _read_item_csv(args.labels)
     if set(found) != set(truth):
         raise ConfigError("assignment and labels cover different item ids")
     items = list(truth)
@@ -320,7 +294,7 @@ def cmd_render(args) -> dict:
         table = FeatureTable.from_csv(args.features)
         if table.positions is None:
             raise ConfigError("scatter rendering needs x,y columns in the features csv")
-        assignment, line_of = _read_two_column_csv(args.assignment)
+        assignment, line_of = _read_item_csv(args.assignment)
         if len(assignment) != table.n_items:
             raise ConfigError("assignment and features disagree on item count")
         cluster_ids = []
@@ -340,11 +314,7 @@ def cmd_render(args) -> dict:
     if args.dot:
         if not args.hierarchy:
             raise ConfigError("dot output needs --hierarchy")
-        doc = _load_json(args.hierarchy, "hierarchy json")
-        try:
-            hierarchy = QuasiHierarchy.from_json_dict(doc)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"hierarchy json: {exc!r}") from exc
+        hierarchy = QuasiHierarchy.from_json_dict(_load_json(args.hierarchy, "hierarchy json"))
         texts["dot"] = hierarchy.to_dot(min_size=args.min_size)
     if not texts:
         raise ConfigError("nothing to render: pass --svg and/or --dot")

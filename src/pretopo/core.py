@@ -34,6 +34,17 @@ from .errors import ConfigError, UnsupportedSpaceError
 _SCHEMA_VERSION = 1
 
 
+def _check_document(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object whose ``schema_version``, when given, is
+    the one this version reads; else :class:`ConfigError` naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    version = doc.get("schema_version", _SCHEMA_VERSION)
+    if isinstance(version, bool) or version != _SCHEMA_VERSION:
+        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
+    return doc
+
+
 @dataclass(frozen=True)
 class Universe:
     """A finite, dense index space 0..size-1 with optional external labels."""
@@ -272,7 +283,9 @@ class PseudoclosureSpace:
         raise NotImplementedError
 
     def neighbor_mask(self, x: int) -> int:
-        """Items adjacent to ``x`` (union of its neighborhoods, minus ``x``)."""
+        """Items a random walk may step to from ``x``: a graph space's successors
+        of ``x``, else the union of the basis sets of ``x`` minus ``x`` (in a filter
+        space x's balls, not the one intersection :meth:`neighborhoods_of` gives)."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -451,6 +464,7 @@ class GraphSpace(PrefilterSpace):
 
 
 def space_from_json_dict(doc: dict) -> PseudoclosureSpace:
+    _check_document(doc, "space document")
     try:
         labels = list(doc["universe"])
         kind = doc["kind"]
@@ -478,7 +492,10 @@ def space_from_json_dict(doc: dict) -> PseudoclosureSpace:
 
 
 def space_from_json(text: str) -> PseudoclosureSpace:
-    return space_from_json_dict(json.loads(text))
+    try:
+        return space_from_json_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"space document: invalid JSON ({exc})") from exc
 
 
 class CheckResult(NamedTuple):

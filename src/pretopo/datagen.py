@@ -16,7 +16,6 @@ part of the format: per point an x normal, a y normal, then a size uniform
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -25,7 +24,7 @@ import numpy as np
 from .core import _row_blocks
 from .errors import ConfigError, read_field, read_number
 from .rng import _per_element, normals, splitmix64, uniforms
-from .similarity import FeatureTable
+from .similarity import FeatureTable, _write_item_csv
 
 # A spec is refused before anything is drawn when one of its arrays would
 # pass numpy's index range, or its draws a stream's 2**64 counter values.
@@ -352,8 +351,4 @@ def generate(spec: PointGenSpec | SeriesGenSpec) -> tuple[FeatureTable, list[int
 
 
 def write_labels_csv(path, labels: list[int]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id", "label"])
-        for i, label in enumerate(labels):
-            writer.writerow([i, label])
+    _write_item_csv(path, "label", enumerate(labels))

@@ -14,8 +14,8 @@ Flattening the result yields ordinary clusters plus outliers.
 
 from __future__ import annotations
 
-import csv
 import functools
+import json
 import random
 from dataclasses import dataclass
 
@@ -31,7 +31,7 @@ from .core import (
     unpack_masks,
 )
 from .errors import ConfigError, read_field, read_number
-from .similarity import Criterion, FeatureTable
+from .similarity import Criterion, FeatureTable, _write_item_csv
 
 
 @dataclass(frozen=True)
@@ -353,10 +353,14 @@ class QuasiHierarchy:
             "schema_version": _SCHEMA_VERSION,
             "threshold": self.threshold,
             "universe_size": self.universe.size,
-            "sets": [sorted(s) for s in self.family],
+            "sets": [s.members() for s in self.family],
             "edges": [[p, c, w] for p, c, w in self.parent_edges],
             "roots": list(self.roots),
         }
+
+    def to_json(self) -> str:
+        """The ``hierarchy.json`` text: :meth:`to_json_dict`, keys sorted, indent 2."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_dot(self, min_size: int = 1) -> str:
         """Graphviz rendering; nodes smaller than ``min_size`` are dropped."""
@@ -379,39 +383,30 @@ class QuasiHierarchy:
         Edges and roots index the ``sets`` list, so the sets must already be
         in canonical order and every index must fall inside it.  Every
         number must be a JSON number, an integer where it counts or indexes.
+        Any malformed document raises :class:`ConfigError`.
         """
         what = "hierarchy json"
-        n = read_field(doc, "universe_size", what, int)
-        universe = Universe.of_size(n)
-        listed = [
-            ElementSet.from_members(n, [read_number(x, f"{what}: set member", int) for x in members])
-            for members in doc["sets"]
-        ]
-        family = ClosedFamily(listed)
-        if family.sets != listed or not all(listed):
-            raise ConfigError(
-                "hierarchy json: sets must be distinct, non-empty and in canonical order"
-            )
-        edges = [
-            (read_number(p, f"{what}: edge end", int), read_number(c, f"{what}: edge end", int),
-             read_number(w, f"{what}: edge weight"))
-            for p, c, w in doc["edges"]
-        ]
-        roots = [read_number(r, f"{what}: root", int) for r in doc["roots"]]
-        m = len(family)
-        bad = [i for p, c, _ in edges for i in (p, c) if not 0 <= i < m]
-        bad += [r for r in roots if not 0 <= r < m]
-        if bad:
-            raise ConfigError(
-                f"hierarchy json: set index {bad[0]} out of range for {m} sets"
-            )
-        return cls(
-            universe=universe,
-            family=family,
-            threshold=read_field(doc, "threshold", what),
-            parent_edges=edges,
-            roots=roots,
-        )
+        try:
+            n = read_field(doc, "universe_size", what, int)
+            universe = Universe.of_size(n)
+            member = f"{what}: set member"
+            listed = [ElementSet.from_members(n, [read_number(x, member, int) for x in s])
+                      for s in doc["sets"]]
+            family = ClosedFamily(listed)
+            if family.sets != listed or not all(listed):
+                raise ConfigError(f"{what}: sets must be distinct, non-empty and in canonical order")
+            end, weight = f"{what}: edge end", f"{what}: edge weight"
+            edges = [(read_number(p, end, int), read_number(c, end, int), read_number(w, weight))
+                     for p, c, w in doc["edges"]]
+            roots = [read_number(r, f"{what}: root", int) for r in doc["roots"]]
+            m = len(family)
+            bad = [i for p, c, _ in edges for i in (p, c) if not 0 <= i < m]
+            bad += [r for r in roots if not 0 <= r < m]
+            if bad:
+                raise ConfigError(f"{what}: set index {bad[0]} out of range for {m} sets")
+            return cls(universe, family, read_field(doc, "threshold", what), edges, roots)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what}: {exc!r}") from exc
 
 
 def check_quasihierarchy_options(th_qh: float, tie_break) -> None:
@@ -560,11 +555,9 @@ class ClusteringResult:
     def to_csv(self, path) -> None:
         """item_id,cluster_id rows; outliers get cluster_id -1."""
         universe = self.hierarchy.universe
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item_id", "cluster_id"])
-            for i in range(universe.size):
-                writer.writerow([universe.label_of(i), self.assignment.get(i, -1)])
+        _write_item_csv(path, "cluster_id", (
+            (universe.label_of(i), self.assignment.get(i, -1)) for i in range(universe.size)
+        ))
 
 
 def flatten(hierarchy: QuasiHierarchy) -> ClusteringResult:

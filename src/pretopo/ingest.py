@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, read_number
-from .similarity import FeatureTable, PearsonBall, _csv_rows, _hands_over
+from .similarity import FeatureTable, PearsonBall, _csv_rows, _hands_over, _write_item_csv
 
 RESOLUTIONS = ("half_hour", "day", "week", "month")
 AGGREGATES = ("mean", "sum")
@@ -362,12 +362,8 @@ class ResampledTable:
     def csv_outputs(self, out_dir) -> list[tuple[Path, Callable[[Path], None]]]:
         """``(path, write)`` for the site index, then a features CSV per
         resolution, whose rows become Python floats one at a time as it is written."""
-
-        def write_sites(path) -> None:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows([("item_id", "site_id"), *enumerate(self.site_ids)])
-
-        return [(Path(out_dir) / "sites.csv", write_sites)] + [
+        return [(Path(out_dir) / "sites.csv",
+                 lambda path: _write_item_csv(path, "site_id", enumerate(self.site_ids)))] + [
             (Path(out_dir) / f"features_{resolution}.csv",
              lambda path, matrix=matrix: FeatureTable(series=matrix).to_csv(path))
             for resolution, matrix in self.data.items()

@@ -49,6 +49,33 @@ def _csv_rows(path):
             raise ParseError(f"input is not UTF-8 text ({exc})", path=fh.name) from None
 
 
+def _write_item_csv(path, column: str, rows) -> None:
+    """Write an item table: the header ``item_id,<column>``, then one row
+    per ``(item id, value)`` pair of ``rows``, through ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("item_id", column), *rows])
+
+
+def _read_item_csv(path) -> tuple[dict[str, str], dict[str, int]]:
+    """Item id -> second column, and item id -> the line of its row."""
+    try:
+        reader = _csv_rows(path)
+        next(reader, None)  # the header
+        out, seen_at = {}, {}
+        for line, row in reader:
+            if len(row) < 2:
+                raise ConfigError(f"malformed row {row!r}", path=path, line=line)
+            if row[0] in out:
+                raise ConfigError(
+                    f"item id {row[0]!r} repeats line {seen_at[row[0]]}", path=path, line=line
+                )
+            out[row[0]] = row[1]
+            seen_at[row[0]] = line
+        return out, seen_at
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _hands_over(text: str) -> bool:
     """Whether ``text`` holds a character ``csv`` with ``float`` and numpy's
     C reader treat differently: ``csv`` quoting, a NUL, or the separators

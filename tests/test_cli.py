@@ -1553,6 +1553,23 @@ class TestDeterminism:
             "hierarchy.dot": "649524053d6c0c4db96c1c7e6511877430462cd496abffade847c6d1b602e013",
         }
 
+    def test_filter_mode_random_walk_outputs_pinned(self, tmp_path, capsys):
+        """The shipped points config in filter mode with two random steps per
+        seed: each step draws from the union of the item's balls, not from
+        their intersection, which would give 4 clusters, 1 outlier, 31 sets."""
+        doc = json.loads((CONFIG_DIR / "points_multicriteria.json").read_text())
+        doc.update(mode="filter", seed_func="random_neighbor", d=2, rng_seed=5)
+        out_dir = tmp_path / "out"
+        config = write_json(tmp_path / "cfg.json", doc)
+        code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))
+        assert code == 0
+        assert json.loads(out) == {"clusters": 3, "outliers": 0, "roots": 3, "sets": 39}
+        assert sha256_of(out_dir, ("assignment.csv", "hierarchy.json", "hierarchy.dot")) == {
+            "assignment.csv": "670c5fa019f1224364369ce6a64a0efe9f0e415c9162d0a1a66b133da2861111",
+            "hierarchy.json": "9cf1bf6c7cc782f56ce5a8e12b2491033e1e7108d2728a338a041c00719837bc",
+            "hierarchy.dot": "b8212a55b4c9d9c67c24e052b8491e7d07bc95fd801e0dc93dfcc8c27801613a",
+        }
+
     def test_random_tie_break_outputs_pinned(self, tmp_path, capsys):
         """The shipped series config with a random pick among equally large
         equivalent sets: hierarchy.json differs from the lowest-index one."""

@@ -192,6 +192,14 @@ class TestNeighborhoods:
         g = GraphSpace(Universe.of_size(3), [[0, 2], [1], []])
         assert [g.neighbor_mask(x) for x in range(3)] == [0b100, 0, 0]
 
+    def test_filter_neighbor_mask_is_the_union_of_the_balls(self):
+        # item 0's one neighborhood is the intersection {0}; a random walk
+        # from 0 still steps into either ball
+        basis = NeighborhoodBasis.from_masks(3, [[0b011, 0b101], [0b010], [0b100]])
+        space = FilterSpace(Universe.of_size(3), basis)
+        assert space.neighborhoods_of(0) == [ElementSet(3, 0b001)]
+        assert space.neighbor_mask(0) == 0b110
+
     def test_basis_must_contain_owner(self):
         with pytest.raises(ValueError):
             NeighborhoodBasis.from_masks(2, [[0b10], [0b10]])
@@ -338,11 +346,19 @@ class TestKthSetBit:
      ConfigError, "neighborhood space document needs one basis list per item"),
     (lambda: space_from_json_dict({"universe": [], "kind": "tree"}), ConfigError,
      "unknown space kind 'tree'"),
+    (lambda: space_from_json_dict({"schema_version": 99, "universe": ["a"], "kind": "graph",
+                                   "edges": [[]]}),
+     ConfigError, "space document: unsupported schema_version 99"),
+    (lambda: space_from_json_dict(["a"]), ConfigError, "space document: expected a JSON object"),
+    (lambda: space_from_json("{"), ConfigError,
+     "space document: invalid JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1))"),
     (lambda: reconstruct_neighborhoods(GraphSpace(Universe(13), [[]] * 13)), ConfigError,
      "neighborhood reconstruction is exponential; universe of 13 items exceeds 12"),
 ], ids=["universe-negative-size", "universe-label-count", "elementset-universes",
         "empty-basis-list", "prefilter-basis-cover", "graph-edge-list-length", "graph-edge-leaves",
         "json-missing-key", "json-graph-edge-count", "json-basis-count", "json-unknown-kind",
+        "json-unsupported-schema-version", "json-not-an-object", "json-invalid-text",
         "reconstruct-too-large"])
 def test_invalid_input_raises(call, error, message):
     with pytest.raises(error) as exc_info:

@@ -505,6 +505,41 @@ class TestDeterminismAndExport:
         assert len(rows) == 7
 
 
+GOOD_HIERARCHY = {"schema_version": 1, "threshold": 0.5, "universe_size": 3,
+                  "sets": [[0], [0, 1]], "edges": [[1, 0, 1.0]], "roots": [1]}
+
+
+@pytest.mark.parametrize("edit", [
+    {"universe_size": None},
+    {"sets": None},
+    {"threshold": None},
+    {"sets": [[0], [0, 3]]},
+    {"edges": [[1, 0]]},
+    {"edges": [[1, 0, 1.0, 2]]},
+    {"sets": [0, 1]},
+    {"roots": 1},
+    {"universe_size": -1},
+], ids=["missing-universe-size", "missing-sets", "missing-threshold", "member-out-of-range",
+        "edge-of-two-numbers", "edge-of-four-numbers", "set-not-a-list", "roots-not-a-list",
+        "negative-universe-size"])
+def test_malformed_hierarchy_json_raises_config_error(edit):
+    doc = {k: v for k, v in {**GOOD_HIERARCHY, **edit}.items() if v is not None}
+    with pytest.raises(ConfigError, match="^hierarchy json: "):
+        QuasiHierarchy.from_json_dict(doc)
+
+
+def test_empty_hierarchy_json_names_the_missing_key():
+    with pytest.raises(ConfigError) as exc_info:
+        QuasiHierarchy.from_json_dict({})
+    assert str(exc_info.value) == "hierarchy json: KeyError('universe_size')"
+
+
+def test_to_json_is_the_file_text():
+    h = QuasiHierarchy.from_json_dict(GOOD_HIERARCHY)
+    assert h.to_json() == json.dumps(GOOD_HIERARCHY, sort_keys=True, indent=2) + "\n"
+    assert QuasiHierarchy.from_json_dict(json.loads(h.to_json())).to_json() == h.to_json()
+
+
 @pytest.mark.parametrize("table, d, seed_func, error, message", [
     (line_table(), -1, RandomNeighbor(0), ValueError, "neighbor count d must be >= 0"),
     (None, 1, ClosestNode(EuclideanBall(1.5)), ConfigError, "closest-node walk needs a feature table"),

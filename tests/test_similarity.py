@@ -32,7 +32,7 @@ from pretopo import (
     core,
     datagen,
 )
-from pretopo.similarity import criterion_ball_masks
+from pretopo.similarity import _read_item_csv, _write_item_csv, criterion_ball_masks
 
 TOL = 1e-12
 
@@ -353,6 +353,27 @@ class TestCsvRoundTrip:
         path = tmp_path / "e.csv"
         path.write_text("")
         assert FeatureTable.from_csv(path).n_items == 0
+
+
+# Item ids and values that csv must quote: commas, quotes, line breaks, and
+# text beyond ASCII.  A NUL is left out: csv rejects it before Python 3.11.
+ITEM_TEXT = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "é", "日", "\U0001f600"])
+    | st.characters(codec="utf-8", exclude_characters="\x00"),
+    max_size=8,
+)
+
+
+class TestItemTableRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(mapping=st.dictionaries(ITEM_TEXT, ITEM_TEXT, max_size=8))
+    def test_reader_gives_back_what_the_writer_wrote(self, tmp_path_factory, mapping):
+        path = tmp_path_factory.mktemp("items") / "items.csv"
+        _write_item_csv(path, "value", mapping.items())
+        back, line_of = _read_item_csv(path)
+        assert back == mapping
+        assert list(back) == list(mapping)
+        assert sorted(line_of.values()) == list(line_of.values())
 
 
 # Header names both readers must map alike: repeated names, a series index
