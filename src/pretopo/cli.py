@@ -120,6 +120,7 @@ class RunPlan:
     seed_func: ClosestNode | RandomNeighbor
     th_qh: float
     tie_break: str
+    rng_seed: int
     output_dir: str
 
 
@@ -156,6 +157,7 @@ def _dataset_from_config(dataset: dict, criteria_docs: list):
 def plan_cluster(doc: dict) -> RunPlan:
     """Check a cluster config, reading no data, so that a bad config raises
     :class:`ConfigError` before the dataset is read."""
+    _check_document(doc, "cluster config")
     d = read_field(doc, "d", "cluster config", int, 0)
     if d < 0:
         raise ConfigError(f"cluster config: 'd' must be >= 0, got {d}")
@@ -186,7 +188,9 @@ def plan_cluster(doc: dict) -> RunPlan:
         seed_func = ClosestNode.from_criteria(criteria)
     else:
         seed_func = RandomNeighbor(rng_seed)
-    return RunPlan(read_dataset, tuple(criteria), mode, d, seed_func, th_qh, tie_break, output_dir)
+    return RunPlan(
+        read_dataset, tuple(criteria), mode, d, seed_func, th_qh, tie_break, rng_seed, output_dir
+    )
 
 
 def run(plan: RunPlan) -> tuple[QuasiHierarchy, ClusteringResult]:
@@ -194,7 +198,7 @@ def run(plan: RunPlan) -> tuple[QuasiHierarchy, ClusteringResult]:
     table, item_labels = plan.read_dataset()
     space = build_basis(table, plan.criteria, plan.mode, labels=item_labels)
     hierarchy = quasistructural_analysis(
-        space, table, plan.d, plan.seed_func, plan.th_qh, tie_break=plan.tie_break
+        space, table, plan.d, plan.seed_func, plan.th_qh, plan.tie_break, plan.rng_seed
     )
     return hierarchy, flatten(hierarchy)
 

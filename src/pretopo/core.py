@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedSpaceError
+from .errors import ConfigError, UnsupportedSpaceError, malformed
 
 _SCHEMA_VERSION = 1
 
@@ -465,29 +465,15 @@ class GraphSpace(PrefilterSpace):
 
 def space_from_json_dict(doc: dict) -> PseudoclosureSpace:
     _check_document(doc, "space document")
-    try:
-        labels = list(doc["universe"])
+    with malformed("space document"):
+        universe = Universe.with_labels(list(doc["universe"]))
         kind = doc["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"space document is missing {exc}") from exc
-    universe = Universe.with_labels(labels)
-    n = universe.size
-    if kind == "graph":
-        edges = doc.get("edges")
-        if edges is None or len(edges) != n:
-            raise ConfigError("graph space document needs one successor list per item")
-        return GraphSpace(universe, edges)
-    if kind in ("prefilter", "filter"):
-        rows = doc.get("bases")
-        if rows is None or len(rows) != n:
-            raise ConfigError("neighborhood space document needs one basis list per item")
-        basis = NeighborhoodBasis(
-            tuple(
-                tuple(ElementSet.from_members(n, b) for b in row) for row in rows
-            )
-        )
-        cls = PrefilterSpace if kind == "prefilter" else FilterSpace
-        return cls(universe, basis)
+        if kind == "graph":
+            return GraphSpace(universe, doc["edges"])
+        if kind in ("prefilter", "filter"):
+            basis = NeighborhoodBasis(tuple(tuple(map(universe.subset, row)) for row in doc["bases"]))
+            cls = PrefilterSpace if kind == "prefilter" else FilterSpace
+            return cls(universe, basis)
     raise ConfigError(f"unknown space kind {kind!r}")
 
 

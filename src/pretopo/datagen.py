@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .core import _row_blocks
-from .errors import ConfigError, read_field, read_number
+from .errors import ConfigError, malformed, read_field, read_number
 from .rng import _per_element, normals, splitmix64, uniforms
 from .similarity import FeatureTable, _write_item_csv
 
@@ -291,7 +291,7 @@ def waveform_from_dict(doc: dict) -> Waveform:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"waveform spec needs a 'kind': {doc!r}") from exc
     what = f"{kind} waveform"
-    try:
+    with malformed(f"waveform spec {kind!r}"):
         for shape in (Sine, Square, Trend):
             if kind == shape.__name__.lower():
                 # every field is a number; one without a default is required
@@ -303,8 +303,6 @@ def waveform_from_dict(doc: dict) -> Waveform:
         if kind == "mix":
             components = _objects(doc["components"], f"{what}: 'components'")
             return Mix(tuple(waveform_from_dict(c) for c in components))
-    except KeyError as exc:
-        raise ConfigError(f"waveform spec {kind!r} is missing {exc}") from exc
     raise ConfigError(f"unknown waveform kind {kind!r}")
 
 
@@ -315,7 +313,7 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
         raise ConfigError("generator spec must be a JSON object")
     kind = doc.get("kind")
     what = "generator spec"
-    try:
+    with malformed(what):
         seed = read_field(doc, "rng_seed", what, int, 0)
         if kind == "points":
             groups = tuple(
@@ -339,8 +337,6 @@ def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
                 for c in _objects(doc["clusters"], f"{what}: 'clusters'")
             )
             return SeriesGenSpec(clusters=clusters, rng_seed=seed)
-    except KeyError as exc:
-        raise ConfigError(f"generator spec is missing {exc}") from exc
     raise ConfigError(f"generator spec kind must be 'points' or 'series', got {kind!r}")
 
 

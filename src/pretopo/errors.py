@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+from contextlib import contextmanager
 
 
 class PretopoError(Exception):
@@ -45,6 +46,19 @@ def read_field(doc: dict, key: str, what: str, convert=float, default=None):
     the key is absent; errors name the key after ``what``."""
     value = doc[key] if default is None else doc.get(key, default)
     return read_number(value, f"{what}: {key!r}", convert)
+
+
+@contextmanager
+def malformed(what: str):
+    """Read a JSON object inside this block: a missing key raises
+    ``ConfigError("{what} is missing {key}")``, and a ``TypeError``,
+    ``ValueError`` or ``OverflowError`` ``ConfigError("{what}: {exc!r}")``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc!r}") from exc
 
 
 class DataError(PretopoError):

@@ -26,11 +26,12 @@ from .core import (
     ElementSet,
     PseudoclosureSpace,
     Universe,
+    _check_document,
     _kth_set_bit,
     _row_blocks,
     unpack_masks,
 )
-from .errors import ConfigError, read_field, read_number
+from .errors import ConfigError, malformed, read_field, read_number
 from .similarity import Criterion, FeatureTable, _write_item_csv
 
 
@@ -386,7 +387,8 @@ class QuasiHierarchy:
         Any malformed document raises :class:`ConfigError`.
         """
         what = "hierarchy json"
-        try:
+        _check_document(doc, what)
+        with malformed(what):
             n = read_field(doc, "universe_size", what, int)
             universe = Universe.of_size(n)
             member = f"{what}: set member"
@@ -405,8 +407,6 @@ class QuasiHierarchy:
             if bad:
                 raise ConfigError(f"{what}: set index {bad[0]} out of range for {m} sets")
             return cls(universe, family, read_field(doc, "threshold", what), edges, roots)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{what}: {exc!r}") from exc
 
 
 def check_quasihierarchy_options(th_qh: float, tie_break) -> None:
@@ -533,14 +533,16 @@ def quasistructural_analysis(
     seed_func: SeedFunc,
     th_qh: float,
     tie_break: str = "lowest_index",
+    tie_rng_seed: int = 0,
 ) -> QuasiHierarchy:
     """Run the full pipeline: seeds, closures, scores, thresholded hierarchy.
 
-    Scoring is matrix-free: its memory follows the overlap components'
-    strips, not m x m."""
+    ``tie_rng_seed`` seeds the pick among equally large equivalent sets when
+    ``tie_break="random"``.  Scoring is matrix-free: its memory follows the
+    overlap components' strips, not m x m."""
     seeds = elementary_quasiclosures(space, table, d, seed_func)
     family = elementary_closed_subsets(space, seeds)
-    return _quasihierarchy(family, th_qh, universe=space.universe, tie_break=tie_break)
+    return _quasihierarchy(family, th_qh, space.universe, tie_break, tie_rng_seed)
 
 
 @dataclass

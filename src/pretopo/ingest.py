@@ -169,8 +169,11 @@ def _load_columnar(path) -> list[RawSeries] | None:
                 break
     if not ts_blocks:
         return []
+    # drop each column's blocks once joined, so that one column at a time is held twice
     ts = np.concatenate(ts_blocks)
+    ts_blocks.clear()
     values = np.concatenate(value_blocks)
+    value_blocks.clear()
     if not (np.isfinite(ts).all() and np.isfinite(values).all() and (values >= 0).all()):
         return None
 
@@ -448,21 +451,22 @@ def build_resampled_table(
                 f"{len(bounds) - 1} bucket, and at least 2 are needed"
             )
 
+    # one row per site of the pool, of which the kept sites fill the first
+    data = {resolution: np.empty((len(pool), len(edges[resolution]) - 1))
+            for resolution in resolutions}
     kept: list[str] = []
-    rows: list[list[np.ndarray]] = []  # per kept site, one vector per resolution
     for s in pool:
         try:
-            rows.append([_resample(s, edges[resolution], aggregate) for resolution in resolutions])
+            for resolution, matrix in data.items():
+                # a site dropped part-way leaves a row the next kept site overwrites
+                matrix[len(kept)] = _resample(s, edges[resolution], aggregate)
         except DataError as exc:
             _drop(dropped, s.site_id, str(exc))
             continue
         kept.append(s.site_id)
     if not kept:
         raise DataError("every site was dropped during resampling")
-    data = {
-        resolution: np.vstack([row[k] for row in rows])
-        for k, resolution in enumerate(resolutions)
-    }
+    data = {resolution: matrix[:len(kept)] for resolution, matrix in data.items()}
     return ResampledTable(site_ids=kept, data=data, window=window, dropped=dropped)
 
 

@@ -24,7 +24,7 @@ from .core import (
     _row_blocks,
     pack_rows,
 )
-from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError, read_number
+from .errors import ConfigError, DataError, DegenerateSeriesError, ParseError, malformed, read_number
 
 
 def _csv_rows(path):
@@ -413,14 +413,12 @@ def criterion_from_dict(doc) -> Criterion:
     kind = doc.get("kind")
     for ball in get_args(Criterion):
         if kind == ball.__name__.removesuffix("Ball").lower():
-            try:
+            with malformed(f"criterion {kind!r}"):
                 return ball(**{
                     f.name: read_number(doc[f.name], f"{kind} {f.name!r}")
                     if f.default is MISSING else doc.get(f.name, f.default)
                     for f in fields(ball)
                 })
-            except KeyError as exc:
-                raise ConfigError(f"criterion {kind!r} is missing {exc}") from exc
     raise ConfigError(f"unknown criterion kind {kind!r}")
 
 

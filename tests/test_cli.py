@@ -1572,7 +1572,8 @@ class TestDeterminism:
 
     def test_random_tie_break_outputs_pinned(self, tmp_path, capsys):
         """The shipped series config with a random pick among equally large
-        equivalent sets: hierarchy.json differs from the lowest-index one."""
+        equivalent sets, seeded by its rng_seed (11): hierarchy.json differs
+        from the lowest-index one."""
         doc = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
         doc["equivalence_tie_break"] = "random"
         out_dir = tmp_path / "out"
@@ -1582,9 +1583,31 @@ class TestDeterminism:
         assert json.loads(out) == {"clusters": 6, "outliers": 0, "roots": 6, "sets": 149}
         assert sha256_of(out_dir, ("assignment.csv", "hierarchy.json", "hierarchy.dot")) == {
             "assignment.csv": "172bfedef6275ed0929bbb2fce8644eaa10633063d215a1b0f022cf486f83acd",
-            "hierarchy.json": "1afaa01bf855e8620712a064e70a9a244c8fde5cd04a49531500268313ae8bfa",
+            "hierarchy.json": "ac5a5e3bfa7b2aa9dd9cb7d90229312dfab2365bda3f732c062124ce1f41e8d6",
             "hierarchy.dot": "51c2eca9b5ff45a818a145c1746d2cbf19a4b51c41c245b7a0c4f2f633a80fee",
         }
+
+    def test_rng_seed_seeds_the_random_tie_break(self, tmp_path, capsys):
+        """Points-dense input 8 with a random tie-break: the config's
+        rng_seed picks among equally large equivalent sets, so seeds 0 and 7
+        keep the same clusters but write different hierarchies."""
+        spec = write_json(tmp_path / "spec.json", points_dense_spec(8))
+        assert run(capsys, "generate", "--spec", spec, "--out-dir", str(tmp_path / "data"))[0] == 0
+        digests = {}
+        for seed in (0, 7):
+            config = write_json(tmp_path / f"cfg{seed}.json", {
+                "dataset": {"kind": "features", "path": str(tmp_path / "data" / "features.csv")},
+                "criteria": [{"kind": "euclidean", "radius": 1.0},
+                             {"kind": "size", "tolerance": 0.5}],
+                "d": 0, "th_qh": 0.5, "equivalence_tie_break": "random", "rng_seed": seed,
+            })
+            out_dir = tmp_path / f"out{seed}"
+            code, out, _ = run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir))
+            assert code == 0
+            assert json.loads(out) == {"clusters": 8, "outliers": 35, "roots": 43, "sets": 816}
+            digests[seed] = sha256_of(out_dir, ("hierarchy.json",))["hierarchy.json"]
+        assert digests[0].startswith("48d630ea")
+        assert digests[7].startswith("8093de53")
 
     @pytest.mark.parametrize("name, digests", [
         ("points_multicriteria", {

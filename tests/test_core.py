@@ -341,11 +341,22 @@ class TestKthSetBit:
     (lambda: space_from_json_dict({"kind": "graph"}), ConfigError,
      "space document is missing 'universe'"),
     (lambda: space_from_json_dict({"universe": ["a", "b"], "kind": "graph", "edges": [[]]}),
-     ConfigError, "graph space document needs one successor list per item"),
+     ConfigError, "space document: ValueError('adjacency list does not cover the universe')"),
     (lambda: space_from_json_dict({"universe": ["a"], "kind": "prefilter", "bases": []}),
-     ConfigError, "neighborhood space document needs one basis list per item"),
+     ConfigError, "space document: ValueError('basis does not cover the universe')"),
     (lambda: space_from_json_dict({"universe": [], "kind": "tree"}), ConfigError,
      "unknown space kind 'tree'"),
+    (lambda: space_from_json_dict({"universe": ["a"], "kind": "prefilter", "bases": [[[3]]]}),
+     ConfigError,
+     "space document: ValueError('item index 3 out of range for universe of size 1')"),
+    (lambda: space_from_json_dict({"universe": ["a"], "kind": "graph", "edges": [[5]]}),
+     ConfigError, "space document: ValueError('edge 0->5 leaves the universe')"),
+    (lambda: space_from_json_dict({"universe": 5, "kind": "graph"}), ConfigError,
+     "space document: TypeError(\"'int' object is not iterable\")"),
+    (lambda: space_from_json_dict({"universe": ["a", "a"], "kind": "graph", "edges": [[], []]}),
+     ConfigError, "space document: ValueError('labels must be unique')"),
+    (lambda: space_from_json_dict({"universe": [{}], "kind": "graph", "edges": [[]]}),
+     ConfigError, "space document: TypeError(\"unhashable type: 'dict'\")"),
     (lambda: space_from_json_dict({"schema_version": 99, "universe": ["a"], "kind": "graph",
                                    "edges": [[]]}),
      ConfigError, "space document: unsupported schema_version 99"),
@@ -358,6 +369,8 @@ class TestKthSetBit:
 ], ids=["universe-negative-size", "universe-label-count", "elementset-universes",
         "empty-basis-list", "prefilter-basis-cover", "graph-edge-list-length", "graph-edge-leaves",
         "json-missing-key", "json-graph-edge-count", "json-basis-count", "json-unknown-kind",
+        "json-member-out-of-range", "json-edge-out-of-range", "json-universe-not-a-list",
+        "json-duplicate-labels", "json-unhashable-label",
         "json-unsupported-schema-version", "json-not-an-object", "json-invalid-text",
         "reconstruct-too-large"])
 def test_invalid_input_raises(call, error, message):

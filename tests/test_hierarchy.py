@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -345,6 +346,22 @@ class TestExtractQuasihierarchy:
 
 
 class TestQuasistructuralAnalysis:
+    def test_random_tie_break_takes_its_own_seed(self):
+        """The shipped series config with a random tie-break: the pick draws
+        from tie_rng_seed, 0 whether passed or by default, not from the
+        walk's seed (11)."""
+        config = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
+        table, _ = datagen.generate(datagen.spec_from_dict(config["dataset"]["spec"]))
+        space = build_basis(table, [PearsonBall(config["criteria"][0]["threshold"])])
+        walk = RandomNeighbor(config["rng_seed"])
+        digests = {
+            hashlib.sha256(quasistructural_analysis(
+                space, table, config["d"], walk, config["th_qh"], "random", *seed
+            ).to_json().encode()).hexdigest()
+            for seed in ((), (0,))
+        }
+        assert digests == {"1afaa01bf855e8620712a064e70a9a244c8fde5cd04a49531500268313ae8bfa"}
+
     def test_empty_universe(self):
         table = FeatureTable(positions=[])
         space = build_basis(table, [EuclideanBall(1.0)])
@@ -519,19 +536,20 @@ GOOD_HIERARCHY = {"schema_version": 1, "threshold": 0.5, "universe_size": 3,
     {"sets": [0, 1]},
     {"roots": 1},
     {"universe_size": -1},
+    {"schema_version": 99},
 ], ids=["missing-universe-size", "missing-sets", "missing-threshold", "member-out-of-range",
         "edge-of-two-numbers", "edge-of-four-numbers", "set-not-a-list", "roots-not-a-list",
-        "negative-universe-size"])
+        "negative-universe-size", "unsupported-schema-version"])
 def test_malformed_hierarchy_json_raises_config_error(edit):
     doc = {k: v for k, v in {**GOOD_HIERARCHY, **edit}.items() if v is not None}
-    with pytest.raises(ConfigError, match="^hierarchy json: "):
+    with pytest.raises(ConfigError, match="^hierarchy json[: ]"):
         QuasiHierarchy.from_json_dict(doc)
 
 
 def test_empty_hierarchy_json_names_the_missing_key():
     with pytest.raises(ConfigError) as exc_info:
         QuasiHierarchy.from_json_dict({})
-    assert str(exc_info.value) == "hierarchy json: KeyError('universe_size')"
+    assert str(exc_info.value) == "hierarchy json is missing 'universe_size'"
 
 
 def test_to_json_is_the_file_text():
