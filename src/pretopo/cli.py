@@ -2,8 +2,8 @@
 
 Every run is a pure function of its config and input files; rerunning a
 command writes byte-identical outputs.  Exit codes: 0 success, 2 for
-configuration or parse problems, 3 for bad data or an array too large to
-allocate.
+configuration or parse problems and refused paths, 3 for bad data or an
+array too large to allocate.
 
 :mod:`pretopo.datagen` and :mod:`pretopo.ingest` are imported by the
 commands that run them, so a ``cluster`` process on a features file starts
@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import _check_document
+from .core import _check_document, _parse_json
 from .errors import ConfigError, DataError, ParseError, read_field
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
@@ -51,14 +51,10 @@ _OUTLIER_COLOR = "#000000"
 def _load_json(path, what: str) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
+            text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: input is not UTF-8 text ({exc})") from None
-    except OSError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-    return _check_document(doc, what)
+        raise ParseError(f"input is not UTF-8 text ({exc})", path=path) from None
+    return _check_document(_parse_json(text, what), what)
 
 
 def _write_text(text: str) -> Callable[[Path], None]:
@@ -402,10 +398,10 @@ def main(argv=None) -> int:
     try:
         print(json.dumps(args.func(args), sort_keys=True))
         return 0
-    except UnicodeDecodeError as exc:
-        error, code = ParseError(f"input is not UTF-8 text ({exc})"), 2
-    except (ConfigError, ParseError, OSError) as exc:
+    except (ConfigError, ParseError) as exc:
         error, code = exc, 2
+    except OSError as exc:  # a path the system refuses; its message names the path
+        error, code = ConfigError(str(exc)), 2
     except DataError as exc:
         error, code = exc, 3
     except MemoryError as exc:  # numpy raises a private subclass

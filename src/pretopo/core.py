@@ -45,6 +45,14 @@ def _check_document(doc, what: str) -> dict:
     return doc
 
 
+def _parse_json(text: str, what: str):
+    """The JSON value ``text`` holds; invalid JSON is a ConfigError naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
+
+
 @dataclass(frozen=True)
 class Universe:
     """A finite, dense index space 0..size-1 with optional external labels."""
@@ -330,7 +338,8 @@ class PrefilterSpace(PseudoclosureSpace):
     of short_j | (union of T_j(y) over y in A), where short_j holds the
     items with no basis set j.  One call costs |A| big-integer ORs per slot;
     :meth:`grow` keeps each slot's union, its reach, so that a superset of
-    an evaluated set pays only for its new members.
+    an evaluated set pays only for its new members.  Basis sets lie in the
+    space's universe.
     """
 
     kind = "prefilter"
@@ -339,6 +348,8 @@ class PrefilterSpace(PseudoclosureSpace):
         super().__init__(universe)
         if len(basis) != universe.size:
             raise ValueError("basis does not cover the universe")
+        if {b.n for row in basis.sets for b in row} - {universe.size}:
+            raise ValueError(f"basis sets lie outside the space's universe of size {universe.size}")
         self.basis = basis
         self._slots = self._transposed_slots()
 
@@ -478,10 +489,7 @@ def space_from_json_dict(doc: dict) -> PseudoclosureSpace:
 
 
 def space_from_json(text: str) -> PseudoclosureSpace:
-    try:
-        return space_from_json_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"space document: invalid JSON ({exc})") from exc
+    return space_from_json_dict(_parse_json(text, "space document"))
 
 
 class CheckResult(NamedTuple):

@@ -72,10 +72,12 @@ class ParseError(PretopoError):
 class DegenerateSeriesError(DataError):
     """A series has zero variance and carries no linear signal.
 
-    ``item`` is the index (or site id) of the offending series when known.
+    ``item`` is the index (or site id) of the offending series when known,
+    and ``reason`` the message without it.
     """
 
     def __init__(self, message, item=None):
+        self.reason = message
         if item is not None:
             message = f"{message} (item {item})"
         super().__init__(message)

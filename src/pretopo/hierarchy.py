@@ -147,7 +147,8 @@ def elementary_quasiclosures(
 
 
 class ClosedFamily:
-    """A deduplicated family of non-empty subsets in canonical order.
+    """A deduplicated family of non-empty subsets of one universe (else
+    ``ValueError``) in canonical order.
 
     Canonical order is cardinality ascending, ties broken by the numeric
     value of the member bitmask, so equal inputs always produce the same
@@ -155,7 +156,10 @@ class ClosedFamily:
     """
 
     def __init__(self, sets):
+        sets = list(sets)
         unique = {s.mask: s for s in sets}
+        if 0 in unique or len({s.n for s in sets}) > 1:
+            raise ValueError("a closed family holds non-empty sets of one universe")
         self.sets: list[ElementSet] = sorted(unique.values(), key=ElementSet.sort_key)
 
     def __len__(self) -> int:
@@ -183,18 +187,15 @@ class ClosedFamily:
         masks = [s.mask for s in self.sets]
         label = np.arange(n)
         first = np.empty(m, dtype=np.intp)
-        empty = np.empty(m, dtype=bool)
         # a set links its smallest item to each of its items, and joins that
-        # item's component; an empty set meets nothing and stays alone.  The
-        # sets' bits are unpacked in row blocks, never all m x n at once.
+        # item's component.  The sets' bits are unpacked in row blocks, never
+        # all m x n at once.
         for lo, hi in _row_blocks(m, n):
             bits = unpack_masks(masks[lo:hi], n)
             sets, items = np.divmod(np.flatnonzero(bits), n)
             first[lo:hi] = bits.argmax(axis=1)
-            empty[lo:hi] = bits[np.arange(hi - lo), first[lo:hi]] == 0
             label = _merge(label, first[lo + sets], items)
         label = label[first]
-        label[empty] = n + np.flatnonzero(empty)
         order = np.argsort(label, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
@@ -325,8 +326,6 @@ def extract_adjacency(family: ClosedFamily) -> np.ndarray:
     intersect; they are filled from :func:`_scored_strips`.
     """
     m = len(family)
-    if not all(family.sets):
-        raise ValueError("closed family must not contain the empty set")
     adj = np.zeros((m, m), dtype=np.float64)
     components = [sets for sets in family.overlap_components if len(sets) > 1]
     for rows, cols, fwd, bwd in _scored_strips(family, components):
@@ -395,8 +394,8 @@ class QuasiHierarchy:
             listed = [ElementSet.from_members(n, [read_number(x, member, int) for x in s])
                       for s in doc["sets"]]
             family = ClosedFamily(listed)
-            if family.sets != listed or not all(listed):
-                raise ConfigError(f"{what}: sets must be distinct, non-empty and in canonical order")
+            if family.sets != listed:
+                raise ConfigError(f"{what}: sets must be distinct and in canonical order")
             end, weight = f"{what}: edge end", f"{what}: edge weight"
             edges = [(read_number(p, end, int), read_number(c, end, int), read_number(w, weight))
                      for p, c, w in doc["edges"]]

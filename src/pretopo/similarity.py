@@ -58,22 +58,19 @@ def _write_item_csv(path, column: str, rows) -> None:
 
 def _read_item_csv(path) -> tuple[dict[str, str], dict[str, int]]:
     """Item id -> second column, and item id -> the line of its row."""
-    try:
-        reader = _csv_rows(path)
-        next(reader, None)  # the header
-        out, seen_at = {}, {}
-        for line, row in reader:
-            if len(row) < 2:
-                raise ConfigError(f"malformed row {row!r}", path=path, line=line)
-            if row[0] in out:
-                raise ConfigError(
-                    f"item id {row[0]!r} repeats line {seen_at[row[0]]}", path=path, line=line
-                )
-            out[row[0]] = row[1]
-            seen_at[row[0]] = line
-        return out, seen_at
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
+    reader = _csv_rows(path)
+    next(reader, None)  # the header
+    out, seen_at = {}, {}
+    for line, row in reader:
+        if len(row) < 2:
+            raise ConfigError(f"malformed row {row!r}", path=path, line=line)
+        if row[0] in out:
+            raise ConfigError(
+                f"item id {row[0]!r} repeats line {seen_at[row[0]]}", path=path, line=line
+            )
+        out[row[0]] = row[1]
+        seen_at[row[0]] = line
+    return out, seen_at
 
 
 def _hands_over(text: str) -> bool:
@@ -373,11 +370,17 @@ class PearsonBall:
     def rows(self, table: FeatureTable):
         data = table.series_channel(self.channel)
         n = table.n_items
-        centered = data - data.mean(axis=1, keepdims=True)
+        # each row times the power of two that puts its largest magnitude in
+        # [1, 2): exact, so no sum or square under- or overflows, and every
+        # correlation is the same bits at any scale
+        _, exponents = np.frexp(np.maximum(data.max(axis=1, initial=0.0), -data.min(axis=1, initial=0.0)))
+        centered = np.ldexp(data, (1 - exponents)[:, None])
+        centered -= centered.mean(axis=1, keepdims=True)
         norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-        for i, nv in enumerate(norms):
-            if nv == 0.0:
-                raise DegenerateSeriesError("constant series has no linear signal", item=i)
+        constant = np.flatnonzero(norms == 0.0)
+        if constant.size:
+            where = "" if self.channel is None else f" in channel {self.channel!r}"
+            raise DegenerateSeriesError(f"constant series{where} has no linear signal", item=int(constant[0]))
 
         def pearson_rows(lo: int, hi: int) -> np.ndarray:
             # one matvec per row: a block matmul rounds most entries differently
@@ -463,12 +466,17 @@ def build_basis(
         raise ConfigError("at least one criterion is required")
     check_mode(mode)
     n = table.n_items
-    per_criterion = [criterion_ball_masks(table, c) for c in criteria]
-    basis = NeighborhoodBasis.from_masks(
-        n, [[balls[x] for balls in per_criterion] for x in range(n)]
-    )
     universe = Universe.of_size(n) if labels is None else Universe.with_labels(labels)
     if universe.size != n:
         raise ConfigError("label count does not match item count")
+    per_criterion = []
+    for c in criteria:
+        try:
+            per_criterion.append(criterion_ball_masks(table, c))
+        except DegenerateSeriesError as exc:  # named by its label: a raw_series run's site id
+            raise DegenerateSeriesError(exc.reason, item=universe.label_of(exc.item)) from None
+    basis = NeighborhoodBasis.from_masks(
+        n, [[balls[x] for balls in per_criterion] for x in range(n)]
+    )
     cls = PrefilterSpace if mode == "prefilter" else FilterSpace
     return cls(universe, basis)

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -600,6 +601,62 @@ class TestCluster:
         assert "a,0" in text and "b,0" in text and "c,-1" in text
 
 
+class TestPearsonScale:
+    """Correlations do not depend on the scale of the series."""
+
+    # at 5e307 a row's sum overflows, at 1e200 its squares, at 1e-200 they underflow
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e307])
+    def test_items_cluster_at_any_scale(self, tmp_path, capsys, monkeypatch, scale):
+        monkeypatch.chdir(tmp_path)
+        features = tmp_path / "features.csv"
+        rows = [(1, 2, 3), (1, 2, 3.1), (3, 1, 2)]
+        features.write_text("series_0,series_1,series_2\n" + "".join(
+            ",".join(repr(v * scale) for v in row) + "\n" for row in rows))
+        config = tmp_path / "cfg.json"
+        config.write_text(features_config(
+            str(features), {"kind": "pearson", "threshold": 0.9}, seed_func="random_neighbor", d=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "cluster", "--config", str(config), "--out-dir", "o")
+        assert (code, err) == (0, "")
+        assert (tmp_path / "o" / "assignment.csv").read_bytes() == (
+            b"item_id,cluster_id\r\n0,0\r\n1,0\r\n2,-1\r\n"
+        )
+
+    def test_constant_site_names_the_site_and_the_resolution(self, tmp_path, capsys):
+        # a closed shop among four sites reads 0 throughout
+        rows = ["site_id,timestamp,value"]
+        for k, site in enumerate(["a", "b", "closed", "d"]):
+            rows += [f"{site},{day * 86400},{0.0 if site == 'closed' else 1.0 + day % (5 + k)}"
+                     for day in range(60)]
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(rows) + "\n")
+        config = write_json(tmp_path / "cfg.json", {
+            "dataset": {"kind": "raw_series", "path": str(raw),
+                        "resolutions": ["day", "week"], "rho": 0.5},
+            "seed_func": "random_neighbor",
+        })
+        code, out, err = run(capsys, "cluster", "--config", config, "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "DegenerateSeriesError",
+            "message": "constant series in channel 'day' has no linear signal (item closed)",
+        }
+        assert not (tmp_path / "o").exists()
+
+    def test_constant_feature_series_names_its_index(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("series_0,series_1\n1,2\n4,4\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(features_config(
+            str(features), {"kind": "pearson", "threshold": 0.9}, seed_func="random_neighbor"))
+        code, out, err = run(capsys, "cluster", "--config", str(config), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "DegenerateSeriesError", "message": "constant series has no linear signal (item 1)",
+        }
+
+
 class TestPlanCluster:
     @pytest.mark.parametrize("dataset, criteria", [
         ({"kind": "features", "path": "features.csv"}, [{"kind": "euclidean", "radius": 2.0}]),
@@ -804,6 +861,28 @@ class TestNonUtf8Input:
             assert json.loads(err)["error"] == "ParseError"
             assert json.loads(err)["message"].startswith(f"{bad}: input is not UTF-8 text")
             assert not (work / "o").exists()
+
+
+class TestRefusedInputPath:
+    """An input path the system refuses is a config error with the system's
+    message, which names the path, in every command."""
+
+    @pytest.mark.parametrize("refusal", ["missing", "directory"])
+    @pytest.mark.parametrize("bad, argv", EVERY_INPUT, ids=input_id)
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, bad, argv, refusal):
+        write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / bad).unlink()
+        if refusal == "directory":
+            (tmp_path / bad).mkdir()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        reason = "No such file or directory" if refusal == "missing" else "Is a directory"
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"[Errno {2 if refusal == 'missing' else 21}] {reason}: {bad!r}",
+        }
+        assert not (tmp_path / "o").exists()
 
 
 FEATURES = ["cluster", "--config", "features.json"]

@@ -328,6 +328,10 @@ class TestKthSetBit:
                 assert _kth_set_bit(mask, k) == unpack_kth_set_bit(mask, n, k)
 
 
+# a basis over a universe of 3 items, each item's set holding it
+OTHER_UNIVERSE_BASIS = NeighborhoodBasis(((ElementSet(3, 0b101),), (ElementSet(3, 0b010),)))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Universe(-1), ValueError, "universe size must be >= 0, got -1"),
     (lambda: Universe(2, ("a",)), ValueError, "label count does not match universe size"),
@@ -336,6 +340,10 @@ class TestKthSetBit:
     (lambda: NeighborhoodBasis(((),)), ValueError, "item 0 has an empty basis list"),
     (lambda: PrefilterSpace(Universe(2), NeighborhoodBasis.from_masks(2, [[1]])), ValueError,
      "basis does not cover the universe"),
+    (lambda: PrefilterSpace(Universe(2), OTHER_UNIVERSE_BASIS), ValueError,
+     "basis sets lie outside the space's universe of size 2"),
+    (lambda: FilterSpace(Universe(2), OTHER_UNIVERSE_BASIS), ValueError,
+     "basis sets lie outside the space's universe of size 2"),
     (lambda: GraphSpace(Universe(2), [[1]]), ValueError, "adjacency list does not cover the universe"),
     (lambda: GraphSpace(Universe(2), [[2], []]), ValueError, "edge 0->2 leaves the universe"),
     (lambda: space_from_json_dict({"kind": "graph"}), ConfigError,
@@ -367,7 +375,8 @@ class TestKthSetBit:
     (lambda: reconstruct_neighborhoods(GraphSpace(Universe(13), [[]] * 13)), ConfigError,
      "neighborhood reconstruction is exponential; universe of 13 items exceeds 12"),
 ], ids=["universe-negative-size", "universe-label-count", "elementset-universes",
-        "empty-basis-list", "prefilter-basis-cover", "graph-edge-list-length", "graph-edge-leaves",
+        "empty-basis-list", "prefilter-basis-cover", "prefilter-basis-universe",
+        "filter-basis-universe", "graph-edge-list-length", "graph-edge-leaves",
         "json-missing-key", "json-graph-edge-count", "json-basis-count", "json-unknown-kind",
         "json-member-out-of-range", "json-edge-out-of-range", "json-universe-not-a-list",
         "json-duplicate-labels", "json-unhashable-label",

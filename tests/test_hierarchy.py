@@ -273,9 +273,16 @@ class TestExtractAdjacency:
         assert adj[0, 0] == 0 and adj[1, 1] == 0
 
     def test_empty_set_rejected(self):
-        family = ClosedFamily([ElementSet(3, 0), ElementSet.from_members(3, [0])])
         with pytest.raises(ValueError):
-            extract_adjacency(family)
+            ClosedFamily([ElementSet(3, 0), ElementSet.from_members(3, [0])])
+
+    @pytest.mark.parametrize("sets", [
+        [ElementSet(3, 0b11), ElementSet(5, 0b11000)],
+        [ElementSet(3, 0b11), ElementSet(5, 0b11)],
+    ], ids=["distinct-masks", "one-mask"])
+    def test_sets_of_two_universes_rejected(self, sets):
+        with pytest.raises(ValueError, match="^a closed family holds non-empty sets of one universe$"):
+            ClosedFamily(sets)
 
 
 class TestExtractQuasihierarchy:
@@ -544,6 +551,15 @@ def test_malformed_hierarchy_json_raises_config_error(edit):
     doc = {k: v for k, v in {**GOOD_HIERARCHY, **edit}.items() if v is not None}
     with pytest.raises(ConfigError, match="^hierarchy json[: ]"):
         QuasiHierarchy.from_json_dict(doc)
+
+
+def test_empty_set_in_hierarchy_json_is_refused_by_the_family():
+    doc = dict(GOOD_HIERARCHY, sets=[[], [0]])
+    with pytest.raises(ConfigError) as exc_info:
+        QuasiHierarchy.from_json_dict(doc)
+    assert str(exc_info.value) == (
+        "hierarchy json: ValueError('a closed family holds non-empty sets of one universe')"
+    )
 
 
 def test_empty_hierarchy_json_names_the_missing_key():

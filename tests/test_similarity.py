@@ -105,6 +105,26 @@ class TestPairwiseMatrix:
             PearsonBall(0.5).rows(t)
         assert err.value.item == 1
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_pearson_rows_exact_under_power_of_two_scaling(self, data):
+        """Scaling any row by 2**k, |k| <= 900, leaves every correlation bit
+        for bit: no square under- or overflows at any scale."""
+        n, length = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 8))
+        # multiples of 2**-10 up to about 2**10: every row scales without rounding
+        value = st.integers(-10**6, 10**6).map(lambda v: v / 1024)
+        series = np.array(data.draw(st.lists(
+            st.lists(value, min_size=length, max_size=length), min_size=n, max_size=n)))
+        shifts = np.array(data.draw(st.lists(st.integers(-900, 900), min_size=n, max_size=n)))
+
+        def outcome(rows):
+            try:
+                return PearsonBall(0.5).rows(FeatureTable(series=rows))(0, n).tobytes()
+            except DegenerateSeriesError as exc:
+                return exc.item
+
+        assert outcome(np.ldexp(series, shifts[:, None])) == outcome(series)
+
     def test_missing_feature_is_config_error(self):
         t = FeatureTable(series=[[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ConfigError):
