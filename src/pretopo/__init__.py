@@ -23,8 +23,6 @@ from .core import (
     check_singleton_union,
     pseudoclosure_from_prefilter_roundtrip,
     reconstruct_neighborhoods,
-    space_from_json,
-    space_from_json_dict,
 )
 from .errors import (
     ConfigError,
@@ -99,6 +97,4 @@ __all__ = [
     "pseudoclosure_from_prefilter_roundtrip",
     "quasistructural_analysis",
     "reconstruct_neighborhoods",
-    "space_from_json",
-    "space_from_json_dict",
 ]

@@ -20,8 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import _check_document, _parse_json
-from .errors import ConfigError, DataError, ParseError, read_field
+from .errors import ConfigError, DataError, ParseError, _check_document, read_field
 from .evaluation import Partition, adjusted_rand_index, confusion_matrix
 from .hierarchy import (
     ClosestNode,
@@ -48,13 +47,18 @@ _PALETTE = [
 _OUTLIER_COLOR = "#000000"
 
 
-def _load_json(path, what: str) -> dict:
+def _load_json(path, what: str):
+    """The JSON value in the UTF-8 file at ``path``; invalid JSON is a
+    :class:`ConfigError` naming ``what``.  The document's reader checks it."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text ({exc})", path=path) from None
-    return _check_document(_parse_json(text, what), what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
 
 
 def _write_text(text: str) -> Callable[[Path], None]:
@@ -248,13 +252,20 @@ def svg_scatter(
 ) -> str:
     """Static scatter plot of n x 2 positions: one color per cluster, outliers black."""
     margin = 40.0
+    # the positions times the power of two that puts their largest magnitude
+    # in [1, 2): exact, so every ratio and the drawing stay the same, and no
+    # span overflows.  A zero span counts as one unit of the input; the clip
+    # keeps that unit, and the scale it gives, finite.
+    _, exponent = math.frexp(abs(positions).max(initial=0.0))
+    unit = math.ldexp(1.0, min(max(1 - exponent, -1013), 1000))
+    positions = positions * unit
     if len(positions):
         (x0, y0), (x1, y1) = positions.min(axis=0), positions.max(axis=0)
     else:
         x0 = y0 = 0.0
         x1 = y1 = 1.0
-    span_x = (x1 - x0) or 1.0
-    span_y = (y1 - y0) or 1.0
+    span_x = (x1 - x0) or unit
+    span_y = (y1 - y0) or unit
     scale = min((width - 2 * margin) / span_x, (height - 2 * margin) / span_y)
 
     def to_px(p):

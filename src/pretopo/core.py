@@ -19,7 +19,6 @@ so the hot operations are integer ANDs and ORs.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass
@@ -29,28 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedSpaceError, malformed
-
-_SCHEMA_VERSION = 1
-
-
-def _check_document(doc, what: str) -> dict:
-    """``doc`` if it is a JSON object whose ``schema_version``, when given, is
-    the one this version reads; else :class:`ConfigError` naming ``what``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what}: expected a JSON object")
-    version = doc.get("schema_version", _SCHEMA_VERSION)
-    if isinstance(version, bool) or version != _SCHEMA_VERSION:
-        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
-    return doc
-
-
-def _parse_json(text: str, what: str):
-    """The JSON value ``text`` holds; invalid JSON is a ConfigError naming ``what``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what}: invalid JSON ({exc})") from exc
+from .errors import ConfigError, UnsupportedSpaceError
 
 
 @dataclass(frozen=True)
@@ -234,8 +212,6 @@ class PseudoclosureSpace:
     immutable after construction and safe to share across threads.
     """
 
-    kind = "abstract"
-
     def __init__(self, universe: Universe):
         self.universe = universe
 
@@ -296,9 +272,6 @@ class PseudoclosureSpace:
         space x's balls, not the one intersection :meth:`neighborhoods_of` gives)."""
         raise NotImplementedError
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
 
 # Row strips are sized so that each temporary holds about this many entries.
 # Square arrays sit outside them: extract_adjacency returns an m x m matrix,
@@ -341,8 +314,6 @@ class PrefilterSpace(PseudoclosureSpace):
     an evaluated set pays only for its new members.  Basis sets lie in the
     space's universe.
     """
-
-    kind = "prefilter"
 
     def __init__(self, universe: Universe, basis: NeighborhoodBasis):
         super().__init__(universe)
@@ -400,14 +371,6 @@ class PrefilterSpace(PseudoclosureSpace):
             union |= b.mask
         return union & ~(1 << x)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": _SCHEMA_VERSION,
-            "universe": [self.universe.label_of(i) for i in range(self.size)],
-            "kind": self.kind,
-            "bases": [[sorted(b) for b in row] for row in self.basis.sets],
-        }
-
 
 class FilterSpace(PrefilterSpace):
     """Neighborhood space whose basis sets are intersected before testing.
@@ -416,8 +379,6 @@ class FilterSpace(PrefilterSpace):
     the generated family is stable under intersection and has a single-set
     basis.  That is a prefilter space with one slot: the intersections.
     """
-
-    kind = "filter"
 
     def __init__(self, universe: Universe, basis: NeighborhoodBasis):
         self._intersection_masks = [
@@ -441,8 +402,6 @@ class GraphSpace(PrefilterSpace):
     off the edge lists, so no n x n bit matrix is transposed.
     """
 
-    kind = "graph"
-
     def __init__(self, universe: Universe, edges: Sequence[Sequence[int]]):
         n = universe.size
         if len(edges) != n:
@@ -464,32 +423,6 @@ class GraphSpace(PrefilterSpace):
 
     def neighbor_mask(self, x: int) -> int:
         return self._closed_succ[x] & ~(1 << x)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": _SCHEMA_VERSION,
-            "universe": [self.universe.label_of(i) for i in range(self.size)],
-            "kind": self.kind,
-            "edges": [list(t) for t in self.edges],
-        }
-
-
-def space_from_json_dict(doc: dict) -> PseudoclosureSpace:
-    _check_document(doc, "space document")
-    with malformed("space document"):
-        universe = Universe.with_labels(list(doc["universe"]))
-        kind = doc["kind"]
-        if kind == "graph":
-            return GraphSpace(universe, doc["edges"])
-        if kind in ("prefilter", "filter"):
-            basis = NeighborhoodBasis(tuple(tuple(map(universe.subset, row)) for row in doc["bases"]))
-            cls = PrefilterSpace if kind == "prefilter" else FilterSpace
-            return cls(universe, basis)
-    raise ConfigError(f"unknown space kind {kind!r}")
-
-
-def space_from_json(text: str) -> PseudoclosureSpace:
-    return space_from_json_dict(_parse_json(text, "space document"))
 
 
 class CheckResult(NamedTuple):

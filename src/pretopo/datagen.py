@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .core import _row_blocks
-from .errors import ConfigError, malformed, read_field, read_number
+from .errors import ConfigError, _check_document, malformed, read_field, read_number
 from .rng import _per_element, normals, splitmix64, uniforms
 from .similarity import FeatureTable, _write_item_csv
 
@@ -309,10 +309,8 @@ def waveform_from_dict(doc: dict) -> Waveform:
 def spec_from_dict(doc: dict) -> PointGenSpec | SeriesGenSpec:
     """The generator spec a JSON object describes; a field of the wrong type
     or shape is a :class:`ConfigError` that names the field."""
-    if not isinstance(doc, dict):
-        raise ConfigError("generator spec must be a JSON object")
-    kind = doc.get("kind")
     what = "generator spec"
+    kind = _check_document(doc, what).get("kind")
     with malformed(what):
         seed = read_field(doc, "rng_seed", what, int, 0)
         if kind == "points":

@@ -61,6 +61,21 @@ def malformed(what: str):
         raise ConfigError(f"{what}: {exc!r}") from exc
 
 
+_SCHEMA_VERSION = 1
+
+
+def _check_document(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object whose ``schema_version``, when given, is
+    the one this version reads; else :class:`ConfigError` naming ``what``.
+    Every reader of a JSON document applies it once, before reading a key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    version = doc.get("schema_version", _SCHEMA_VERSION)
+    if isinstance(version, bool) or version != _SCHEMA_VERSION:
+        raise ConfigError(f"{what}: unsupported schema_version {version!r}")
+    return doc
+
+
 class DataError(PretopoError):
     """Input data violates a contract (ordering, ranges, coverage)."""
 

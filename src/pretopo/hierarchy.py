@@ -22,16 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _SCHEMA_VERSION,
     ElementSet,
     PseudoclosureSpace,
     Universe,
-    _check_document,
     _kth_set_bit,
     _row_blocks,
     unpack_masks,
 )
-from .errors import ConfigError, malformed, read_field, read_number
+from .errors import _SCHEMA_VERSION, ConfigError, _check_document, malformed, read_field, read_number
 from .similarity import Criterion, FeatureTable, _write_item_csv
 
 

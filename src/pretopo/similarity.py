@@ -323,8 +323,19 @@ class EuclideanBall:
             raise ConfigError("euclidean criterion needs a position feature")
 
         def euclidean_rows(lo: int, hi: int) -> np.ndarray:
-            diff = table.positions[lo:hi, None, :] - table.positions[None, :, :]
-            return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            with np.errstate(over="ignore"):
+                diff = table.positions[lo:hi, None, :] - table.positions[None, :, :]
+                squares = np.einsum("ijk,ijk->ij", diff, diff)
+                rows = np.sqrt(squares)
+                # a sum of squares that overflowed, or fell below the normal range
+                # and lost bits, is redone from its differences divided by the
+                # power of two of their largest magnitude, and scaled back
+                redo = np.nonzero((squares < np.finfo(np.float64).tiny) | (squares == np.inf))
+                part = diff[redo]
+                _, exponents = np.frexp(np.abs(part).max(axis=1))
+                part = np.ldexp(part, -exponents[:, None])
+                rows[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", part, part)), exponents)
+            return rows
 
         return euclidean_rows
 

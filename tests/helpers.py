@@ -7,6 +7,7 @@ the code paths they check.
 import csv
 import math
 import random
+import sys
 
 import numpy as np
 
@@ -132,8 +133,22 @@ def brute_force_pairwise_matrix(table, criterion):
             raise ConfigError("euclidean criterion needs a position feature")
         pts = np.asarray(table.positions, dtype=np.float64).reshape(n, -1)
         diff = pts[:, None, :] - pts[None, :, :]
-        out = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(out, 0.0)
+        sums = np.einsum("ijk,ijk->ij", diff, diff)
+        out = np.sqrt(sums)
+        # a sum that overflowed or left the normal range, redone pair by pair
+        # from the differences divided by the power of two of the largest
+        for i in range(n):
+            for j in range(n):
+                if not sys.float_info.min <= sums[i, j] < math.inf:
+                    exponent = math.frexp(max(abs(float(c)) for c in diff[i, j]))[1]
+                    total = 0.0
+                    for c in diff[i, j]:
+                        scaled = math.ldexp(float(c), -exponent)
+                        total += scaled * scaled
+                    try:
+                        out[i, j] = math.ldexp(math.sqrt(total), exponent)
+                    except OverflowError:
+                        out[i, j] = math.inf
         return out
     if isinstance(criterion, SizeBall):
         if table.sizes is None:

@@ -657,6 +657,31 @@ class TestPearsonScale:
         }
 
 
+class TestEuclideanScale:
+    """Distances do not depend on the scale of the positions."""
+
+    # at 1e200 the squares overflow, at 1e-170 they underflow; beside 1e200,
+    # the differences among 0, 1 and 5 must keep their own scale
+    @pytest.mark.parametrize("xs, radius, clusters", [
+        ((0, 1, 5), 2, b"0,0\r\n1,0\r\n2,-1\r\n"),
+        ((0, 1e200, 5e200), 2e200, b"0,0\r\n1,0\r\n2,-1\r\n"),
+        ((0, 1e-170, 5e-170), 2e-170, b"0,0\r\n1,0\r\n2,-1\r\n"),
+        ((0, 1, 5, 1e200), 2, b"0,0\r\n1,0\r\n2,-1\r\n3,-1\r\n"),
+    ], ids=["unit", "huge", "tiny", "mixed"])
+    def test_items_cluster_at_any_scale(self, tmp_path, capsys, monkeypatch, xs, radius, clusters):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "features.csv").write_text("x,y\n" + "".join(f"{x!r},0\n" for x in xs))
+        (tmp_path / "cfg.json").write_text(
+            features_config("features.csv", {"kind": "euclidean", "radius": radius}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "cluster", "--config", "cfg.json", "--out-dir", "o")
+        assert (code, err) == (0, "")
+        assert (tmp_path / "o" / "assignment.csv").read_bytes() == (
+            b"item_id,cluster_id\r\n" + clusters
+        )
+
+
 class TestPlanCluster:
     @pytest.mark.parametrize("dataset, criteria", [
         ({"kind": "features", "path": "features.csv"}, [{"kind": "euclidean", "radius": 2.0}]),
@@ -1135,6 +1160,26 @@ class TestRender:
         assert code == 0
         assert "#000000" in svg_path.read_text()
 
+    # a span from -1e308 to 1e308 overflows the float range; a zero span
+    # counts as one unit of the input, at any scale
+    @pytest.mark.parametrize("rows, centres", [
+        ("-1e308,0\n1e308,0\n0,0\n", [("40.00", "440.00"), ("600.00", "440.00"), ("320.00", "440.00")]),
+        ("2,0\n2,1e-3\n2,5e-4\n", [("40.00", "440.00"), ("40.00", "439.44"), ("40.00", "439.72")]),
+        ("1e308,-1e308\n", [("40.00", "440.00")]),
+    ], ids=["huge-span", "vertical-line", "one-huge-point"])
+    def test_svg_coordinates_at_any_scale(self, tmp_path, capsys, rows, centres):
+        features_csv = tmp_path / "f.csv"
+        features_csv.write_text("x,y\n" + rows)
+        assignment = tmp_path / "a.csv"
+        assignment.write_text("item_id,cluster_id\n" + "".join(f"{i},0\n" for i in range(len(centres))))
+        svg_path = tmp_path / "plot.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "render", "--assignment", str(assignment),
+                               "--features", str(features_csv), "--svg", str(svg_path))
+        assert (code, err) == (0, "")
+        assert re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg_path.read_text()) == centres
+
     def test_repeated_item_id_exits_2(self, tmp_path, capsys):
         features_csv = tmp_path / "f.csv"
         features_csv.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
@@ -1322,6 +1367,14 @@ def features_config(path, criterion, **options):
 @pytest.mark.parametrize("files, argv, message", [
     ({"c.json": "[]"}, ["cluster", "--config", "c.json", "--out-dir", "out"],
      "cluster config: expected a JSON object"),
+    ({"c.json": "{"}, ["cluster", "--config", "c.json", "--out-dir", "out"],
+     "cluster config: invalid JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1))"),
+    ({"c.json": json.dumps({"dataset": {"kind": "generate",
+                                        "spec": dict(POINTS_SPEC, schema_version=2)},
+                            "criteria": [{"kind": "euclidean", "radius": 2.0}]})},
+     ["cluster", "--config", "c.json", "--out-dir", "out"],
+     "generator spec: unsupported schema_version 2"),
     ({}, ["cluster", "--config", "missing.json", "--out-dir", "out"],
      "No such file or directory"),
     ({"a.csv": "", "l.csv": LABELS_CSV}, ["eval", "--assignment", "a.csv", "--labels", "l.csv"],
@@ -1372,7 +1425,8 @@ def features_config(path, criterion, **options):
     (RENDER_INPUTS, [*RENDER_BOTH, "./same.out"],
      "--dot './same.out' names the same file as --svg 'same.out'"),
 ], ids=[
-    "cluster-config-list", "cluster-config-missing", "eval-empty-csv", "eval-one-column-row",
+    "cluster-config-list", "cluster-config-invalid-json", "cluster-generate-spec-version",
+    "cluster-config-missing", "eval-empty-csv", "eval-one-column-row",
     "eval-directory", "svg-without-features", "features-without-xy", "item-count-differs",
     "non-integer-cluster-id", "missing-item-id", "dot-without-hierarchy", "series-count-0",
     "series-length-1", "negative-noise-sigma", "size-criterion-without-sizes", "missing-series-channel",

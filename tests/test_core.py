@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -28,8 +27,6 @@ from pretopo import (
     check_singleton_union,
     core,
     reconstruct_neighborhoods,
-    space_from_json,
-    space_from_json_dict,
 )
 from pretopo.core import _kth_set_bit
 
@@ -287,29 +284,6 @@ class TestAxioms:
         assert space.pseudoclosure(space.universe.empty_set()) == space.universe.empty_set()
 
 
-class TestSerialization:
-    def test_json_round_trip_all_kinds(self):
-        rng = random.Random(31)
-        spaces = [
-            random_prefilter_space(rng, 5),
-            random_graph_space(rng, 5),
-        ]
-        pre = random_prefilter_space(rng, 4)
-        spaces.append(FilterSpace(pre.universe, pre.basis))
-        for space in spaces:
-            restored = space_from_json(json.dumps(space.to_json_dict(), sort_keys=True))
-            assert restored.kind == space.kind
-            assert restored.size == space.size
-            for a in all_subsets(space.size):
-                assert restored.pseudoclosure(a) == space.pseudoclosure(a)
-
-    def test_labels_survive(self):
-        g = GraphSpace(Universe.with_labels(["x", "y"]), [[1], []])
-        doc = g.to_json_dict()
-        assert doc["universe"] == ["x", "y"]
-        assert doc["edges"] == [[1], []]
-
-
 class TestKthSetBit:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -335,6 +309,9 @@ OTHER_UNIVERSE_BASIS = NeighborhoodBasis(((ElementSet(3, 0b101),), (ElementSet(3
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Universe(-1), ValueError, "universe size must be >= 0, got -1"),
     (lambda: Universe(2, ("a",)), ValueError, "label count does not match universe size"),
+    (lambda: Universe(2, ("a", "a")), ValueError, "labels must be unique"),
+    (lambda: ElementSet.from_members(1, [3]), ValueError,
+     "item index 3 out of range for universe of size 1"),
     (lambda: ElementSet(3, 1) | ElementSet(4, 1), ValueError,
      "element sets belong to universes of different size"),
     (lambda: NeighborhoodBasis(((),)), ValueError, "item 0 has an empty basis list"),
@@ -346,41 +323,12 @@ OTHER_UNIVERSE_BASIS = NeighborhoodBasis(((ElementSet(3, 0b101),), (ElementSet(3
      "basis sets lie outside the space's universe of size 2"),
     (lambda: GraphSpace(Universe(2), [[1]]), ValueError, "adjacency list does not cover the universe"),
     (lambda: GraphSpace(Universe(2), [[2], []]), ValueError, "edge 0->2 leaves the universe"),
-    (lambda: space_from_json_dict({"kind": "graph"}), ConfigError,
-     "space document is missing 'universe'"),
-    (lambda: space_from_json_dict({"universe": ["a", "b"], "kind": "graph", "edges": [[]]}),
-     ConfigError, "space document: ValueError('adjacency list does not cover the universe')"),
-    (lambda: space_from_json_dict({"universe": ["a"], "kind": "prefilter", "bases": []}),
-     ConfigError, "space document: ValueError('basis does not cover the universe')"),
-    (lambda: space_from_json_dict({"universe": [], "kind": "tree"}), ConfigError,
-     "unknown space kind 'tree'"),
-    (lambda: space_from_json_dict({"universe": ["a"], "kind": "prefilter", "bases": [[[3]]]}),
-     ConfigError,
-     "space document: ValueError('item index 3 out of range for universe of size 1')"),
-    (lambda: space_from_json_dict({"universe": ["a"], "kind": "graph", "edges": [[5]]}),
-     ConfigError, "space document: ValueError('edge 0->5 leaves the universe')"),
-    (lambda: space_from_json_dict({"universe": 5, "kind": "graph"}), ConfigError,
-     "space document: TypeError(\"'int' object is not iterable\")"),
-    (lambda: space_from_json_dict({"universe": ["a", "a"], "kind": "graph", "edges": [[], []]}),
-     ConfigError, "space document: ValueError('labels must be unique')"),
-    (lambda: space_from_json_dict({"universe": [{}], "kind": "graph", "edges": [[]]}),
-     ConfigError, "space document: TypeError(\"unhashable type: 'dict'\")"),
-    (lambda: space_from_json_dict({"schema_version": 99, "universe": ["a"], "kind": "graph",
-                                   "edges": [[]]}),
-     ConfigError, "space document: unsupported schema_version 99"),
-    (lambda: space_from_json_dict(["a"]), ConfigError, "space document: expected a JSON object"),
-    (lambda: space_from_json("{"), ConfigError,
-     "space document: invalid JSON (Expecting property name enclosed in double quotes: "
-     "line 1 column 2 (char 1))"),
     (lambda: reconstruct_neighborhoods(GraphSpace(Universe(13), [[]] * 13)), ConfigError,
      "neighborhood reconstruction is exponential; universe of 13 items exceeds 12"),
-], ids=["universe-negative-size", "universe-label-count", "elementset-universes",
+], ids=["universe-negative-size", "universe-label-count", "universe-duplicate-labels",
+        "member-out-of-range", "elementset-universes",
         "empty-basis-list", "prefilter-basis-cover", "prefilter-basis-universe",
         "filter-basis-universe", "graph-edge-list-length", "graph-edge-leaves",
-        "json-missing-key", "json-graph-edge-count", "json-basis-count", "json-unknown-kind",
-        "json-member-out-of-range", "json-edge-out-of-range", "json-universe-not-a-list",
-        "json-duplicate-labels", "json-unhashable-label",
-        "json-unsupported-schema-version", "json-not-an-object", "json-invalid-text",
         "reconstruct-too-large"])
 def test_invalid_input_raises(call, error, message):
     with pytest.raises(error) as exc_info:

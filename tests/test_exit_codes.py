@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretopo.cli import main, plan_cluster, run
-from pretopo.core import space_from_json_dict
 from pretopo.datagen import spec_from_dict, waveform_from_dict
 from pretopo.errors import ConfigError, PretopoError
 from pretopo.hierarchy import QuasiHierarchy
@@ -153,7 +152,6 @@ READERS = [
     (raw_series_options, ["rho", "resolutions", "aggregate"], False),
     (QuasiHierarchy.from_json_dict, ["schema_version", "universe_size", "sets", "edges", "roots",
                                      "threshold"], True),
-    (space_from_json_dict, ["schema_version", "universe", "kind", "edges", "bases"], True),
 ]
 # nested objects draw their keys from every reader's fields and the nested
 # objects' own: a dataset, a point group, a series cluster
@@ -162,7 +160,7 @@ KEYS = sorted({key for _, keys, _ in READERS for key in keys} | {
     "noise_sigma",
 })
 WORDS = [
-    "graph", "prefilter", "filter", "points", "series", "sine", "square", "trend", "mix",
+    "prefilter", "filter", "points", "series", "sine", "square", "trend", "mix",
     "euclidean", "size", "pearson", "generate", "features", "raw_series", "closest_node",
     "random_neighbor", "lowest_index", "random", "half_hour", "day", "week", "month", "mean",
     "sum", "a", "b",
@@ -203,10 +201,8 @@ def test_json_readers_raise_only_pretopo_errors(data, reader, keys, any_value):
     (criterion_from_dict, {"kind": "pearson"}, "criterion 'pearson' is missing 'threshold'"),
     (spec_from_dict, {"kind": "points"}, "generator spec is missing 'groups'"),
     (waveform_from_dict, {"kind": "sine"}, "waveform spec 'sine' is missing 'period'"),
-    (space_from_json_dict, {"universe": ["a"], "kind": "prefilter"},
-     "space document is missing 'bases'"),
     (QuasiHierarchy.from_json_dict, {"universe_size": 1}, "hierarchy json is missing 'sets'"),
-], ids=["criterion", "generator-spec", "waveform-spec", "space-bases", "hierarchy-sets"])
+], ids=["criterion", "generator-spec", "waveform-spec", "hierarchy-sets"])
 def test_missing_key_names_the_reader_and_the_key(reader, doc, message):
     with pytest.raises(ConfigError) as exc_info:
         reader(doc)

@@ -143,17 +143,17 @@ class TestClosestWalkOracle:
         assert ClosestNode(EuclideanBall(1.0)).walker(space, table, 2)(0) == [2, 4]
 
     def test_non_finite_distances_never_chosen(self):
-        # finite positions 1e200 apart are at distance inf: the square overflows
-        table = FeatureTable(positions=[(0.0, 0.0), (1e200, 0.0), (-1e200, 0.0), (3.0, 0.0)])
+        # finite positions 3e308 apart are at distance inf: beyond the float range
+        table = FeatureTable(positions=[(0.0, 0.0), (1.5e308, 0.0), (-1.5e308, 0.0), (3.0, 0.0)])
         criterion = EuclideanBall(1.0)
+        space = build_basis(table, [criterion])
         with np.errstate(over="ignore"):
-            space = build_basis(table, [criterion])
             matrix = brute_force_pairwise_matrix(table, criterion).tolist()
-            assert matrix[0] == [0.0, math.inf, math.inf, 3.0]
-            for x in range(4):
-                path = ClosestNode(criterion).walker(space, table, 3)(x)
-                assert path == brute_force_closest_walk(matrix, x, 3)
-            assert ClosestNode(criterion).walker(space, table, 3)(0) == [3]
+        assert matrix[1] == [1.5e308, 0.0, math.inf, 1.5e308]
+        for x in range(4):
+            path = ClosestNode(criterion).walker(space, table, 3)(x)
+            assert path == brute_force_closest_walk(matrix, x, 3)
+        assert ClosestNode(criterion).walker(space, table, 3)(0) == [3, 1]
 
     def test_rows_built_once_per_seed_pass(self, monkeypatch):
         space = line_space()  # its balls read the rows too: built before counting

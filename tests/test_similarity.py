@@ -125,6 +125,25 @@ class TestPairwiseMatrix:
 
         assert outcome(np.ldexp(series, shifts[:, None])) == outcome(series)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_euclidean_balls_same_under_power_of_two_scaling(self, data):
+        """Scaling the positions and the radius by 2**k, |k| <= 900, scales
+        every distance bit for bit, so the balls are the same."""
+        n = data.draw(st.integers(1, 6))
+        # multiples of 2**-10 up to about 2**10: every difference is exact
+        value = st.integers(-10**6, 10**6).map(lambda v: v / 1024)
+        positions = np.array(data.draw(st.lists(st.tuples(value, value), min_size=n, max_size=n)))
+        radius = data.draw(st.integers(1, 2 * 10**6)) / 1024
+        k = data.draw(st.integers(-900, 900))
+        table, scaled = FeatureTable(positions=positions), FeatureTable(positions=np.ldexp(positions, k))
+        rows = EuclideanBall(np.ldexp(radius, k)).rows(scaled)(0, n)
+        assert np.array_equal(rows, np.ldexp(EuclideanBall(radius).rows(table)(0, n), k))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(rows, brute_force_pairwise_matrix(scaled, EuclideanBall(radius)))
+        assert (criterion_ball_masks(scaled, EuclideanBall(np.ldexp(radius, k)))
+                == criterion_ball_masks(table, EuclideanBall(radius)))
+
     def test_missing_feature_is_config_error(self):
         t = FeatureTable(series=[[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ConfigError):
