@@ -242,19 +242,31 @@ class PseudoclosureSpace:
         self._require(a)
         return ElementSet(self.size, self._pseudoclosure_mask(a.mask))
 
-    def closure(self, a: ElementSet) -> ElementSet:
-        """Iterate the pseudoclosure until it reaches a fixed point.
+    def _chain(self, a: ElementSet) -> Iterator[int]:
+        """The masks of ``a``'s chain ``a``, ``a(a)``, ``a(a(a))``, ... up
+        to the first fixed point, which is the last.
 
-        Each non-final step strictly grows the set, so the loop ends after
-        at most ``size`` iterations.
+        Each step is grown from the one before with its reach, so it pays
+        only for the members that step added, and a mask is grown when the
+        next one is asked for: a caller that stops after a mask never pays
+        for it.  Each non-final step strictly grows the set, so the chain
+        holds at most ``size + 1`` masks.
         """
         self._require(a)
         mask, parent, reach = a.mask, 0, None
         while True:
+            yield mask
             grown, reach = self.grow(mask, parent, reach)
             if grown == mask:
-                return ElementSet(self.size, mask)
+                return
             mask, parent = grown, mask
+
+    def closure(self, a: ElementSet) -> ElementSet:
+        """The first fixed point met by iterating the pseudoclosure from
+        ``a``: the last set of its chain."""
+        for mask in self._chain(a):
+            pass
+        return ElementSet(self.size, mask)
 
     def interior(self, a: ElementSet) -> ElementSet:
         """Dual operator: complement of the pseudoclosure of the complement."""

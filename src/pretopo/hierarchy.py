@@ -205,34 +205,21 @@ class ClosedFamily:
 
 
 def elementary_closed_subsets(space: PseudoclosureSpace, seeds: list[Seed]) -> ClosedFamily:
-    """Expand every seed to its closure, recording each intermediate set.
+    """Every set met while iterating the pseudoclosure from each seed.
 
-    Sets are bucketed by cardinality and processed smallest-first; since a
-    strict expansion always lands in a strictly larger bucket, every set is
-    treated exactly once.  A queued set waits with the set that grew it
-    and that set's reach, so :meth:`PseudoclosureSpace.grow` pays only for
-    the members the expansion added; the entry is dropped when the set is
-    processed.
+    Each seed's chain (the seed, its pseudoclosure, and so on up to its
+    closure) is walked in seed order and stops at the first set already
+    found: that set's chain was walked to its end when it was found.  So
+    every set is grown exactly once, from the set before it in its chain.
+    A seed over another universe raises ``ValueError``.
     """
-    n = space.size
-    # per cardinality: (mask, parent mask, parent reach) of each queued set
-    buckets: list[list[tuple]] = [[] for _ in range(n + 1)]
     seen: set[int] = set()
-
-    def insert(mask: int, parent: int, reach):
-        if mask not in seen:
-            seen.add(mask)
-            buckets[mask.bit_count()].append((mask, parent, reach))
-
     for seed in seeds:
-        insert(seed.members.mask, 0, None)
-    for queued in buckets:
-        while queued:
-            mask, parent, parent_reach = queued.pop()
-            grown, reach = space.grow(mask, parent, parent_reach)
-            if grown != mask:
-                insert(grown, mask, reach)
-    return ClosedFamily(ElementSet(n, m) for m in seen)
+        for mask in space._chain(seed.members):
+            if mask in seen:
+                break
+            seen.add(mask)
+    return ClosedFamily(ElementSet(space.size, m) for m in seen)
 
 
 def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,8 +422,12 @@ def extract_quasihierarchy(
     :func:`extract_adjacency` makes it: both scans then only read pairs
     inside one of the family's overlap components, in row strips, without
     copying an m x m or survivor x survivor array.  Edges come out in the
-    row-major pair order of a scan over the survivors.
+    row-major pair order of a scan over the survivors.  An ``adjacency``
+    that is not m x m for the family's m sets raises ``ValueError``.
     """
+    m = len(family)
+    if np.shape(adjacency) != (m, m):
+        raise ValueError(f"adjacency of shape {np.shape(adjacency)} does not fit a family of {m} sets")
 
     def read_strips(components, mutual_at=None):
         # any weights may sit on intersecting pairs: no band
@@ -461,14 +452,17 @@ def _quasihierarchy(
     ``strips(components, mutual_at)`` yields, as :func:`_scored_strips`
     does; nothing is stored between the passes.  By default the weights
     are those of :func:`extract_adjacency`, scored strip by strip from
-    intersection counts, so no m x m array is ever allocated."""
+    intersection counts, so no m x m array is ever allocated.  A
+    ``universe`` whose size is not that of the family's sets raises
+    ``ValueError``."""
     check_quasihierarchy_options(th_qh, tie_break)
     if strips is None:
         strips = functools.partial(_scored_strips, family)
     m = len(family)
     if universe is None:
-        n = family[0].n if m else 0
-        universe = Universe.of_size(n)
+        universe = Universe.of_size(family[0].n if m else 0)
+    elif m and universe.size != family[0].n:
+        raise ValueError(f"universe of size {universe.size} does not fit sets over {family[0].n} items")
 
     sizes = np.array([len(s) for s in family], dtype=np.intp)
     components = [sets for sets in family.overlap_components if len(sets) > 1]

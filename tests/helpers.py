@@ -507,7 +507,7 @@ def csv_writer_to_csv(table, path):
         header.append("size")
     if table.series is not None:
         header += [f"series_{i}" for i in range(len(table.series[0]) if len(table.series) else 0)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(table.n_items):

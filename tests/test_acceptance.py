@@ -49,7 +49,7 @@ def report(criterion, detail):
 
 
 def load_config(name):
-    with open(CONFIG_DIR / name) as fh:
+    with open(CONFIG_DIR / name, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -253,7 +253,7 @@ def test_c8_pipeline_determinism(tmp_path, capsys):
         # features regenerate deterministically for the scatter input
         spec = load_config("points_multicriteria.json")["dataset"]["spec"]
         spec_path = tmp_path / f"{tag}_spec.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
         data_dir = tmp_path / f"{tag}_data"
         assert cli_main(["generate", "--spec", str(spec_path), "--out-dir", str(data_dir)]) == 0
         svg = tmp_path / f"{tag}.svg"
@@ -306,7 +306,7 @@ def test_c9_ingestion_scale_smoke(tmp_path):
     start_epoch = 1609459200  # 2021-01-01T00:00:00Z
     raw_path = tmp_path / "raw.csv"
     stamps = [f",{start_epoch + t * 1800}," for t in range(len(table.series[0]))]
-    with open(raw_path, "w") as fh:
+    with open(raw_path, "w", encoding="utf-8") as fh:
         fh.write("site_id,timestamp,value\n")
         for i in range(n):
             # one "site,<epoch>,<value>" row per reading, formatted in one step

@@ -26,7 +26,7 @@ def run(capsys, *argv):
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -86,7 +86,7 @@ class TestGenerate:
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text("{not json", encoding="utf-8")
         code, _, err = run(capsys, "generate", "--spec", str(bad), "--out-dir", str(tmp_path))
         assert code == 2
         assert "error" in err
@@ -306,7 +306,7 @@ class TestGenerate:
         if name == "points-dense":
             doc = points_dense_spec(seed)
         else:
-            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())["dataset"]["spec"]
+            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))["dataset"]["spec"]
         if name == "series_benchmark" and seed is not None:  # series-walk: 200 series per shape
             doc["rng_seed"] = seed
             for cluster in doc["clusters"]:
@@ -377,7 +377,7 @@ class TestCluster:
 
     def test_empty_dataset_zero_clusters(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
-        empty.write_text("x,y,size\n")
+        empty.write_text("x,y,size\n", encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", cluster_config(str(empty), str(tmp_path / "out")))
         code, out, _ = run(capsys, "cluster", "--config", config)
         assert code == 0
@@ -459,7 +459,7 @@ class TestCluster:
         self, tmp_path, capsys, features_text, key, value
     ):
         features = tmp_path / "f.csv"
-        features.write_text(features_text)
+        features.write_text(features_text, encoding="utf-8")
         doc = cluster_config(str(features), str(tmp_path / "out"))
         doc[key] = value
         config = write_json(tmp_path / "cfg.json", doc)
@@ -472,10 +472,10 @@ class TestCluster:
     def test_overflowing_radius_exits_2(self, tmp_path, capsys):
         # Python's JSON reader reads 1e400 as inf
         features = tmp_path / "f.csv"
-        features.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        features.write_text("x,y\n0.0,0.0\n1.0,0.0\n", encoding="utf-8")
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cluster_config(str(features), str(tmp_path / "out")))
-                          .replace('"radius": 2.0', '"radius": 1e400'))
+                          .replace('"radius": 2.0', '"radius": 1e400'), encoding="utf-8")
         code, out, err = run(capsys, "cluster", "--config", str(config))
         assert (code, out) == (2, "")
         assert json.loads(err) == {
@@ -490,7 +490,7 @@ class TestCluster:
         self, tmp_path, capsys, features_text
     ):
         features = tmp_path / "f.csv"
-        features.write_text(features_text)
+        features.write_text(features_text, encoding="utf-8")
         doc = cluster_config(str(features), str(tmp_path / "out"))
         doc.update(criteria=[], seed_func="random_neighbor")
         config = write_json(tmp_path / "cfg.json", doc)
@@ -514,7 +514,7 @@ class TestCluster:
 
     def features_run(self, tmp_path, capsys, text):
         features = tmp_path / "f.csv"
-        features.write_text(text)
+        features.write_text(text, encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", cluster_config(str(features), str(tmp_path / "out")))
         code, _, err = run(capsys, "cluster", "--config", config)
         return code, json.loads(err) if err else None
@@ -580,7 +580,7 @@ class TestCluster:
             for d in range(400):
                 rows.append(f"{site},{d * 86400},{1.0 + 0.3 * (d % pattern)}")
         raw = tmp_path / "raw.csv"
-        raw.write_text("\n".join(rows) + "\n")
+        raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", {
             "dataset": {
                 "kind": "raw_series",
@@ -597,7 +597,7 @@ class TestCluster:
         summary = json.loads(out)
         assert summary["clusters"] == 1
         assert summary["outliers"] == 1
-        text = (tmp_path / "o" / "assignment.csv").read_text()
+        text = (tmp_path / "o" / "assignment.csv").read_text(encoding="utf-8")
         assert "a,0" in text and "b,0" in text and "c,-1" in text
 
 
@@ -611,10 +611,10 @@ class TestPearsonScale:
         features = tmp_path / "features.csv"
         rows = [(1, 2, 3), (1, 2, 3.1), (3, 1, 2)]
         features.write_text("series_0,series_1,series_2\n" + "".join(
-            ",".join(repr(v * scale) for v in row) + "\n" for row in rows))
+            ",".join(repr(v * scale) for v in row) + "\n" for row in rows), encoding="utf-8")
         config = tmp_path / "cfg.json"
         config.write_text(features_config(
-            str(features), {"kind": "pearson", "threshold": 0.9}, seed_func="random_neighbor", d=1))
+            str(features), {"kind": "pearson", "threshold": 0.9}, seed_func="random_neighbor", d=1), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "cluster", "--config", str(config), "--out-dir", "o")
@@ -630,7 +630,7 @@ class TestPearsonScale:
             rows += [f"{site},{day * 86400},{0.0 if site == 'closed' else 1.0 + day % (5 + k)}"
                      for day in range(60)]
         raw = tmp_path / "raw.csv"
-        raw.write_text("\n".join(rows) + "\n")
+        raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", {
             "dataset": {"kind": "raw_series", "path": str(raw),
                         "resolutions": ["day", "week"], "rho": 0.5},
@@ -646,10 +646,10 @@ class TestPearsonScale:
 
     def test_constant_feature_series_names_its_index(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
-        features.write_text("series_0,series_1\n1,2\n4,4\n")
+        features.write_text("series_0,series_1\n1,2\n4,4\n", encoding="utf-8")
         config = tmp_path / "cfg.json"
         config.write_text(features_config(
-            str(features), {"kind": "pearson", "threshold": 0.9}, seed_func="random_neighbor"))
+            str(features), {"kind": "pearson", "threshold": 0.9}, seed_func="random_neighbor"), encoding="utf-8")
         code, out, err = run(capsys, "cluster", "--config", str(config), "--out-dir", str(tmp_path / "o"))
         assert (code, out) == (3, "")
         assert json.loads(err) == {
@@ -670,9 +670,9 @@ class TestEuclideanScale:
     ], ids=["unit", "huge", "tiny", "mixed"])
     def test_items_cluster_at_any_scale(self, tmp_path, capsys, monkeypatch, xs, radius, clusters):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "features.csv").write_text("x,y\n" + "".join(f"{x!r},0\n" for x in xs))
+        (tmp_path / "features.csv").write_text("x,y\n" + "".join(f"{x!r},0\n" for x in xs), encoding="utf-8")
         (tmp_path / "cfg.json").write_text(
-            features_config("features.csv", {"kind": "euclidean", "radius": radius}))
+            features_config("features.csv", {"kind": "euclidean", "radius": radius}), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "cluster", "--config", "cfg.json", "--out-dir", "o")
@@ -720,7 +720,7 @@ class TestNonFiniteReadings:
     @pytest.mark.parametrize("reading", ["a,86400,nan", "a,86400,inf", "a,nan,1.0"])
     def test_ingest_exits_3(self, tmp_path, capsys, reading):
         raw = tmp_path / "raw.csv"
-        raw.write_text(f"site_id,timestamp,value\na,0,1.0\n{reading}\nb,0,1.0\nb,86400,2.0\n")
+        raw.write_text(f"site_id,timestamp,value\na,0,1.0\n{reading}\nb,0,1.0\nb,86400,2.0\n", encoding="utf-8")
         code, out, err = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "o"))
         assert code == 3
         assert out == ""
@@ -736,7 +736,7 @@ class TestNonFiniteReadings:
             rows += [f"{site},{d * 86400},{1.0 + d % 7}" for d in range(60)]
         rows[10] = "a,777600,nan"
         raw = tmp_path / "raw.csv"
-        raw.write_text("\n".join(rows) + "\n")
+        raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", {
             "dataset": {"kind": "raw_series", "path": str(raw),
                         "resolutions": ["day", "week"], "rho": 0.5},
@@ -755,7 +755,7 @@ class TestOversizedCsvField:
 
     def write_raw(self, tmp_path):
         raw = tmp_path / "raw.csv"
-        raw.write_text("site_id,timestamp,value\n" + self.LONG + ",0,1.0\n")
+        raw.write_text("site_id,timestamp,value\n" + self.LONG + ",0,1.0\n", encoding="utf-8")
         return raw
 
     def test_ingest_exits_2(self, tmp_path, capsys):
@@ -792,7 +792,7 @@ class TestOversizedCsvField:
 
     def test_features_cluster_exits_2(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
-        features.write_text(f"x,y,size\n0.0,0.0,1.0\n1.0,0.0,{self.LONG}\n")
+        features.write_text(f"x,y,size\n0.0,0.0,1.0\n1.0,0.0,{self.LONG}\n", encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", cluster_config(str(features), str(tmp_path / "o")))
         self.assert_parse_error(run(capsys, "cluster", "--config", config), 3, features)
         assert not (tmp_path / "o").exists()
@@ -802,8 +802,8 @@ class TestOversizedCsvField:
         paths = {}
         for name in ("assignment", "labels"):
             paths[name] = tmp_path / f"{name}.csv"
-            paths[name].write_text("item_id,cluster_id\n0,0\n1,0\n")
-        paths[which].write_text(f"item_id,cluster_id\n{self.LONG},0\n")
+            paths[name].write_text("item_id,cluster_id\n0,0\n1,0\n", encoding="utf-8")
+        paths[which].write_text(f"item_id,cluster_id\n{self.LONG},0\n", encoding="utf-8")
         result = run(capsys, "eval", "--assignment", str(paths["assignment"]),
                      "--labels", str(paths["labels"]))
         self.assert_parse_error(result, 2, paths[which])
@@ -811,9 +811,9 @@ class TestOversizedCsvField:
     @pytest.mark.parametrize("which", ["assignment", "features"])
     def test_render_svg_exits_2(self, tmp_path, capsys, which):
         paths = {"assignment": tmp_path / "a.csv", "features": tmp_path / "f.csv"}
-        paths["assignment"].write_text("item_id,cluster_id\n0,0\n")
-        paths["features"].write_text("x,y\n0.0,0.0\n")
-        paths[which].write_text(paths[which].read_text() + self.LONG + "\n")
+        paths["assignment"].write_text("item_id,cluster_id\n0,0\n", encoding="utf-8")
+        paths["features"].write_text("x,y\n0.0,0.0\n", encoding="utf-8")
+        paths[which].write_text(paths[which].read_text(encoding="utf-8") + self.LONG + "\n", encoding="utf-8")
         svg = tmp_path / "plot.svg"
         result = run(capsys, "render", "--assignment", str(paths["assignment"]),
                      "--features", str(paths["features"]), "--svg", str(svg))
@@ -862,7 +862,7 @@ def write_inputs(work):
                                       "edges": [], "roots": [0]}),
     }
     for name, text in files.items():
-        (work / name).write_text(text)
+        (work / name).write_text(text, encoding="utf-8")
 
 
 class TestNonUtf8Input:
@@ -1012,7 +1012,7 @@ class TestTextEncoding:
         result = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-c", ENCODING_PROBE, str(SRC), json.dumps(runs)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [0] * len(runs)
@@ -1040,7 +1040,7 @@ class TestRawSeriesOptions:
     def test_bad_option_exits_2_before_readings_are_read(self, tmp_path, capsys, options):
         # the readings would exit 3 if they were read
         raw = tmp_path / "raw.csv"
-        raw.write_text("site_id,timestamp,value\na,0,nan\n")
+        raw.write_text("site_id,timestamp,value\na,0,nan\n", encoding="utf-8")
         dataset = {"kind": "raw_series", "path": str(raw),
                    "resolutions": ["half_hour"], "rho": 0.8, **options}
         config = write_json(tmp_path / "cfg.json", {"dataset": dataset, "seed_func": "random_neighbor"})
@@ -1053,7 +1053,7 @@ class TestRawSeriesOptions:
     @pytest.mark.parametrize("readings", ["", "a,0,nan\n"], ids=["empty", "non-finite"])
     def test_closest_node_walk_exits_2_before_readings_are_read(self, tmp_path, capsys, readings):
         raw = tmp_path / "raw.csv"
-        raw.write_text("site_id,timestamp,value\n" + readings)
+        raw.write_text("site_id,timestamp,value\n" + readings, encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", {
             "dataset": {"kind": "raw_series", "path": str(raw), "rho": 0.8},
         })
@@ -1071,7 +1071,7 @@ class TestRawSeriesOptions:
         for site in ("a", "b"):
             rows += [f"{site},{d * 86400},{1.0 + d % 7}" for d in range(60)]
         raw = tmp_path / "raw.csv"
-        raw.write_text("\n".join(rows) + "\n")
+        raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = write_json(tmp_path / "cfg.json", {
             "dataset": {"kind": "raw_series", "path": str(raw), "resolutions": ["day", "week"],
                         "rho": {"day": 0.5, "week": 0.5, "month": "unused"}},
@@ -1085,9 +1085,9 @@ class TestRawSeriesOptions:
 class TestEval:
     def test_identical_files_ari_one(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
-        a.write_text("item_id,cluster_id\n0,0\n1,0\n2,1\n3,1\n")
+        a.write_text("item_id,cluster_id\n0,0\n1,0\n2,1\n3,1\n", encoding="utf-8")
         b = tmp_path / "b.csv"
-        b.write_text("item_id,label\n0,0\n1,0\n2,1\n3,1\n")
+        b.write_text("item_id,label\n0,0\n1,0\n2,1\n3,1\n", encoding="utf-8")
         code, out, _ = run(capsys, "eval", "--assignment", str(a), "--labels", str(b))
         assert code == 0
         doc = json.loads(out)
@@ -1098,9 +1098,9 @@ class TestEval:
         # oracle value: one pair, together in truth, apart in the found
         # labels: a=0,b=1,c=0,d=0 makes the adjusted index 0
         a = tmp_path / "a.csv"
-        a.write_text("item_id,cluster_id\nx,0\ny,1\n")
+        a.write_text("item_id,cluster_id\nx,0\ny,1\n", encoding="utf-8")
         b = tmp_path / "b.csv"
-        b.write_text("item_id,label\nx,5\ny,5\n")
+        b.write_text("item_id,label\nx,5\ny,5\n", encoding="utf-8")
         code, out, _ = run(capsys, "eval", "--assignment", str(a), "--labels", str(b))
         assert code == 0
         assert json.loads(out)["ari"] == 0.0
@@ -1108,10 +1108,10 @@ class TestEval:
     @pytest.mark.parametrize("repeated", ["assignment", "labels"])
     def test_repeated_item_id_exits_2(self, tmp_path, capsys, repeated):
         a = tmp_path / "a.csv"
-        a.write_text("item_id,cluster_id\n0,1\n1,1\n")
+        a.write_text("item_id,cluster_id\n0,1\n1,1\n", encoding="utf-8")
         b = tmp_path / "b.csv"
-        b.write_text("item_id,label\n0,0\n1,1\n")
-        (a if repeated == "assignment" else b).write_text("item_id,x\n0,1\n1,1\n0,2\n")
+        b.write_text("item_id,label\n0,0\n1,1\n", encoding="utf-8")
+        (a if repeated == "assignment" else b).write_text("item_id,x\n0,1\n1,1\n0,2\n", encoding="utf-8")
         code, out, err = run(capsys, "eval", "--assignment", str(a), "--labels", str(b))
         assert code == 2
         assert out == ""
@@ -1122,9 +1122,9 @@ class TestEval:
 
     def test_mismatched_ids_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
-        a.write_text("item_id,cluster_id\n0,0\n1,0\n")
+        a.write_text("item_id,cluster_id\n0,0\n1,0\n", encoding="utf-8")
         b = tmp_path / "b.csv"
-        b.write_text("item_id,label\n0,0\n2,0\n")
+        b.write_text("item_id,label\n0,0\n2,0\n", encoding="utf-8")
         code, _, _ = run(capsys, "eval", "--assignment", str(a), "--labels", str(b))
         assert code == 2
 
@@ -1144,21 +1144,21 @@ class TestRender:
         code, _, _ = run(capsys, "render", "--assignment", str(out / "assignment.csv"),
                          "--features", features, "--svg", str(svg_path))
         assert code == 0
-        svg = svg_path.read_text()
+        svg = svg_path.read_text(encoding="utf-8")
         fills = {part.split('"')[0] for part in svg.split('fill="')[1:]}
         fills.discard("#ffffff")
         assert len(fills) == 2
 
     def test_outliers_black(self, tmp_path, capsys):
         features_csv = tmp_path / "f.csv"
-        features_csv.write_text("x,y\n0.0,0.0\n1.0,0.0\n50.0,0.0\n")
+        features_csv.write_text("x,y\n0.0,0.0\n1.0,0.0\n50.0,0.0\n", encoding="utf-8")
         assignment = tmp_path / "a.csv"
-        assignment.write_text("item_id,cluster_id\n0,0\n1,0\n2,-1\n")
+        assignment.write_text("item_id,cluster_id\n0,0\n1,0\n2,-1\n", encoding="utf-8")
         svg_path = tmp_path / "plot.svg"
         code, _, _ = run(capsys, "render", "--assignment", str(assignment),
                          "--features", str(features_csv), "--svg", str(svg_path))
         assert code == 0
-        assert "#000000" in svg_path.read_text()
+        assert "#000000" in svg_path.read_text(encoding="utf-8")
 
     # a span from -1e308 to 1e308 overflows the float range; a zero span
     # counts as one unit of the input, at any scale
@@ -1169,22 +1169,22 @@ class TestRender:
     ], ids=["huge-span", "vertical-line", "one-huge-point"])
     def test_svg_coordinates_at_any_scale(self, tmp_path, capsys, rows, centres):
         features_csv = tmp_path / "f.csv"
-        features_csv.write_text("x,y\n" + rows)
+        features_csv.write_text("x,y\n" + rows, encoding="utf-8")
         assignment = tmp_path / "a.csv"
-        assignment.write_text("item_id,cluster_id\n" + "".join(f"{i},0\n" for i in range(len(centres))))
+        assignment.write_text("item_id,cluster_id\n" + "".join(f"{i},0\n" for i in range(len(centres))), encoding="utf-8")
         svg_path = tmp_path / "plot.svg"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run(capsys, "render", "--assignment", str(assignment),
                                "--features", str(features_csv), "--svg", str(svg_path))
         assert (code, err) == (0, "")
-        assert re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg_path.read_text()) == centres
+        assert re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg_path.read_text(encoding="utf-8")) == centres
 
     def test_repeated_item_id_exits_2(self, tmp_path, capsys):
         features_csv = tmp_path / "f.csv"
-        features_csv.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        features_csv.write_text("x,y\n0.0,0.0\n1.0,0.0\n", encoding="utf-8")
         assignment = tmp_path / "a.csv"
-        assignment.write_text("item_id,cluster_id\n0,0\n1,0\n0,1\n")
+        assignment.write_text("item_id,cluster_id\n0,0\n1,0\n0,1\n", encoding="utf-8")
         svg_path = tmp_path / "plot.svg"
         code, out, err = run(capsys, "render", "--assignment", str(assignment),
                              "--features", str(features_csv), "--svg", str(svg_path))
@@ -1201,7 +1201,7 @@ class TestRender:
         hierarchy = tmp_path / "h.json"
         hierarchy.write_text(
             '{"threshold": 0.5, "universe_size": 2, "sets": [[0], [0, 1]], '
-            f'"edges": [[1, 0, {weight}]], "roots": [1]}}'
+            f'"edges": [[1, 0, {weight}]], "roots": [1]}}', encoding="utf-8"
         )
         dot = tmp_path / "t.dot"
         code, out, err = run(capsys, "render", "--hierarchy", str(hierarchy), "--dot", str(dot))
@@ -1225,7 +1225,7 @@ class TestRender:
         dot_path = tmp_path / "t.dot"
         code, _, _ = run(capsys, "render", "--hierarchy", hierarchy, "--dot", str(dot_path))
         assert code == 0
-        dot = dot_path.read_text()
+        dot = dot_path.read_text(encoding="utf-8")
         assert dot.count("->") == 1  # only the size-3 -> size-6 chain survives
         assert "(n=1)" not in dot
 
@@ -1295,7 +1295,7 @@ class TestRender:
         assert code == 0
         assert json.loads(stdout) == {"svg": str(svg_path), "dot": str(dot_path)}
         assert dot_path.read_bytes() == (out / "hierarchy.dot").read_bytes()
-        assert svg_path.read_text().startswith("<svg")
+        assert svg_path.read_text(encoding="utf-8").startswith("<svg")
 
     @pytest.mark.parametrize("bad", ["svg", "dot"])
     @pytest.mark.parametrize("path", ["nodir/out", "existing-dir"])
@@ -1318,14 +1318,14 @@ class TestRender:
 
     def test_svg_of_header_only_inputs_is_empty(self, tmp_path, capsys):
         features_csv = tmp_path / "f.csv"
-        features_csv.write_text("x,y\n")
+        features_csv.write_text("x,y\n", encoding="utf-8")
         assignment = tmp_path / "a.csv"
-        assignment.write_text("item_id,cluster_id\n")
+        assignment.write_text("item_id,cluster_id\n", encoding="utf-8")
         svg_path = tmp_path / "plot.svg"
         code, out, _ = run(capsys, "render", "--assignment", str(assignment),
                            "--features", str(features_csv), "--svg", str(svg_path))
         assert (code, json.loads(out)) == (0, {"svg": str(svg_path)})
-        assert svg_path.read_text() == (
+        assert svg_path.read_text(encoding="utf-8") == (
             '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
             'viewBox="0 0 640 480">\n'
             '<rect width="640" height="480" fill="#ffffff"/>\n'
@@ -1440,7 +1440,7 @@ def test_error_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, fi
         if text is None:
             (tmp_path / name).mkdir(parents=True)
         else:
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
     before = sorted(tmp_path.rglob("*"))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -1459,7 +1459,7 @@ def test_error_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, fi
 def test_ingest_bad_data_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                     readings, options, message):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "r.csv").write_text(readings)
+    (tmp_path / "r.csv").write_text(readings, encoding="utf-8")
     code, out, err = run(capsys, "ingest", "--input", "r.csv", "--out-dir", "out", *options)
     assert (code, out) == (3, "")
     assert "Traceback" not in err
@@ -1483,7 +1483,7 @@ def write_pinned_readings(path):
         ]
     rows += [f"late,{d * 86400},{1.0 + d % 7}" for d in range(100, 120)]
     rows += [f"gap,{d * 86400},{1.0 + d % 7}" for d in [0, *range(3, 120)]]
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -1516,7 +1516,7 @@ class TestIngestCommand:
             for d in range(70):
                 rows.append(f"{site},{d * 86400},{1.0 + (d % 7)}")
         raw = tmp_path / "raw.csv"
-        raw.write_text("\n".join(rows) + "\n")
+        raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
         code, out, _ = run(capsys, "ingest", "--input", str(raw),
                            "--out-dir", str(tmp_path / "res"),
                            "--resolutions", "day", "week")
@@ -1533,7 +1533,7 @@ class TestIngestCommand:
         for site, first in (("A", 0), ("B", 100), ("C", 200)):
             rows += [f"{site},{d * 86400},{1.0 + d % 3}" for d in range(first, first + 11)]
         raw = tmp_path / "raw.csv"
-        raw.write_text("\n".join(rows) + "\n")
+        raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
         code, out, _ = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "res"),
                            "--resolutions", "day")
         assert code == 0
@@ -1545,7 +1545,7 @@ class TestIngestCommand:
     def test_single_bucket_window_exits_2_writing_nothing(self, tmp_path, capsys):
         # A [0,100], B [1000,1100], C [2000,2100]: C's 100 s window holds one half-hour bucket
         raw = tmp_path / "raw.csv"
-        raw.write_text("site_id,timestamp,value\nA,0,1\nA,100,2\nB,1000,1\nB,1100,2\nC,2000,1\nC,2100,2\n")
+        raw.write_text("site_id,timestamp,value\nA,0,1\nA,100,2\nB,1000,1\nB,1100,2\nC,2000,1\nC,2100,2\n", encoding="utf-8")
         code, out, err = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "res"))
         assert code == 2
         assert out == ""
@@ -1558,7 +1558,7 @@ class TestIngestCommand:
 
     def test_empty_input_exits_3(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
-        raw.write_text("site_id,timestamp,value\n")
+        raw.write_text("site_id,timestamp,value\n", encoding="utf-8")
         code, _, _ = run(capsys, "ingest", "--input", str(raw), "--out-dir", str(tmp_path / "res"))
         assert code == 3
 
@@ -1590,7 +1590,7 @@ class TestIngestCommand:
 
     def test_files_are_named_as_out_dir_is_given(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "r.csv").write_text(TWO_DAY_READINGS)
+        (tmp_path / "r.csv").write_text(TWO_DAY_READINGS, encoding="utf-8")
         code, out, _ = run(capsys, "ingest", "--input", "r.csv", "--out-dir", "./x",
                            "--resolutions", "half_hour", "day")
         assert code == 0
@@ -1633,7 +1633,7 @@ class TestDeterminism:
     def test_closest_walk_outputs_pinned(self, tmp_path, capsys):
         """The shipped multi-criteria points config with two closest-node
         steps per seed; no benchmark workload walks with d > 0."""
-        doc = json.loads((CONFIG_DIR / "points_multicriteria.json").read_text())
+        doc = json.loads((CONFIG_DIR / "points_multicriteria.json").read_text(encoding="utf-8"))
         doc["d"] = 2
         out_dir = tmp_path / "out"
         config = write_json(tmp_path / "cfg.json", doc)
@@ -1690,7 +1690,7 @@ class TestDeterminism:
         """The shipped points config in filter mode with two random steps per
         seed: each step draws from the union of the item's balls, not from
         their intersection, which would give 4 clusters, 1 outlier, 31 sets."""
-        doc = json.loads((CONFIG_DIR / "points_multicriteria.json").read_text())
+        doc = json.loads((CONFIG_DIR / "points_multicriteria.json").read_text(encoding="utf-8"))
         doc.update(mode="filter", seed_func="random_neighbor", d=2, rng_seed=5)
         out_dir = tmp_path / "out"
         config = write_json(tmp_path / "cfg.json", doc)
@@ -1707,7 +1707,7 @@ class TestDeterminism:
         """The shipped series config with a random pick among equally large
         equivalent sets, seeded by its rng_seed (11): hierarchy.json differs
         from the lowest-index one."""
-        doc = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
+        doc = json.loads((CONFIG_DIR / "series_benchmark.json").read_text(encoding="utf-8"))
         doc["equivalence_tie_break"] = "random"
         out_dir = tmp_path / "out"
         config = write_json(tmp_path / "cfg.json", doc)
@@ -1768,7 +1768,7 @@ class TestDeterminism:
     ], ids=["features", "raw_series"])
     def test_empty_dataset_outputs_pinned(self, tmp_path, capsys, header, dataset, criteria):
         data = tmp_path / "data.csv"
-        data.write_text(header + "\n")
+        data.write_text(header + "\n", encoding="utf-8")
         doc = {"dataset": dict(dataset, path=str(data)), "criteria": criteria,
                "seed_func": "random_neighbor", "th_qh": 0.75}
         out_dir = tmp_path / "out"

@@ -41,6 +41,7 @@ from pretopo import (
     flatten,
     quasistructural_analysis,
 )
+from pretopo.hierarchy import _quasihierarchy
 
 TOL = 1e-12
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -89,7 +90,7 @@ class TestFindNeighbors:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_random_walk_on_series_benchmark_matches_candidate_list_draw(self, d):
-        config = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
+        config = json.loads((CONFIG_DIR / "series_benchmark.json").read_text(encoding="utf-8"))
         table, _ = datagen.generate(datagen.spec_from_dict(config["dataset"]["spec"]))
         space = build_basis(table, [PearsonBall(config["criteria"][0]["threshold"])])
         rng_seed = config["rng_seed"]
@@ -224,7 +225,14 @@ class TestElementaryClosedSubsets:
         family = elementary_closed_subsets(g, seeds)
         assert [s.members() for s in family] == [[1], [0, 3]]
 
-    def test_every_pseudoclosure_call_lands_in_bigger_bucket(self):
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_seed_over_another_universe_raises(self, n):
+        g = GraphSpace(Universe.of_size(3), [[1], [2], []])
+        seeds = [Seed(0, ElementSet.from_members(3, [0])), Seed(1, ElementSet.from_members(n, [1]))]
+        with pytest.raises(ValueError, match=f"universe of size {n} used with space of size 3"):
+            elementary_closed_subsets(g, seeds)
+
+    def test_family_is_closed_under_the_pseudoclosure(self):
         rng = random.Random(19)
         for _ in range(20):
             space = random_isotone_space(rng, 6)
@@ -293,6 +301,22 @@ class TestExtractQuasihierarchy:
             with pytest.raises(ConfigError):
                 extract_quasihierarchy(family, adj, bad)
 
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_universe_of_another_size_raises(self, size):
+        family = family_of(3, [0, 1], [1, 2])
+        message = f"universe of size {size} does not fit sets over 3 items"
+        with pytest.raises(ValueError, match=message):
+            extract_quasihierarchy(family, extract_adjacency(family), 0.5, Universe.of_size(size))
+        with pytest.raises(ValueError, match=message):
+            _quasihierarchy(family, 0.5, Universe.of_size(size))
+
+    @pytest.mark.parametrize("side", [1, 5])
+    def test_adjacency_of_another_shape_raises(self, side):
+        family = family_of(3, [0, 1], [1, 2])
+        adj = np.ones((side, side))
+        with pytest.raises(ValueError, match=rf"adjacency of shape \({side}, {side}\) does not fit a family of 2 sets"):
+            extract_quasihierarchy(family, adj, 0.5)
+
     def test_disjoint_sets_all_roots(self):
         family = family_of(6, [0, 1], [2, 3], [4, 5])
         h = extract_quasihierarchy(family, extract_adjacency(family), 0.5)
@@ -357,7 +381,7 @@ class TestQuasistructuralAnalysis:
         """The shipped series config with a random tie-break: the pick draws
         from tie_rng_seed, 0 whether passed or by default, not from the
         walk's seed (11)."""
-        config = json.loads((CONFIG_DIR / "series_benchmark.json").read_text())
+        config = json.loads((CONFIG_DIR / "series_benchmark.json").read_text(encoding="utf-8"))
         table, _ = datagen.generate(datagen.spec_from_dict(config["dataset"]["spec"]))
         space = build_basis(table, [PearsonBall(config["criteria"][0]["threshold"])])
         walk = RandomNeighbor(config["rng_seed"])
@@ -524,7 +548,7 @@ class TestDeterminismAndExport:
         _, res = self._run()
         path = tmp_path / "assignment.csv"
         res.to_csv(path)
-        rows = path.read_text().strip().splitlines()
+        rows = path.read_text(encoding="utf-8").strip().splitlines()
         assert rows[0] == "item_id,cluster_id"
         assert len(rows) == 7
 

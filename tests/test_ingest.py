@@ -29,7 +29,7 @@ DAY = 86400.0
 
 def write(tmp_path, text, name="raw.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 

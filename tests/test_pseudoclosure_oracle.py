@@ -7,12 +7,14 @@ import random
 import pytest
 
 from helpers import (
+    OddBumpSpace,
     brute_force_family,
     brute_force_pseudoclosure_filter,
     brute_force_pseudoclosure_graph,
     brute_force_pseudoclosure_prefilter,
     random_filter_space,
     random_graph_space,
+    random_isotone_space,
     random_prefilter_space,
 )
 from pretopo import (
@@ -130,6 +132,16 @@ def closed_family_masks(space, seed_masks):
     return sorted(s.mask for s in elementary_closed_subsets(space, seeds))
 
 
+def counted_family_masks(space, seed_masks):
+    """:func:`closed_family_masks` and the number of ``grow`` calls it made."""
+    grow, calls = space.grow, []
+    space.grow = lambda *args: calls.append(args) or grow(*args)
+    try:
+        return closed_family_masks(space, seed_masks), len(calls)
+    finally:
+        del space.grow
+
+
 def same_operator_spaces(edges):
     """A graph space and the prefilter and filter spaces with its operator:
     x joins a(A) when A meets {x} plus x's predecessors."""
@@ -162,6 +174,32 @@ def test_family_matches_operator_growth_for_every_kind(n):
         assert closed_family_masks(space, seed_masks) == sorted(expected)
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_family_same_for_every_seed_order(n):
+    """The family does not depend on the order of the seeds or on repeats
+    among them, each of its sets is grown once, and it holds every seed's
+    closure, the last and largest set of the seed's chain; on every kind,
+    isotone or not."""
+    rng = random.Random(6000 + n)
+    kinds = growth_spaces(n) + [random_isotone_space(rng, n) for _ in range(3)]
+    kinds.append(OddBumpSpace(Universe.of_size(n)))
+    for space in kinds:
+        seed_masks = [(1 << x) | (1 << rng.randrange(n)) for x in range(n)]
+        expected = sorted(brute_force_family(space._pseudoclosure_mask, seed_masks))
+        shuffled = rng.sample(seed_masks, n)
+        repeated = rng.sample(seed_masks * 2, 2 * n)
+        for order in (seed_masks, seed_masks[::-1], shuffled, repeated):
+            assert counted_family_masks(space, order) == (expected, len(expected))
+        for mask in seed_masks:
+            chain = [mask]
+            while (grown := space._pseudoclosure_mask(chain[-1])) != chain[-1]:
+                chain.append(grown)
+            closed = space.closure(ElementSet(n, mask)).mask
+            assert closed == chain[-1]
+            assert all(step & ~closed == 0 for step in chain)
+            assert closed in expected
+
+
 def test_set_reached_from_two_parents():
     """a({0}) = a({1}) = {0, 1, 2}, which then grows on to {0, 1, 2, 3}."""
     edges = [[1, 2], [0, 2], [3], []]
@@ -175,7 +213,8 @@ def test_set_reached_from_two_parents():
 
 def test_seed_inside_another_seeds_chain():
     """The chain {0} -> {0,1} -> {0,1,2} -> ... passes through the seeds
-    {0, 1} and {0, 1, 2}, which are queued before the chain reaches them."""
+    {0, 1} and {0, 1, 2}, whose chains are walked first: the seed {0}'s
+    chain stops at {0, 1}."""
     edges = [[1], [2], [3], [4], []]
     seed_masks = [0b00011, 0b00111, 0b00001]
     for space in same_operator_spaces(edges):

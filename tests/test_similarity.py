@@ -390,7 +390,7 @@ class TestCsvRoundTrip:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         assert FeatureTable.from_csv(path).n_items == 0
 
 
@@ -546,7 +546,7 @@ class TestColumnarFromCsv:
         values = np.random.default_rng(3).random((3, 17520)) * 100
         FeatureTable(series=values.tolist()).to_csv(tmp_path / "f.csv")
         path = tmp_path / "f.csv"
-        assert len(path.read_text().splitlines()[1]) > csv.field_size_limit()
+        assert len(path.read_text(encoding="utf-8").splitlines()[1]) > csv.field_size_limit()
         expected = table_outcome(FeatureTable._from_rows, path)
         assert served_outcome(path) == expected == ("ok", table_bits(FeatureTable(series=values.tolist())))
 

@@ -19,9 +19,9 @@ OUTPUTS = ("assignment.csv", "hierarchy.json", "hierarchy.dot")
 
 def features_config(tmp_path):
     """The shipped points config, read from the features csv its spec writes."""
-    doc = json.loads((ROOT / "configs" / "points_multicriteria.json").read_text())
+    doc = json.loads((ROOT / "configs" / "points_multicriteria.json").read_text(encoding="utf-8"))
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc["dataset"]["spec"]))
+    spec.write_text(json.dumps(doc["dataset"]["spec"]), encoding="utf-8")
     assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "data")]) == 0
     doc["dataset"] = {"kind": "features", "path": str(tmp_path / "data" / "features.csv")}
     return doc
@@ -37,7 +37,7 @@ def raw_series_config(tmp_path):
             value = 2.0 + math.sin(hour / 24 * 2 * math.pi * (1 if k < 2 else k)) + 0.01 * (k + 1) * step
             rows.append(f"s{k},{1609459200 + 1800 * step},{value:.4f}")
     raw = tmp_path / "raw.csv"
-    raw.write_text("\n".join(rows) + "\n")
+    raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return {
         "dataset": {
             "kind": "raw_series",
@@ -56,7 +56,7 @@ def raw_series_config(tmp_path):
                          ids=["features", "raw_series"])
 def test_traced_run_writes_the_cli_outputs(tmp_path, capsys, make_config):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(make_config(tmp_path)))
+    config.write_text(json.dumps(make_config(tmp_path)), encoding="utf-8")
     assert main(["cluster", "--config", str(config), "--out-dir", str(tmp_path / "cli")]) == 0
     capsys.readouterr()
     trace = tmp_path / "trace.json"
@@ -67,5 +67,5 @@ def test_traced_run_writes_the_cli_outputs(tmp_path, capsys, make_config):
     )
     for name in OUTPUTS:
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
-    spans = {span["name"] for span in json.loads(trace.read_text())["spans"]}
+    spans = {span["name"] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
     assert {"cli.cluster", "hierarchy.closed", "hierarchy.flatten"} <= spans
