@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,11 +30,19 @@ AGGREGATES = ("mean", "sum")
 _MIN_WINDOW_FRACTION = 0.8
 _FIXED_WIDTH = {"half_hour": 1800.0, "day": 86400.0, "week": 604800.0}
 _RAW_COLUMNS = ("site_id", "timestamp", "value")
-# Characters of text parsed per np.loadtxt call.  It bounds the site-id
-# strings held at once (one Python str per row) to a few MB; and while it is
-# at most csv.field_size_limit(), only a block's first line, carried over
-# from the previous read, can hold a field longer than csv accepts.
+# Characters of text read at a time.  It bounds the text held at once, and
+# on the block path the site-id strings (one Python str per row), to a few
+# MB; and while it is at most csv.field_size_limit(), only a block's first
+# line, carried over from the previous read, can hold a field longer than
+# csv accepts.
 _BLOCK_CHARS = 1 << 17
+# The most runs of one site's lines a block may hold for the whole file to
+# be parsed in one np.loadtxt call: finding a run searches the rest of its
+# block, so a block of many short runs costs as many searches.
+_BLOCK_RUNS = 8
+# np.loadtxt opens a path ending in one of these through a decompressor
+# (numpy's DataSource), where the row reader reads the file as text.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass
@@ -80,6 +89,11 @@ def load_csv(path) -> list[RawSeries]:
     return _load_rows(path) if sites is None else sites
 
 
+class _HandOver(Exception):
+    """The file may hold something the columnar readers do not read as the
+    row reader does."""
+
+
 def _load_columnar(path) -> list[RawSeries] | None:
     """:func:`_load_rows`'s result through ``np.loadtxt``, or None where the
     two readers might disagree.
@@ -92,127 +106,260 @@ def _load_columnar(path) -> list[RawSeries] | None:
     takes (``1_000``, non-ASCII digits); those files, and files with a
     rejected reading, go to the row reader.
 
-    When ``site_id`` is the first column, a block whose every non-empty
-    line starts with its first line's site id and a comma is one site's
-    run, and ``loadtxt`` skips its site-id column.  Timestamps are parsed
-    as int64 until a block holds one that is not an integer; from then on,
-    and for a block holding a 0 (``"-0"`` is -0.0 to ``float``) or a
-    character outside ASCII, as float64.
+    A prepass reads the text in blocks and makes every check that does not
+    parse a number.  When ``site_id`` is the first column, it also finds
+    each block's runs of one site's lines by string search; if every block
+    is a few such runs, one ``loadtxt`` call on the path parses the
+    timestamp and value columns of the whole file.  Any other file (sites
+    interleaved, ``site_id`` not first, a path numpy would decompress or a
+    stream that cannot be read twice) is parsed block by block.  Either
+    way, timestamps are parsed as :func:`_read_numbers` parses them.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            usecols = _raw_usecols(fh.readline())
+            runs = None
+            if usecols[0] == 0 and fh.seekable() and not str(path).endswith(_COMPRESSED):
+                runs = _site_runs(_line_blocks(fh))
+                if runs is None:  # the block path reads the text again
+                    fh.seek(0)
+                    fh.readline()
+            columns = _read_blocks(fh, usecols) if runs is None else _read_file(path, usecols, *runs)
+        return [] if columns is None else _by_site(*columns)
+    except _HandOver:
+        return None
+
+
+def _raw_usecols(header: str) -> list[int]:
+    """The indices of the ``site_id``, ``timestamp`` and ``value`` columns
+    in the header line."""
+    header = header.rstrip("\n")
+    if _hands_over(header) or len(header) > csv.field_size_limit():
+        raise _HandOver
+    names = header.split(",")
+    if not all(column in names for column in _RAW_COLUMNS):
+        raise _HandOver
+    return [names.index(column) for column in _RAW_COLUMNS]
+
+
+def _line_blocks(fh):
+    """The rest of ``fh``, read ``_BLOCK_CHARS`` characters at a time, as
+    ``(text, end)``: ``text`` is ``"\\n"``, the line carried over from the
+    previous read, then the block, and its whole lines are those that
+    start after each ``"\\n"`` before ``text[end]``, its last ``"\\n"``.
+    What follows ``text[end]`` is carried over; the last line of the file
+    gets a ``"\\n"`` if it has none."""
+    field_limit = csv.field_size_limit()
+    tail = ""
+    while True:
+        block = fh.read(_BLOCK_CHARS)
+        if _hands_over(block) or len(block) > field_limit:
+            raise _HandOver
+        text = "".join(("\n", tail, block or "\n"))
+        end = text.rfind("\n")
+        tail = text[end + 1:]
+        if end:
+            # lines after the first lie inside the block
+            if text.find("\n", 1) - 1 > field_limit:
+                raise _HandOver  # a field may be longer than csv accepts
+            yield text, end
+        if not block:
+            return
+
+
+def _site_runs(blocks) -> tuple[list[str], list[int], bool] | None:
+    """The site id and line count of each run of one site's lines in the
+    ``blocks`` of :func:`_line_blocks` (a site's runs in adjacent blocks
+    are one run), and whether every block is ASCII; None for a block of
+    more than ``_BLOCK_RUNS`` runs, or with a line without a comma.
+
+    A line's site id is the text before its first comma, so
+    ``"\\n" + site + ","`` occurs exactly at the ``"\\n"`` before each line
+    of that site.  A run reaches the end of the last such line in the
+    block, and every line it spans is the site's or empty.
+    """
+    sites: list[str] = []
+    rows: list[int] = []
+    ascii = True
+    for text, end in blocks:
+        ascii = ascii and text.isascii()
+        start, block_runs = 0, 0  # start: the "\n" before the next line
+        while start < end:
+            if text[start + 1] == "\n":  # an empty line between runs
+                start += 1
+                continue
+            comma = text.find(",", start, text.find("\n", start + 1))
+            if comma < 0 or block_runs == _BLOCK_RUNS:
+                return None
+            key = text[start:comma + 1]
+            stop = text.find("\n", text.rfind(key, start, end) + 1)
+            n = text.count(key, start, stop)
+            others = text.count("\n", start, stop) - n
+            if others and others != _empty_lines(text, start, stop):
+                return None
+            site = key[1:-1]
+            if block_runs == 0 and sites and sites[-1] == site:
+                rows[-1] += n
+            else:
+                sites.append(site)
+                rows.append(n)
+            block_runs += 1
+            start = stop
+    return sites, rows, ascii
+
+
+def _empty_lines(text: str, start: int, stop: int) -> int:
+    """The empty lines that start after a ``"\\n"`` of ``text[start:stop]``."""
+    count, at = 0, text.find("\n\n", start, stop + 1)
+    while at >= 0:
+        count += 1
+        at = text.find("\n\n", at + 1, stop + 1)
+    return count
+
+
+def _read_file(path, usecols, sites, rows, ascii):
+    """``(timestamps, values, sites, rows)`` from one ``np.loadtxt`` call on
+    the whole file, skipping its header and site-id column, given the site
+    runs :func:`_site_runs` found; None for a file without rows."""
+    n_rows = sum(rows)
+    if not n_rows:
+        return None  # loadtxt warns on a file with no rows
+    # an absolute path, which numpy never takes for a URL to download
+    table, _ = _read_numbers(os.path.abspath(path), usecols[1:], ascii)
+    if len(table) != n_rows:
+        raise _HandOver
+    return table["timestamp"].astype(np.float64), table["value"].copy(), sites, np.array(rows)
+
+
+def _read_blocks(fh, usecols):
+    """``(timestamps, values, sites, rows)`` from one ``np.loadtxt`` call per
+    block of :func:`_line_blocks` of ``fh``, which is past the header;
+    ``sites`` and ``rows`` give each run of one site's rows in file order.
+    None for a file without rows.
+
+    When ``site_id`` is the first column, a block whose every line starts
+    with its first line's site id and a comma is one site's run, and
+    ``loadtxt`` skips its site-id column.
     """
     run_sites: list[str] = []  # the site id of each run of equal ids, in file order
     run_lengths: list[np.ndarray] = []  # per block, the lengths of its runs
     ts_blocks, value_blocks = [], []
-    field_limit = csv.field_size_limit()
+    site_first = usecols[0] == 0
     integer_ts = True
-    with open(path, encoding="utf-8-sig") as fh:
-        header = fh.readline().rstrip("\n")
-        if _hands_over(header) or len(header) > field_limit:
-            return None
-        names = header.split(",")
-        if not all(column in names for column in _RAW_COLUMNS):
-            return None
-        usecols = [names.index(column) for column in _RAW_COLUMNS]
-        site_first = usecols[0] == 0
-        tail = ""
-        while True:
-            block = fh.read(_BLOCK_CHARS)
-            if _hands_over(block):
-                return None
-            text = tail + block
-            lines = text.split("\n")
-            tail = lines.pop() if block else ""  # a line the next read completes
-            # lines after the first lie inside the block
-            if len(block) > field_limit or (lines and len(lines[0]) > field_limit):
-                return None  # a field may be longer than csv accepts
-            # A line's site id is the text before its first comma, and
-            # "\n" + site + "," can only start a line.
-            site = lines[0].partition(",")[0] if lines else ""
-            site_lines = (
-                text.count("\n" + site + ",", 0, len(text) - len(tail))
-                + text.startswith(site + ",")
-                if site_first and lines and lines[-1].startswith(site + ",") else 0
-            )
-            # an empty line starts with no site id, so if every line does, none is empty
-            n_rows = len(lines) if site_lines == len(lines) else len(lines) - lines.count("")
-            if n_rows:
-                one_site = site_lines == n_rows
-                columns = usecols[1:] if one_site else usecols
-                rows = None
-                # numpy's integer parser reads some non-ASCII characters as
-                # digits ("5\u01fe" gives 512), so only ASCII text takes it
-                if integer_ts and text.isascii():
-                    try:
-                        rows = _read_block(lines, columns, np.int64)
-                    except ValueError:
-                        integer_ts = False
-                    else:
-                        if not rows["timestamp"].all():
-                            rows = None
-                if rows is None:
-                    try:
-                        rows = _read_block(lines, columns, np.float64)
-                    except ValueError:
-                        return None
-                if len(rows) != n_rows:
-                    return None
-                if one_site:
-                    run_sites.append(site)
-                    run_lengths.append(np.array([n_rows]))
-                else:
-                    sites = rows["site_id"]
-                    starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
-                    run_sites += sites[np.append(0, starts)].tolist()
-                    run_lengths.append(np.diff(starts, prepend=0, append=n_rows))
-                ts_blocks.append(rows["timestamp"].astype(np.float64))
-                value_blocks.append(rows["value"].copy())
-            if not block:
-                break
+    for text, end in _line_blocks(fh):
+        lines = text.split("\n")[1:-1]
+        site = lines[0].partition(",")[0]
+        site_lines = (
+            text.count("\n" + site + ",", 0, end)
+            if site_first and lines[-1].startswith(site + ",") else 0
+        )
+        # an empty line starts with no site id, so if every line does, none is empty
+        n_rows = len(lines) if site_lines == len(lines) else len(lines) - lines.count("")
+        if not n_rows:
+            continue
+        one_site = site_lines == n_rows
+        columns = usecols[1:] if one_site else usecols
+        rows, fractional = _read_numbers(lines, columns, integer_ts and text.isascii())
+        integer_ts = integer_ts and not fractional
+        if len(rows) != n_rows:
+            raise _HandOver
+        if one_site:
+            run_sites.append(site)
+            run_lengths.append(np.array([n_rows]))
+        else:
+            sites = rows["site_id"]
+            starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
+            run_sites += sites[np.append(0, starts)].tolist()
+            run_lengths.append(np.diff(starts, prepend=0, append=n_rows))
+        ts_blocks.append(rows["timestamp"].astype(np.float64))
+        value_blocks.append(rows["value"].copy())
     if not ts_blocks:
-        return []
+        return None
     # drop each column's blocks once joined, so that one column at a time is held twice
     ts = np.concatenate(ts_blocks)
     ts_blocks.clear()
     values = np.concatenate(value_blocks)
     value_blocks.clear()
-    if not (np.isfinite(ts).all() and np.isfinite(values).all() and (values >= 0).all()):
-        return None
+    return ts, values, run_sites, np.concatenate(run_lengths)
 
-    # each site's rows, in file order, gathered in site-id order
+
+def _by_site(ts, values, run_sites, lengths) -> list[RawSeries]:
+    """Each site's readings, sites in id order, from the columns of every
+    row in file order and each run of one site's rows."""
+    if not (np.isfinite(ts).all() and np.isfinite(values).all() and (values >= 0).all()):
+        raise _HandOver
     site_ids = sorted(set(run_sites))
     rank = {site: k for k, site in enumerate(site_ids)}
     # the smallest unsigned type, so that numpy sorts up to 65,536 sites by radix sort
     rank_type = np.min_scalar_type(len(site_ids) - 1)
     run_rank = np.fromiter(map(rank.__getitem__, run_sites), rank_type, len(run_sites))
-    lengths = np.concatenate(run_lengths)
-    if (run_rank[1:] < run_rank[:-1]).any():
+    changes = run_rank[1:] != run_rank[:-1]
+    if np.count_nonzero(changes) + 1 == len(site_ids):
+        # each site is one stretch of runs (one site's runs in adjacent
+        # blocks make one): its readings are sliced where they lie
+        first = np.flatnonzero(np.append(True, changes))
+        run_rank, lengths = run_rank[first], np.add.reduceat(lengths, first)
+    else:
+        # each site's rows, in file order, gathered in site-id order, one
+        # column at a time and in place
         order = np.argsort(np.repeat(run_rank, lengths), kind="stable")
-        ts, values = ts[order], values[order]
-    # rows per site, summed over its runs (exact in float64)
-    ends = np.cumsum(np.bincount(run_rank, lengths, len(site_ids))).astype(np.intp)
+        ts[:] = ts[order]
+        values[:] = values[order]
+        del order
+        # rows per site, summed over its runs (exact in float64)
+        lengths = np.bincount(run_rank, lengths, len(site_ids)).astype(np.intp)
+        run_rank = np.arange(len(site_ids))
+    ends = np.cumsum(lengths)
     rising = ts[1:] > ts[:-1]
-    rising[ends[:-1] - 1] = True  # a site's first reading follows another site's last
+    rising[ends[:-1] - 1] = True  # a run's first reading follows another site's last
     if not rising.all():
-        return None
-    starts = np.append(0, ends[:-1])
+        raise _HandOver
+    starts = ends - lengths
     return [
-        RawSeries(site, ts[a:b], values[a:b])
-        for site, a, b in zip(site_ids, starts.tolist(), ends.tolist())
+        RawSeries(site_ids[k], ts[a:b], values[a:b])
+        for k, a, b in sorted(zip(run_rank.tolist(), starts.tolist(), ends.tolist()))
     ]
 
 
-def _read_block(lines: list[str], usecols: list[int], ts_type) -> np.ndarray:
-    """One block's rows from ``np.loadtxt``: ``timestamp`` as ``ts_type``,
-    ``value`` as float64, and ``site_id`` first when ``usecols`` holds three
-    columns.  Raises ValueError for a field the dtype does not take."""
+def _read_numbers(source, usecols: list[int], integers: bool) -> tuple[np.ndarray, bool]:
+    """The rows of ``source`` as :func:`_read_rows` reads them, with int64
+    timestamps if ``integers`` and every timestamp is a nonzero integer,
+    else float64 ones; and whether parsing them as int64 failed.  Only ASCII
+    text may take int64: numpy's integer parser reads some other characters
+    as digits ("5\u01fe" gives 512).  A 0 is parsed again as a float, since
+    ``"-0"`` is -0.0 to ``float``."""
+    failed = False
+    if integers:
+        try:
+            rows = _read_rows(source, usecols, np.int64)
+        except ValueError:
+            failed = True
+        else:
+            if rows["timestamp"].all():
+                return rows, False
+    try:
+        return _read_rows(source, usecols, np.float64), failed
+    except ValueError:
+        raise _HandOver from None
+
+
+def _read_rows(source, usecols: list[int], ts_type) -> np.ndarray:
+    """The rows of ``source`` from ``np.loadtxt``: ``timestamp`` as
+    ``ts_type``, ``value`` as float64, and ``site_id`` first when
+    ``usecols`` holds three columns.  ``source`` is a list of lines, or the
+    path of a raw file whose header is skipped.  Raises ValueError for a
+    field the dtype does not take."""
     fields = [("timestamp", ts_type), ("value", np.float64)]
     if len(usecols) == 3:
         fields.insert(0, ("site_id", object))
+    options = {"skiprows": 1, "encoding": "utf-8-sig"} if isinstance(source, str) else {}
     with warnings.catch_warnings():
         # numpy 1.x reads a float such as "1.5" into an integer column,
         # truncated, with a DeprecationWarning; as an error it is a ValueError
         warnings.simplefilter("error", DeprecationWarning)
         return np.loadtxt(
-            lines, dtype=fields, delimiter=",", comments=None, usecols=usecols, ndmin=1,
+            source, dtype=fields, delimiter=",", comments=None, usecols=usecols, ndmin=1,
+            **options,
         )
 
 

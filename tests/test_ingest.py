@@ -1,7 +1,12 @@
+import contextlib
+import csv
+import gzip
 import logging
 import math
+import os
 import random
 import re
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -267,17 +272,27 @@ class TestColumnarLoad:
 
     @pytest.mark.parametrize("block_chars", [64, 4096])
     def test_one_site_blocks_skip_the_site_column(self, tmp_path, block_chars):
-        path = write(tmp_path, ingest_year_text())
+        # runs of one site: one call on the path, without the site column
+        year = write(tmp_path, ingest_year_text(), "year.csv")
+        # an interleaved tail: one call per block, and only blocks holding
+        # more than one site parse the site column
+        mixed = write(tmp_path, "site_id,timestamp,value\n" + "".join(
+            f"s{0 if t < 1500 else t % 2 + 1},{t},1\n" for t in range(2000)
+        ), "mixed.csv")
         loadtxt, calls = np.loadtxt, []
 
-        def recording_loadtxt(lines, **kwargs):
-            calls.append(({line.partition(",")[0] for line in lines if line}, np.dtype(kwargs["dtype"]).names))
-            return loadtxt(lines, **kwargs)
+        def recording_loadtxt(source, **kwargs):
+            sites = None if isinstance(source, str) else {line.partition(",")[0] for line in source if line}
+            calls.append((sites, np.dtype(kwargs["dtype"]).names))
+            return loadtxt(source, **kwargs)
 
         with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(np, "loadtxt", recording_loadtxt):
-            assert load_outcome(ingest._load_columnar, path) == load_outcome(ingest._load_rows, path)
-        assert {len(sites) for sites, _ in calls} == {1, 2}
+            assert load_outcome(ingest._load_columnar, year) == load_outcome(ingest._load_rows, year)
+            assert calls == [(None, ("timestamp", "value"))]
+            calls.clear()
+            assert load_outcome(ingest._load_columnar, mixed) == load_outcome(ingest._load_rows, mixed)
+        assert {len(sites) == 1 for sites, _ in calls} == {True, False}
         for sites, names in calls:
             assert names == (("timestamp", "value") if len(sites) == 1 else ("site_id", "timestamp", "value"))
 
@@ -342,6 +357,96 @@ class TestColumnarLoad:
         with mock.patch.object(ingest, "_BLOCK_CHARS", 64), mock.patch("csv.field_size_limit", return_value=250):
             assert ingest._load_columnar(path) is None
         assert ingest._load_columnar(path) is not None
+
+
+RAW_HEADER = "site_id,timestamp,value\n"
+READERS = ("_read_file", "_read_blocks", "_load_rows")
+
+
+def served_by(path):
+    """``load_csv``'s outcome on ``path``, and the readers it called, in
+    ``READERS`` order: the whole-file parse, the block path, the row reader."""
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(ingest, name, wraps=getattr(ingest, name)))
+                 for name in READERS]
+        outcome = load_outcome(load_csv, path)
+    return outcome, [name for name, spy in zip(READERS, spies) if spy.called]
+
+
+def site_rows(sites, steps):
+    """Rows of each site in turn, one per step, with the step as timestamp."""
+    return "".join(f"{site},{t},{t % 7}.25\n" for site in sites for t in steps)
+
+
+class TestReaderChoice:
+    """Every layout reads as the row reader reads it, and the reader that
+    serves it follows from what the prepass sees in the file."""
+
+    @pytest.mark.parametrize("text, readers", [
+        (RAW_HEADER + site_rows(["s3", "s2", "s1"], range(100)), ["_read_file"]),
+        (RAW_HEADER + "".join(f"s{s},{t},{t % 5}\n" for t in range(100) for s in (3, 1, 2)), ["_read_blocks"]),
+        (RAW_HEADER + site_rows(["s0"], range(3000)) + "".join(f"s{t % 2 + 1},{t},1\n" for t in range(40)),
+         ["_read_blocks"]),
+        (RAW_HEADER + "s1,0,1\n\ns1,1,2\n\n\ns1,2,3\n\ns2,0,4\ns2,5,5\n\n\n", ["_read_file"]),
+        (RAW_HEADER + site_rows(["a", "b"], range(50)).rstrip("\n"), ["_read_file"]),
+        (RAW_HEADER + site_rows(["s10", "s1", "s100", "s"], range(60)), ["_read_file"]),
+        (RAW_HEADER + site_rows(["\u00e9t\u00e9", "\u65e5\u672c", "ete"], range(60)), ["_read_file"]),
+        (RAW_HEADER + site_rows(["s1", "s2"], range(80)) + "s2,80.5,1\n", ["_read_file"]),
+        (RAW_HEADER + "s1,-0,1\ns1,5,2\ns2,0,3\ns2,7,4\ns3,-00,5\n", ["_read_file"]),
+        (RAW_HEADER + "".join(f"s{i},{t},1\n" for i in range(12) for t in range(3)), ["_read_blocks"]),
+    ], ids=["descending-ids", "interleaved", "interleaved-tail", "empty-lines-in-runs",
+            "no-final-newline", "ids-prefixing-ids", "non-ascii-ids", "fractional-last-row",
+            "zero-timestamps", "many-short-runs"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["utf-8", "bom"])
+    def test_layout_matches_row_reader(self, tmp_path, text, readers, bom):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(bom + text.encode())
+        outcome, used = served_by(path)
+        assert outcome == load_outcome(ingest._load_rows, path)
+        assert outcome[0] == "ok"
+        assert used == readers
+
+    def test_over_limit_line_in_a_run_goes_to_the_row_reader(self, tmp_path):
+        rows = [f"s1,{t},1" for t in range(40)]
+        rows[20] = "s1,20," + "1" * 300
+        path = write(tmp_path, RAW_HEADER + "\n".join(rows) + "\n")
+        limit = csv.field_size_limit(250)
+        try:
+            outcome, used = served_by(path)
+            expected = load_outcome(ingest._load_rows, path)
+        finally:
+            csv.field_size_limit(limit)
+        assert expected[:2] == ("error", ParseError)
+        assert (outcome, used) == (expected, ["_load_rows"])
+
+    def test_plain_text_gz_name_reads_as_plain_name(self, tmp_path):
+        text = ingest_year_text()
+        plain = load_outcome(load_csv, write(tmp_path, text))
+        assert served_by(write(tmp_path, text, "raw.csv.gz")) == (plain, ["_read_blocks"])
+
+    def test_gzip_file_fails_as_in_the_row_reader(self, tmp_path):
+        path = tmp_path / "raw.csv.gz"
+        path.write_bytes(gzip.compress(ingest_year_text().encode()))
+        expected = load_outcome(ingest._load_rows, path)
+        assert expected[:2] == ("error", ParseError)
+        assert served_by(path) == (expected, ["_load_rows"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        text = ingest_year_text()
+        expected = load_outcome(ingest._load_rows, write(tmp_path, text))
+        pipe = tmp_path / "raw.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+        writer.start()
+        try:
+            served = served_by(pipe)
+        finally:
+            if writer.is_alive():  # a writer may still wait for a reader
+                os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert served == (expected, ["_read_blocks"])
 
 
 class TestBucketEdges:
