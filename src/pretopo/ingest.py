@@ -38,8 +38,10 @@ _RAW_COLUMNS = ("site_id", "timestamp", "value")
 _BLOCK_CHARS = 1 << 17
 # The most runs of one site's lines a block may hold for the whole file to
 # be parsed in one np.loadtxt call: finding a run searches the rest of its
-# block, so a block of many short runs costs as many searches.
-_BLOCK_RUNS = 8
+# block, so a block of many short runs costs as many searches.  With lines
+# of about 30 characters (some 4,500 a block), the whole-file parse was the
+# faster up to about 30 runs a block, and the block path past it.
+_BLOCK_RUNS = 24
 # np.loadtxt opens a path ending in one of these through a decompressor
 # (numpy's DataSource), where the row reader reads the file as text.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -167,11 +169,12 @@ def _line_blocks(fh):
             return
 
 
-def _site_runs(blocks) -> tuple[list[str], list[int], bool] | None:
+def _site_runs(blocks) -> tuple[list[str], list[int], bool, bool] | None:
     """The site id and line count of each run of one site's lines in the
     ``blocks`` of :func:`_line_blocks` (a site's runs in adjacent blocks
-    are one run), and whether every block is ASCII; None for a block of
-    more than ``_BLOCK_RUNS`` runs, or with a line without a comma.
+    are one run), whether every block is ASCII, and whether one holds a
+    ``"-"``; None for a block of more than ``_BLOCK_RUNS`` runs, or with a
+    line without a comma.
 
     A line's site id is the text before its first comma, so
     ``"\\n" + site + ","`` occurs exactly at the ``"\\n"`` before each line
@@ -180,9 +183,10 @@ def _site_runs(blocks) -> tuple[list[str], list[int], bool] | None:
     """
     sites: list[str] = []
     rows: list[int] = []
-    ascii = True
+    ascii, minus = True, False
     for text, end in blocks:
         ascii = ascii and text.isascii()
+        minus = minus or "-" in text
         start, block_runs = 0, 0  # start: the "\n" before the next line
         while start < end:
             if text[start + 1] == "\n":  # an empty line between runs
@@ -205,7 +209,7 @@ def _site_runs(blocks) -> tuple[list[str], list[int], bool] | None:
                 rows.append(n)
             block_runs += 1
             start = stop
-    return sites, rows, ascii
+    return sites, rows, ascii, minus
 
 
 def _empty_lines(text: str, start: int, stop: int) -> int:
@@ -217,7 +221,7 @@ def _empty_lines(text: str, start: int, stop: int) -> int:
     return count
 
 
-def _read_file(path, usecols, sites, rows, ascii):
+def _read_file(path, usecols, sites, rows, ascii, minus):
     """``(timestamps, values, sites, rows)`` from one ``np.loadtxt`` call on
     the whole file, skipping its header and site-id column, given the site
     runs :func:`_site_runs` found; None for a file without rows."""
@@ -225,7 +229,7 @@ def _read_file(path, usecols, sites, rows, ascii):
     if not n_rows:
         return None  # loadtxt warns on a file with no rows
     # an absolute path, which numpy never takes for a URL to download
-    table, _ = _read_numbers(os.path.abspath(path), usecols[1:], ascii)
+    table, _ = _read_numbers(os.path.abspath(path), usecols[1:], ascii, minus)
     if len(table) != n_rows:
         raise _HandOver
     return table["timestamp"].astype(np.float64), table["value"].copy(), sites, np.array(rows)
@@ -259,7 +263,7 @@ def _read_blocks(fh, usecols):
             continue
         one_site = site_lines == n_rows
         columns = usecols[1:] if one_site else usecols
-        rows, fractional = _read_numbers(lines, columns, integer_ts and text.isascii())
+        rows, fractional = _read_numbers(lines, columns, integer_ts and text.isascii(), "-" in text)
         integer_ts = integer_ts and not fractional
         if len(rows) != n_rows:
             raise _HandOver
@@ -321,13 +325,14 @@ def _by_site(ts, values, run_sites, lengths) -> list[RawSeries]:
     ]
 
 
-def _read_numbers(source, usecols: list[int], integers: bool) -> tuple[np.ndarray, bool]:
+def _read_numbers(source, usecols: list[int], integers: bool, minus: bool) -> tuple[np.ndarray, bool]:
     """The rows of ``source`` as :func:`_read_rows` reads them, with int64
-    timestamps if ``integers`` and every timestamp is a nonzero integer,
-    else float64 ones; and whether parsing them as int64 failed.  Only ASCII
+    timestamps if ``integers`` and every timestamp is an integer, else
+    float64 ones; and whether parsing them as int64 failed.  Only ASCII
     text may take int64: numpy's integer parser reads some other characters
-    as digits ("5\u01fe" gives 512).  A 0 is parsed again as a float, since
-    ``"-0"`` is -0.0 to ``float``."""
+    as digits ("5\u01fe" gives 512).  ``"-0"`` is -0.0 to ``float``, so
+    where ``minus`` says the text holds a ``"-"``, a 0 is parsed again as
+    a float."""
     failed = False
     if integers:
         try:
@@ -335,8 +340,9 @@ def _read_numbers(source, usecols: list[int], integers: bool) -> tuple[np.ndarra
         except ValueError:
             failed = True
         else:
-            if rows["timestamp"].all():
+            if not minus or rows["timestamp"].all():
                 return rows, False
+            del rows  # not held while the text is parsed again
     try:
         return _read_rows(source, usecols, np.float64), failed
     except ValueError:

@@ -387,16 +387,21 @@ class TestReaderChoice:
         (RAW_HEADER + "".join(f"s{s},{t},{t % 5}\n" for t in range(100) for s in (3, 1, 2)), ["_read_blocks"]),
         (RAW_HEADER + site_rows(["s0"], range(3000)) + "".join(f"s{t % 2 + 1},{t},1\n" for t in range(40)),
          ["_read_blocks"]),
+        ("timestamp,value,site_id\n" + "".join(f"{t},{t % 5},s{t // 20}\n" for t in range(60)),
+         ["_read_blocks"]),
         (RAW_HEADER + "s1,0,1\n\ns1,1,2\n\n\ns1,2,3\n\ns2,0,4\ns2,5,5\n\n\n", ["_read_file"]),
         (RAW_HEADER + site_rows(["a", "b"], range(50)).rstrip("\n"), ["_read_file"]),
         (RAW_HEADER + site_rows(["s10", "s1", "s100", "s"], range(60)), ["_read_file"]),
         (RAW_HEADER + site_rows(["\u00e9t\u00e9", "\u65e5\u672c", "ete"], range(60)), ["_read_file"]),
         (RAW_HEADER + site_rows(["s1", "s2"], range(80)) + "s2,80.5,1\n", ["_read_file"]),
         (RAW_HEADER + "s1,-0,1\ns1,5,2\ns2,0,3\ns2,7,4\ns3,-00,5\n", ["_read_file"]),
-        (RAW_HEADER + "".join(f"s{i},{t},1\n" for i in range(12) for t in range(3)), ["_read_blocks"]),
-    ], ids=["descending-ids", "interleaved", "interleaved-tail", "empty-lines-in-runs",
+        (RAW_HEADER + "".join(f"s{i},{t},1\n" for i in range(ingest._BLOCK_RUNS) for t in range(3)),
+         ["_read_file"]),
+        (RAW_HEADER + "".join(f"s{i},{t},1\n" for i in range(ingest._BLOCK_RUNS + 1) for t in range(3)),
+         ["_read_blocks"]),
+    ], ids=["descending-ids", "interleaved", "interleaved-tail", "site-id-last", "empty-lines-in-runs",
             "no-final-newline", "ids-prefixing-ids", "non-ascii-ids", "fractional-last-row",
-            "zero-timestamps", "many-short-runs"])
+            "zero-timestamps", "few-short-runs", "many-short-runs"])
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["utf-8", "bom"])
     def test_layout_matches_row_reader(self, tmp_path, text, readers, bom):
         path = tmp_path / "raw.csv"
@@ -405,6 +410,21 @@ class TestReaderChoice:
         assert outcome == load_outcome(ingest._load_rows, path)
         assert outcome[0] == "ok"
         assert used == readers
+
+    @pytest.mark.parametrize("text, calls", [
+        (RAW_HEADER + site_rows(["s1", "s2"], range(100)), 1),
+        (RAW_HEADER + site_rows(["b-1", "s2"], range(100)), 2),
+        (RAW_HEADER + site_rows(["s1", "s2"], range(100)) + "s3,-0,1\n", 2),
+    ], ids=["from-zero", "minus-in-an-id", "minus-zero"])
+    def test_zero_timestamps_are_parsed_again_only_beside_a_minus(self, tmp_path, text, calls):
+        # one int64 parse of the path, and a float64 one only where a "-"
+        # may have made a 0 into -0.0
+        path = write(tmp_path, text)
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            assert load_outcome(load_csv, path) == expected
+        assert [call.args[0] for call in loadtxt.call_args_list] == [os.path.abspath(path)] * calls
+        assert load_csv(path)[-1].timestamps[0].hex() == ("-0x0.0p+0" if "s3" in text else "0x0.0p+0")
 
     def test_over_limit_line_in_a_run_goes_to_the_row_reader(self, tmp_path):
         rows = [f"s1,{t},1" for t in range(40)]
