@@ -13,6 +13,7 @@ import csv
 import math
 import os
 import warnings
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -30,18 +31,18 @@ AGGREGATES = ("mean", "sum")
 _MIN_WINDOW_FRACTION = 0.8
 _FIXED_WIDTH = {"half_hour": 1800.0, "day": 86400.0, "week": 604800.0}
 _RAW_COLUMNS = ("site_id", "timestamp", "value")
-# Characters of text read at a time.  It bounds the text held at once, and
-# on the block path the site-id strings (one Python str per row), to a few
-# MB; and while it is at most csv.field_size_limit(), only a block's first
-# line, carried over from the previous read, can hold a field longer than
-# csv accepts.
+# Characters of text the prepass reads at a time.  It bounds the text held
+# at once to a few MB; and while it is at most csv.field_size_limit(), only
+# a block's first line, carried over from the previous read, can hold a
+# field longer than csv accepts.
 _BLOCK_CHARS = 1 << 17
-# The most runs of one site's lines a block may hold for the whole file to
-# be parsed in one np.loadtxt call: finding a run searches the rest of its
-# block, so a block of many short runs costs as many searches.  With lines
-# of about 30 characters (some 4,500 a block), the whole-file parse was the
-# faster up to about 30 runs a block, and the block path past it.
-_BLOCK_RUNS = 24
+# The most runs of one site's lines a block may hold for the prepass to pass
+# the site runs it found by string search to the parse, which then skips the
+# site-id column: finding a run searches the rest of its block, so a block
+# of many short runs costs as many searches.  Past it, the parse reads the
+# site ids too.  With lines of about 26 characters (some 5,000 a block),
+# the two took the same time near 13 runs a block.
+_BLOCK_RUNS = 12
 # np.loadtxt opens a path ending in one of these through a decompressor
 # (numpy's DataSource), where the row reader reads the file as text.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -77,12 +78,13 @@ def _parse_timestamp(raw: str) -> float:
 def load_csv(path) -> list[RawSeries]:
     """Read, group and validate raw readings; sites come back sorted by id.
 
-    A file with numeric timestamps and no quote characters is parsed column
-    by column with numpy's C reader.  Any file that reader cannot prove it
+    A regular file with numeric timestamps and no quote characters is
+    parsed column by column with numpy's C reader.  Any other input (a
+    pipe, a compressed suffix) and any file that reader cannot prove it
     reads exactly as the row reader does (ISO timestamps, quoted fields, a
-    malformed row, a rejected reading) is read again row by row, so ISO
-    parsing and every error message come from :func:`_load_rows` alone.
-    Both readers take UTF-8 text and skip a leading byte-order mark.
+    malformed row, a rejected reading) is read row by row, so ISO parsing
+    and every error message come from :func:`_load_rows` alone.  Both
+    readers take UTF-8 text and skip a leading byte-order mark.
     """
     try:
         sites = _load_columnar(path)
@@ -92,13 +94,13 @@ def load_csv(path) -> list[RawSeries]:
 
 
 class _HandOver(Exception):
-    """The file may hold something the columnar readers do not read as the
+    """The file may hold something the columnar reader does not read as the
     row reader does."""
 
 
 def _load_columnar(path) -> list[RawSeries] | None:
-    """:func:`_load_rows`'s result through ``np.loadtxt``, or None where the
-    two readers might disagree.
+    """:func:`_load_rows`'s result through one ``np.loadtxt`` call on the
+    path, or None where the two readers might disagree.
 
     The file is read with universal newlines, so ``\\r`` and ``\\r\\n`` end a
     line as they end a ``csv`` row.  Without a ``"`` every field is the text
@@ -106,28 +108,25 @@ def _load_columnar(path) -> list[RawSeries] | None:
     the row reader does; every other line must give one row.  numpy parses
     numbers exactly as ``float`` does but rejects a few spellings ``float``
     takes (``1_000``, non-ASCII digits); those files, and files with a
-    rejected reading, go to the row reader.
+    rejected reading, go to the row reader.  So does a path that is not a
+    regular file, which may be read only once, such as a pipe, and a name
+    numpy would decompress: both are decided before the path is opened.
 
     A prepass reads the text in blocks and makes every check that does not
     parse a number.  When ``site_id`` is the first column, it also finds
     each block's runs of one site's lines by string search; if every block
-    is a few such runs, one ``loadtxt`` call on the path parses the
-    timestamp and value columns of the whole file.  Any other file (sites
-    interleaved, ``site_id`` not first, a path numpy would decompress or a
-    stream that cannot be read twice) is parsed block by block.  Either
-    way, timestamps are parsed as :func:`_read_numbers` parses them.
+    is a few such runs, the parse skips the site-id column.  Otherwise it
+    parses the site ids too, and the runs are those of equal adjacent ids.
     """
+    if not os.path.isfile(path) or str(path).endswith(_COMPRESSED):
+        return None
     try:
         with open(path, encoding="utf-8-sig") as fh:
             usecols = _raw_usecols(fh.readline())
-            runs = None
-            if usecols[0] == 0 and fh.seekable() and not str(path).endswith(_COMPRESSED):
-                runs = _site_runs(_line_blocks(fh))
-                if runs is None:  # the block path reads the text again
-                    fh.seek(0)
-                    fh.readline()
-            columns = _read_blocks(fh, usecols) if runs is None else _read_file(path, usecols, *runs)
-        return [] if columns is None else _by_site(*columns)
+            runs, n_rows, ascii, minus = _prepass(_line_blocks(fh), usecols[0] == 0)
+        if not n_rows:
+            return []  # loadtxt warns on a file with no rows
+        return _by_site(*_read_file(path, usecols, runs, n_rows, ascii, minus))
     except _HandOver:
         return None
 
@@ -169,47 +168,64 @@ def _line_blocks(fh):
             return
 
 
-def _site_runs(blocks) -> tuple[list[str], list[int], bool, bool] | None:
-    """The site id and line count of each run of one site's lines in the
-    ``blocks`` of :func:`_line_blocks` (a site's runs in adjacent blocks
-    are one run), whether every block is ASCII, and whether one holds a
-    ``"-"``; None for a block of more than ``_BLOCK_RUNS`` runs, or with a
-    line without a comma.
+def _prepass(blocks, site_first: bool) -> tuple[tuple | None, int, bool, bool]:
+    """Over the ``blocks`` of :func:`_line_blocks`: the runs of one site's
+    lines (a site's runs in adjacent blocks are one run) as
+    :func:`_read_file` gives them, the number of non-empty lines, whether
+    every block is ASCII, and whether one holds a ``"-"``.  The runs are
+    None unless ``site_first`` and :func:`_block_runs` finds them in every
+    block."""
+    sites: list[str] = []
+    rows: list[int] = []
+    runs = site_first
+    n_rows, ascii, minus = 0, True, False
+    for text, end in blocks:
+        ascii = ascii and text.isascii()
+        minus = minus or "-" in text
+        block_rows = _block_runs(text, end, sites, rows) if runs else None
+        if block_rows is None:
+            runs = False
+            block_rows = text.count("\n", 0, end) - _empty_lines(text, 0, end)
+        n_rows += block_rows
+    return ((sites, np.arange(len(sites)), np.array(rows)) if runs else None), n_rows, ascii, minus
+
+
+def _block_runs(text: str, end: int, sites: list[str], rows: list[int]) -> int | None:
+    """Append to ``sites`` and ``rows`` the site id and line count of each
+    run of one site's lines in a block of :func:`_line_blocks` (a run that
+    goes on from the previous block adds to its last), and return the
+    block's count of non-empty lines; None for more than ``_BLOCK_RUNS``
+    runs, or a line without a comma.
 
     A line's site id is the text before its first comma, so
     ``"\\n" + site + ","`` occurs exactly at the ``"\\n"`` before each line
     of that site.  A run reaches the end of the last such line in the
     block, and every line it spans is the site's or empty.
     """
-    sites: list[str] = []
-    rows: list[int] = []
-    ascii, minus = True, False
-    for text, end in blocks:
-        ascii = ascii and text.isascii()
-        minus = minus or "-" in text
-        start, block_runs = 0, 0  # start: the "\n" before the next line
-        while start < end:
-            if text[start + 1] == "\n":  # an empty line between runs
-                start += 1
-                continue
-            comma = text.find(",", start, text.find("\n", start + 1))
-            if comma < 0 or block_runs == _BLOCK_RUNS:
-                return None
-            key = text[start:comma + 1]
-            stop = text.find("\n", text.rfind(key, start, end) + 1)
-            n = text.count(key, start, stop)
-            others = text.count("\n", start, stop) - n
-            if others and others != _empty_lines(text, start, stop):
-                return None
-            site = key[1:-1]
-            if block_runs == 0 and sites and sites[-1] == site:
-                rows[-1] += n
-            else:
-                sites.append(site)
-                rows.append(n)
-            block_runs += 1
-            start = stop
-    return sites, rows, ascii, minus
+    start, block_runs, block_rows = 0, 0, 0  # start: the "\n" before the next line
+    while start < end:
+        if text[start + 1] == "\n":  # an empty line between runs
+            start += 1
+            continue
+        comma = text.find(",", start, text.find("\n", start + 1))
+        if comma < 0 or block_runs == _BLOCK_RUNS:
+            return None
+        key = text[start:comma + 1]
+        stop = text.find("\n", text.rfind(key, start, end) + 1)
+        n = text.count(key, start, stop)
+        others = text.count("\n", start, stop) - n
+        if others and others != _empty_lines(text, start, stop):
+            return None
+        site = key[1:-1]
+        if block_runs == 0 and sites and sites[-1] == site:
+            rows[-1] += n
+        else:
+            sites.append(site)
+            rows.append(n)
+        block_runs += 1
+        block_rows += n
+        start = stop
+    return block_rows
 
 
 def _empty_lines(text: str, start: int, stop: int) -> int:
@@ -221,82 +237,42 @@ def _empty_lines(text: str, start: int, stop: int) -> int:
     return count
 
 
-def _read_file(path, usecols, sites, rows, ascii, minus):
-    """``(timestamps, values, sites, rows)`` from one ``np.loadtxt`` call on
-    the whole file, skipping its header and site-id column, given the site
-    runs :func:`_site_runs` found; None for a file without rows."""
-    n_rows = sum(rows)
-    if not n_rows:
-        return None  # loadtxt warns on a file with no rows
+def _read_file(path, usecols, runs, n_rows, ascii, minus):
+    """``(timestamps, values, names, codes, rows)`` from one ``np.loadtxt``
+    call on the whole file, which must give the ``n_rows`` rows the prepass
+    counted; run ``k`` of one site's rows, in file order, is ``rows[k]``
+    rows of site ``names[codes[k]]``.  Given the prepass's ``runs``, the
+    call skips the site-id column.  Without them, it parses each site id
+    into its number in order of first appearance, so the table holds no
+    Python object per row, and a run is a stretch of equal numbers."""
+    site_codes = None
+    if runs is None:
+        site_codes = defaultdict()
+        site_codes.default_factory = site_codes.__len__  # a new id's number
+    else:
+        usecols = usecols[1:]
     # an absolute path, which numpy never takes for a URL to download
-    table, _ = _read_numbers(os.path.abspath(path), usecols[1:], ascii, minus)
+    table = _read_numbers(os.path.abspath(path), usecols, ascii, minus, site_codes)
     if len(table) != n_rows:
         raise _HandOver
-    return table["timestamp"].astype(np.float64), table["value"].copy(), sites, np.array(rows)
+    if runs is None:
+        codes = table["site_id"]
+        starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+        runs = list(site_codes), codes[np.append(0, starts)], np.diff(starts, prepend=0, append=n_rows)
+    return table["timestamp"].astype(np.float64), table["value"].copy(), *runs
 
 
-def _read_blocks(fh, usecols):
-    """``(timestamps, values, sites, rows)`` from one ``np.loadtxt`` call per
-    block of :func:`_line_blocks` of ``fh``, which is past the header;
-    ``sites`` and ``rows`` give each run of one site's rows in file order.
-    None for a file without rows.
-
-    When ``site_id`` is the first column, a block whose every line starts
-    with its first line's site id and a comma is one site's run, and
-    ``loadtxt`` skips its site-id column.
-    """
-    run_sites: list[str] = []  # the site id of each run of equal ids, in file order
-    run_lengths: list[np.ndarray] = []  # per block, the lengths of its runs
-    ts_blocks, value_blocks = [], []
-    site_first = usecols[0] == 0
-    integer_ts = True
-    for text, end in _line_blocks(fh):
-        lines = text.split("\n")[1:-1]
-        site = lines[0].partition(",")[0]
-        site_lines = (
-            text.count("\n" + site + ",", 0, end)
-            if site_first and lines[-1].startswith(site + ",") else 0
-        )
-        # an empty line starts with no site id, so if every line does, none is empty
-        n_rows = len(lines) if site_lines == len(lines) else len(lines) - lines.count("")
-        if not n_rows:
-            continue
-        one_site = site_lines == n_rows
-        columns = usecols[1:] if one_site else usecols
-        rows, fractional = _read_numbers(lines, columns, integer_ts and text.isascii(), "-" in text)
-        integer_ts = integer_ts and not fractional
-        if len(rows) != n_rows:
-            raise _HandOver
-        if one_site:
-            run_sites.append(site)
-            run_lengths.append(np.array([n_rows]))
-        else:
-            sites = rows["site_id"]
-            starts = np.flatnonzero(sites[1:] != sites[:-1]) + 1
-            run_sites += sites[np.append(0, starts)].tolist()
-            run_lengths.append(np.diff(starts, prepend=0, append=n_rows))
-        ts_blocks.append(rows["timestamp"].astype(np.float64))
-        value_blocks.append(rows["value"].copy())
-    if not ts_blocks:
-        return None
-    # drop each column's blocks once joined, so that one column at a time is held twice
-    ts = np.concatenate(ts_blocks)
-    ts_blocks.clear()
-    values = np.concatenate(value_blocks)
-    value_blocks.clear()
-    return ts, values, run_sites, np.concatenate(run_lengths)
-
-
-def _by_site(ts, values, run_sites, lengths) -> list[RawSeries]:
+def _by_site(ts, values, names, run_codes, lengths) -> list[RawSeries]:
     """Each site's readings, sites in id order, from the columns of every
-    row in file order and each run of one site's rows."""
+    row in file order and each run of one site's rows: ``lengths[k]`` rows
+    of site ``names[run_codes[k]]``."""
     if not (np.isfinite(ts).all() and np.isfinite(values).all() and (values >= 0).all()):
         raise _HandOver
-    site_ids = sorted(set(run_sites))
+    site_ids = sorted(set(names))
     rank = {site: k for k, site in enumerate(site_ids)}
     # the smallest unsigned type, so that numpy sorts up to 65,536 sites by radix sort
     rank_type = np.min_scalar_type(len(site_ids) - 1)
-    run_rank = np.fromiter(map(rank.__getitem__, run_sites), rank_type, len(run_sites))
+    run_rank = np.array([rank[name] for name in names], rank_type)[run_codes]
     changes = run_rank[1:] != run_rank[:-1]
     if np.count_nonzero(changes) + 1 == len(site_ids):
         # each site is one stretch of runs (one site's runs in adjacent
@@ -325,47 +301,46 @@ def _by_site(ts, values, run_sites, lengths) -> list[RawSeries]:
     ]
 
 
-def _read_numbers(source, usecols: list[int], integers: bool, minus: bool) -> tuple[np.ndarray, bool]:
-    """The rows of ``source`` as :func:`_read_rows` reads them, with int64
-    timestamps if ``integers`` and every timestamp is an integer, else
-    float64 ones; and whether parsing them as int64 failed.  Only ASCII
-    text may take int64: numpy's integer parser reads some other characters
-    as digits ("5\u01fe" gives 512).  ``"-0"`` is -0.0 to ``float``, so
-    where ``minus`` says the text holds a ``"-"``, a 0 is parsed again as
-    a float."""
-    failed = False
+def _read_numbers(path: str, usecols: list[int], integers: bool, minus: bool, site_codes) -> np.ndarray:
+    """The rows of the raw file at ``path`` as :func:`_read_rows` reads
+    them, with int64 timestamps if ``integers`` and every timestamp is an
+    integer, else float64 ones.  Only ASCII text may take int64: numpy's
+    integer parser reads some other characters as digits ("5\u01fe" gives
+    512).  ``"-0"`` is -0.0 to ``float``, so where ``minus`` says the text
+    holds a ``"-"``, a 0 is parsed again as a float."""
     if integers:
         try:
-            rows = _read_rows(source, usecols, np.int64)
+            rows = _read_rows(path, usecols, np.int64, site_codes)
         except ValueError:
-            failed = True
+            pass
         else:
             if not minus or rows["timestamp"].all():
-                return rows, False
+                return rows
             del rows  # not held while the text is parsed again
     try:
-        return _read_rows(source, usecols, np.float64), failed
+        return _read_rows(path, usecols, np.float64, site_codes)
     except ValueError:
         raise _HandOver from None
 
 
-def _read_rows(source, usecols: list[int], ts_type) -> np.ndarray:
-    """The rows of ``source`` from ``np.loadtxt``: ``timestamp`` as
-    ``ts_type``, ``value`` as float64, and ``site_id`` first when
-    ``usecols`` holds three columns.  ``source`` is a list of lines, or the
-    path of a raw file whose header is skipped.  Raises ValueError for a
-    field the dtype does not take."""
+def _read_rows(path: str, usecols: list[int], ts_type, site_codes) -> np.ndarray:
+    """The rows of the raw file at ``path``, past its header, from
+    ``np.loadtxt``: ``timestamp`` as ``ts_type``, ``value`` as float64, and
+    first, when ``site_codes`` is given, ``site_id`` as the int32 that
+    ``site_codes[id]`` gives.  Raises ValueError for a field the dtype does
+    not take."""
     fields = [("timestamp", ts_type), ("value", np.float64)]
-    if len(usecols) == 3:
-        fields.insert(0, ("site_id", object))
-    options = {"skiprows": 1, "encoding": "utf-8-sig"} if isinstance(source, str) else {}
+    converters = None
+    if site_codes is not None:
+        fields.insert(0, ("site_id", np.int32))
+        converters = {usecols[0]: site_codes.__getitem__}
     with warnings.catch_warnings():
         # numpy 1.x reads a float such as "1.5" into an integer column,
         # truncated, with a DeprecationWarning; as an error it is a ValueError
         warnings.simplefilter("error", DeprecationWarning)
         return np.loadtxt(
-            source, dtype=fields, delimiter=",", comments=None, usecols=usecols, ndmin=1,
-            **options,
+            path, dtype=fields, delimiter=",", comments=None, usecols=usecols, ndmin=1,
+            skiprows=1, encoding="utf-8-sig", converters=converters,
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args
 
@@ -195,8 +196,11 @@ class FeatureTable:
         not lines, are held to ``csv``'s size limit, since a row of 17,520
         values is a longer line than ``csv`` accepts as one field.  The text
         and its lines, a few bytes a cell, stay below the row reader's one
-        ``str`` object a cell.
+        ``str`` object a cell.  A path that is not a regular file, such as a
+        pipe, may be read only once, so it goes to the row reader unopened.
         """
+        if not os.path.isfile(path):
+            return None
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()

@@ -270,31 +270,27 @@ class TestColumnarLoad:
                 mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
             assert load_outcome(load_csv, path) == expected
 
-    @pytest.mark.parametrize("block_chars", [64, 4096])
-    def test_one_site_blocks_skip_the_site_column(self, tmp_path, block_chars):
-        # runs of one site: one call on the path, without the site column
+    def test_each_file_is_parsed_in_one_call_on_its_path(self, tmp_path):
+        # runs of one site: without the site column; interleaved sites: with it
         year = write(tmp_path, ingest_year_text(), "year.csv")
-        # an interleaved tail: one call per block, and only blocks holding
-        # more than one site parse the site column
-        mixed = write(tmp_path, "site_id,timestamp,value\n" + "".join(
-            f"s{0 if t < 1500 else t % 2 + 1},{t},1\n" for t in range(2000)
-        ), "mixed.csv")
-        loadtxt, calls = np.loadtxt, []
+        mixed = write(tmp_path, RAW_HEADER + "".join(f"s{t % 3},{t},1\n" for t in range(2000)), "mixed.csv")
+        for path, names in [(year, ("timestamp", "value")), (mixed, ("site_id", "timestamp", "value"))]:
+            with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+                assert load_outcome(ingest._load_columnar, path) == load_outcome(ingest._load_rows, path)
+            calls = [(call.args[0], np.dtype(call.kwargs["dtype"]).names) for call in loadtxt.call_args_list]
+            assert calls == [(os.path.abspath(path), names)]
 
-        def recording_loadtxt(source, **kwargs):
-            sites = None if isinstance(source, str) else {line.partition(",")[0] for line in source if line}
-            calls.append((sites, np.dtype(kwargs["dtype"]).names))
-            return loadtxt(source, **kwargs)
-
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
-                mock.patch.object(np, "loadtxt", recording_loadtxt):
-            assert load_outcome(ingest._load_columnar, year) == load_outcome(ingest._load_rows, year)
-            assert calls == [(None, ("timestamp", "value"))]
-            calls.clear()
-            assert load_outcome(ingest._load_columnar, mixed) == load_outcome(ingest._load_rows, mixed)
-        assert {len(sites) == 1 for sites, _ in calls} == {True, False}
-        for sites, names in calls:
-            assert names == (("timestamp", "value") if len(sites) == 1 else ("site_id", "timestamp", "value"))
+    def test_parsed_site_ids_are_one_object_per_site(self, tmp_path):
+        # the table holds a number per row, and each site's id once beside it
+        path = write(tmp_path, RAW_HEADER + "".join(f"site {t % 3},{t},1\n" for t in range(600)))
+        read, tables = ingest._read_numbers, []
+        with mock.patch.object(ingest, "_read_numbers", lambda *args: tables.append(read(*args)) or tables[-1]), \
+                mock.patch.object(ingest, "_by_site", wraps=ingest._by_site) as by_site:
+            assert load_outcome(load_csv, path) == load_outcome(ingest._load_rows, path)
+        [table] = tables
+        assert table.dtype["site_id"] == np.int32
+        assert table["site_id"][:4].tolist() == [0, 1, 2, 0]
+        assert by_site.call_args.args[2] == ["site 0", "site 1", "site 2"]
 
     @pytest.mark.parametrize("text", [
         ingest_year_text(),
@@ -360,12 +356,12 @@ class TestColumnarLoad:
 
 
 RAW_HEADER = "site_id,timestamp,value\n"
-READERS = ("_read_file", "_read_blocks", "_load_rows")
+READERS = ("_read_file", "_load_rows")
 
 
 def served_by(path):
     """``load_csv``'s outcome on ``path``, and the readers it called, in
-    ``READERS`` order: the whole-file parse, the block path, the row reader."""
+    ``READERS`` order: the whole-file parse, the row reader."""
     with contextlib.ExitStack() as stack:
         spies = [stack.enter_context(mock.patch.object(ingest, name, wraps=getattr(ingest, name)))
                  for name in READERS]
@@ -378,17 +374,28 @@ def site_rows(sites, steps):
     return "".join(f"{site},{t},{t % 7}.25\n" for site in sites for t in steps)
 
 
+def interleaved_rows(sites, steps):
+    """Rows of every site at each step in turn, with the step as timestamp."""
+    return "".join(f"{site},{t},{t % 5}\n" for t in steps for site in sites)
+
+
+def features_outcome(path):
+    """``FeatureTable.from_csv``'s positions and sizes, bit for bit."""
+    table = FeatureTable.from_csv(path)
+    return table.positions.tobytes(), table.sizes.tobytes()
+
+
 class TestReaderChoice:
     """Every layout reads as the row reader reads it, and the reader that
     serves it follows from what the prepass sees in the file."""
 
     @pytest.mark.parametrize("text, readers", [
         (RAW_HEADER + site_rows(["s3", "s2", "s1"], range(100)), ["_read_file"]),
-        (RAW_HEADER + "".join(f"s{s},{t},{t % 5}\n" for t in range(100) for s in (3, 1, 2)), ["_read_blocks"]),
+        (RAW_HEADER + interleaved_rows(["s3", "s1", "s2"], range(100)), ["_read_file"]),
         (RAW_HEADER + site_rows(["s0"], range(3000)) + "".join(f"s{t % 2 + 1},{t},1\n" for t in range(40)),
-         ["_read_blocks"]),
+         ["_read_file"]),
         ("timestamp,value,site_id\n" + "".join(f"{t},{t % 5},s{t // 20}\n" for t in range(60)),
-         ["_read_blocks"]),
+         ["_read_file"]),
         (RAW_HEADER + "s1,0,1\n\ns1,1,2\n\n\ns1,2,3\n\ns2,0,4\ns2,5,5\n\n\n", ["_read_file"]),
         (RAW_HEADER + site_rows(["a", "b"], range(50)).rstrip("\n"), ["_read_file"]),
         (RAW_HEADER + site_rows(["s10", "s1", "s100", "s"], range(60)), ["_read_file"]),
@@ -398,10 +405,13 @@ class TestReaderChoice:
         (RAW_HEADER + "".join(f"s{i},{t},1\n" for i in range(ingest._BLOCK_RUNS) for t in range(3)),
          ["_read_file"]),
         (RAW_HEADER + "".join(f"s{i},{t},1\n" for i in range(ingest._BLOCK_RUNS + 1) for t in range(3)),
-         ["_read_blocks"]),
+         ["_read_file"]),
+        (RAW_HEADER + interleaved_rows(["\u00e9t\u00e9", "\u65e5\u672c", "ete"], range(100)), ["_read_file"]),
+        (RAW_HEADER + interleaved_rows([" s1", "007", "s1", "7", "s1 "], range(100)), ["_read_file"]),
     ], ids=["descending-ids", "interleaved", "interleaved-tail", "site-id-last", "empty-lines-in-runs",
             "no-final-newline", "ids-prefixing-ids", "non-ascii-ids", "fractional-last-row",
-            "zero-timestamps", "few-short-runs", "many-short-runs"])
+            "zero-timestamps", "few-short-runs", "many-short-runs", "interleaved-non-ascii-ids",
+            "interleaved-spaces-and-zeros"])
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["utf-8", "bom"])
     def test_layout_matches_row_reader(self, tmp_path, text, readers, bom):
         path = tmp_path / "raw.csv"
@@ -410,6 +420,14 @@ class TestReaderChoice:
         assert outcome == load_outcome(ingest._load_rows, path)
         assert outcome[0] == "ok"
         assert used == readers
+
+    def test_short_line_with_the_site_id_last_fails_as_in_the_row_reader(self, tmp_path):
+        rows = [f"{t},{t % 5},s{t // 20}" for t in range(60)]
+        rows[30] = "7,5"
+        path = write(tmp_path, "timestamp,value,site_id\n" + "\n".join(rows) + "\n")
+        expected = load_outcome(ingest._load_rows, path)
+        assert expected[:2] == ("error", ParseError)
+        assert served_by(path) == (expected, ["_read_file", "_load_rows"])
 
     @pytest.mark.parametrize("text, calls", [
         (RAW_HEADER + site_rows(["s1", "s2"], range(100)), 1),
@@ -442,7 +460,7 @@ class TestReaderChoice:
     def test_plain_text_gz_name_reads_as_plain_name(self, tmp_path):
         text = ingest_year_text()
         plain = load_outcome(load_csv, write(tmp_path, text))
-        assert served_by(write(tmp_path, text, "raw.csv.gz")) == (plain, ["_read_blocks"])
+        assert served_by(write(tmp_path, text, "raw.csv.gz")) == (plain, ["_load_rows"])
 
     def test_gzip_file_fails_as_in_the_row_reader(self, tmp_path):
         path = tmp_path / "raw.csv.gz"
@@ -466,7 +484,35 @@ class TestReaderChoice:
                 os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(timeout=60)
         assert not writer.is_alive()
-        assert served == (expected, ["_read_blocks"])
+        assert served == (expected, ["_load_rows"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("load, text", [
+        (lambda path: load_outcome(load_csv, path),
+         RAW_HEADER + "s1,2021-01-01T00:00:00Z,1\ns1,2021-01-01T00:30:00Z,2\n"),
+        (features_outcome, 'x,y,size\n"1",2,3\n4,5,6\n'),
+    ], ids=["raw-iso-timestamps", "features-quoted-cell"])
+    def test_a_pipe_the_columnar_reader_would_hand_over_loads(self, tmp_path, load, text):
+        # the load runs in a thread of its own, so one that opens the pipe a
+        # second time, and so waits for a writer forever, fails the test
+        pipe = tmp_path / "in.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+        outcome = []
+        reader = threading.Thread(target=lambda: outcome.append(load(pipe)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        hung = reader.is_alive()
+        while reader.is_alive():  # give a second open of the pipe an empty writer
+            with contextlib.suppress(OSError):
+                os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=1)
+        if writer.is_alive():
+            os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=60)
+        assert not hung
+        assert outcome == [load(write(tmp_path, text))]
 
 
 class TestBucketEdges:
