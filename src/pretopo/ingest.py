@@ -9,10 +9,7 @@ criterion, so a site's profile must match at every time scale at once.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import warnings
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -22,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, read_number
-from .similarity import FeatureTable, PearsonBall, _csv_rows, _hands_over, _write_item_csv
+from .similarity import FeatureTable, PearsonBall, _columnar, _csv_rows, _empty_lines, _HandOver
+from .similarity import _header, _line_blocks, _loadtxt, _write_item_csv
 
 RESOLUTIONS = ("half_hour", "day", "week", "month")
 AGGREGATES = ("mean", "sum")
@@ -31,11 +29,6 @@ AGGREGATES = ("mean", "sum")
 _MIN_WINDOW_FRACTION = 0.8
 _FIXED_WIDTH = {"half_hour": 1800.0, "day": 86400.0, "week": 604800.0}
 _RAW_COLUMNS = ("site_id", "timestamp", "value")
-# Characters of text the prepass reads at a time.  It bounds the text held
-# at once to a few MB; and while it is at most csv.field_size_limit(), only
-# a block's first line, carried over from the previous read, can hold a
-# field longer than csv accepts.
-_BLOCK_CHARS = 1 << 17
 # The most runs of one site's lines a block may hold for the prepass to pass
 # the site runs it found by string search to the parse, which then skips the
 # site-id column: finding a run searches the rest of its block, so a block
@@ -43,9 +36,6 @@ _BLOCK_CHARS = 1 << 17
 # site ids too.  With lines of about 26 characters (some 5,000 a block),
 # the two took the same time near 13 runs a block.
 _BLOCK_RUNS = 12
-# np.loadtxt opens a path ending in one of these through a decompressor
-# (numpy's DataSource), where the row reader reads the file as text.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass
@@ -86,86 +76,39 @@ def load_csv(path) -> list[RawSeries]:
     and every error message come from :func:`_load_rows` alone.  Both
     readers take UTF-8 text and skip a leading byte-order mark.
     """
-    try:
-        sites = _load_columnar(path)
-    except UnicodeDecodeError:  # reported by the row reader, at its own position
-        sites = None
+    sites = _load_columnar(path)
     return _load_rows(path) if sites is None else sites
-
-
-class _HandOver(Exception):
-    """The file may hold something the columnar reader does not read as the
-    row reader does."""
 
 
 def _load_columnar(path) -> list[RawSeries] | None:
     """:func:`_load_rows`'s result through one ``np.loadtxt`` call on the
     path, or None where the two readers might disagree.
 
-    The file is read with universal newlines, so ``\\r`` and ``\\r\\n`` end a
-    line as they end a ``csv`` row.  Without a ``"`` every field is the text
-    between commas, as ``csv`` splits it.  ``loadtxt`` skips empty lines as
-    the row reader does; every other line must give one row.  numpy parses
-    numbers exactly as ``float`` does but rejects a few spellings ``float``
-    takes (``1_000``, non-ASCII digits); those files, and files with a
-    rejected reading, go to the row reader.  So does a path that is not a
-    regular file, which may be read only once, such as a pipe, and a name
-    numpy would decompress: both are decided before the path is opened.
+    Without a ``"`` every field is the text between commas, as ``csv``
+    splits it.  ``loadtxt`` skips empty lines as the row reader does; every
+    other line must give one row.  numpy parses numbers exactly as
+    ``float`` does but rejects a few spellings ``float`` takes (``1_000``,
+    non-ASCII digits); those files, and files with a rejected reading, go
+    to the row reader, as does every file :func:`_columnar` hands over.
 
-    A prepass reads the text in blocks and makes every check that does not
-    parse a number.  When ``site_id`` is the first column, it also finds
-    each block's runs of one site's lines by string search; if every block
-    is a few such runs, the parse skips the site-id column.  Otherwise it
-    parses the site ids too, and the runs are those of equal adjacent ids.
+    A prepass over the blocks of :func:`_line_blocks` makes every check
+    that does not parse a number.  When ``site_id`` is the first column, it
+    also finds each block's runs of one site's lines by string search; if
+    every block is a few such runs, the parse skips the site-id column.
+    Otherwise it parses the site ids too, and the runs are those of equal
+    adjacent ids.
     """
-    if not os.path.isfile(path) or str(path).endswith(_COMPRESSED):
-        return None
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            usecols = _raw_usecols(fh.readline())
-            runs, n_rows, ascii, minus = _prepass(_line_blocks(fh), usecols[0] == 0)
+    def read(fh):
+        names = _header(fh)
+        if not all(column in names for column in _RAW_COLUMNS):
+            return None
+        usecols = [names.index(column) for column in _RAW_COLUMNS]
+        runs, n_rows, ascii, minus = _prepass(_line_blocks(fh), usecols[0] == 0)
         if not n_rows:
             return []  # loadtxt warns on a file with no rows
         return _by_site(*_read_file(path, usecols, runs, n_rows, ascii, minus))
-    except _HandOver:
-        return None
 
-
-def _raw_usecols(header: str) -> list[int]:
-    """The indices of the ``site_id``, ``timestamp`` and ``value`` columns
-    in the header line."""
-    header = header.rstrip("\n")
-    if _hands_over(header) or len(header) > csv.field_size_limit():
-        raise _HandOver
-    names = header.split(",")
-    if not all(column in names for column in _RAW_COLUMNS):
-        raise _HandOver
-    return [names.index(column) for column in _RAW_COLUMNS]
-
-
-def _line_blocks(fh):
-    """The rest of ``fh``, read ``_BLOCK_CHARS`` characters at a time, as
-    ``(text, end)``: ``text`` is ``"\\n"``, the line carried over from the
-    previous read, then the block, and its whole lines are those that
-    start after each ``"\\n"`` before ``text[end]``, its last ``"\\n"``.
-    What follows ``text[end]`` is carried over; the last line of the file
-    gets a ``"\\n"`` if it has none."""
-    field_limit = csv.field_size_limit()
-    tail = ""
-    while True:
-        block = fh.read(_BLOCK_CHARS)
-        if _hands_over(block) or len(block) > field_limit:
-            raise _HandOver
-        text = "".join(("\n", tail, block or "\n"))
-        end = text.rfind("\n")
-        tail = text[end + 1:]
-        if end:
-            # lines after the first lie inside the block
-            if text.find("\n", 1) - 1 > field_limit:
-                raise _HandOver  # a field may be longer than csv accepts
-            yield text, end
-        if not block:
-            return
+    return _columnar(path, read)
 
 
 def _prepass(blocks, site_first: bool) -> tuple[tuple | None, int, bool, bool]:
@@ -228,15 +171,6 @@ def _block_runs(text: str, end: int, sites: list[str], rows: list[int]) -> int |
     return block_rows
 
 
-def _empty_lines(text: str, start: int, stop: int) -> int:
-    """The empty lines that start after a ``"\\n"`` of ``text[start:stop]``."""
-    count, at = 0, text.find("\n\n", start, stop + 1)
-    while at >= 0:
-        count += 1
-        at = text.find("\n\n", at + 1, stop + 1)
-    return count
-
-
 def _read_file(path, usecols, runs, n_rows, ascii, minus):
     """``(timestamps, values, names, codes, rows)`` from one ``np.loadtxt``
     call on the whole file, which must give the ``n_rows`` rows the prepass
@@ -251,8 +185,7 @@ def _read_file(path, usecols, runs, n_rows, ascii, minus):
         site_codes.default_factory = site_codes.__len__  # a new id's number
     else:
         usecols = usecols[1:]
-    # an absolute path, which numpy never takes for a URL to download
-    table = _read_numbers(os.path.abspath(path), usecols, ascii, minus, site_codes)
+    table = _read_numbers(path, usecols, ascii, minus, site_codes)
     if len(table) != n_rows:
         raise _HandOver
     if runs is None:
@@ -301,7 +234,7 @@ def _by_site(ts, values, names, run_codes, lengths) -> list[RawSeries]:
     ]
 
 
-def _read_numbers(path: str, usecols: list[int], integers: bool, minus: bool, site_codes) -> np.ndarray:
+def _read_numbers(path, usecols: list[int], integers: bool, minus: bool, site_codes) -> np.ndarray:
     """The rows of the raw file at ``path`` as :func:`_read_rows` reads
     them, with int64 timestamps if ``integers`` and every timestamp is an
     integer, else float64 ones.  Only ASCII text may take int64: numpy's
@@ -323,9 +256,9 @@ def _read_numbers(path: str, usecols: list[int], integers: bool, minus: bool, si
         raise _HandOver from None
 
 
-def _read_rows(path: str, usecols: list[int], ts_type, site_codes) -> np.ndarray:
+def _read_rows(path, usecols: list[int], ts_type, site_codes) -> np.ndarray:
     """The rows of the raw file at ``path``, past its header, from
-    ``np.loadtxt``: ``timestamp`` as ``ts_type``, ``value`` as float64, and
+    :func:`_loadtxt`: ``timestamp`` as ``ts_type``, ``value`` as float64, and
     first, when ``site_codes`` is given, ``site_id`` as the int32 that
     ``site_codes[id]`` gives.  Raises ValueError for a field the dtype does
     not take."""
@@ -334,14 +267,7 @@ def _read_rows(path: str, usecols: list[int], ts_type, site_codes) -> np.ndarray
     if site_codes is not None:
         fields.insert(0, ("site_id", np.int32))
         converters = {usecols[0]: site_codes.__getitem__}
-    with warnings.catch_warnings():
-        # numpy 1.x reads a float such as "1.5" into an integer column,
-        # truncated, with a DeprecationWarning; as an error it is a ValueError
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(
-            path, dtype=fields, delimiter=",", comments=None, usecols=usecols, ndmin=1,
-            skiprows=1, encoding="utf-8-sig", converters=converters,
-        )
+    return _loadtxt(path, dtype=fields, usecols=usecols, ndmin=1, converters=converters)
 
 
 def _load_rows(path) -> list[RawSeries]:

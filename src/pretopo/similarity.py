@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args
 
@@ -80,6 +81,101 @@ def _hands_over(text: str) -> bool:
     U+001C..U+001F, which numpy strips from a number as whitespace and
     ``float`` rejects."""
     return any(char in text for char in '"\x00\x1c\x1d\x1e\x1f')
+
+
+# The most characters of text a columnar reader's prepass reads at a time,
+# so that it holds a few MB of text at once, whatever the file's size.
+_BLOCK_CHARS = 1 << 17
+# np.loadtxt opens a path ending in one of these through a decompressor
+# (numpy's DataSource), where the row readers read the file as text.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+class _HandOver(Exception):
+    """The file may hold something the columnar reader does not read as the
+    row reader does."""
+
+
+def _columnar(path, read):
+    """``read(fh)`` on the file at ``path``, open as UTF-8 text past any
+    byte-order mark, with universal newlines, so ``\\r`` and ``\\r\\n`` end a
+    line as they end a ``csv`` row; None where a columnar reader hands the
+    file over to its row reader, which reports any error at its own position:
+    ``read`` returns None or raises :class:`_HandOver`, or the bytes are not
+    UTF-8.  A path that is not a regular file, which may be read only once
+    (a pipe), or whose name numpy would decompress is handed over unopened."""
+    if not os.path.isfile(path) or str(path).endswith(_COMPRESSED):
+        return None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return read(fh)
+    except (_HandOver, UnicodeDecodeError):
+        return None
+
+
+def _header(fh) -> list[str]:
+    """The names in the first line of ``fh``, split at each comma as
+    ``csv`` splits a line without a ``"``; :class:`_HandOver` where the line
+    holds a character of :func:`_hands_over` or a name longer than ``csv``
+    accepts."""
+    header = fh.readline().rstrip("\n")
+    names = header.split(",")
+    if _hands_over(header) or max(map(len, names)) > csv.field_size_limit():
+        raise _HandOver
+    return names
+
+
+def _line_blocks(fh):
+    """The rest of ``fh`` as ``(text, end)``, read in blocks of at most
+    ``_BLOCK_CHARS`` and ``csv.field_size_limit()`` characters: ``text`` is
+    ``"\\n"``, the line carried over from earlier reads, then the block, and
+    its whole lines are those that start after each ``"\\n"`` before
+    ``text[end]``, its last ``"\\n"``.  What follows ``text[end]`` is carried
+    over; the last line of the file gets a ``"\\n"`` if it has none.  Only the
+    first line, the one carried over, can be longer than a block, so it alone
+    may hold a field longer than ``csv`` accepts, which hands over, as does a
+    block holding a character of :func:`_hands_over`."""
+    field_limit = csv.field_size_limit()
+    size = min(_BLOCK_CHARS, field_limit)
+    carried = []  # the pieces of a line no read has ended yet
+    while True:
+        block = fh.read(size) or ("\n" if any(carried) else "")
+        if not block:
+            return
+        if _hands_over(block):
+            raise _HandOver
+        cut = block.rfind("\n")
+        if cut < 0:
+            carried.append(block)
+            continue
+        text = "".join(("\n", *carried, block))
+        first = text.find("\n", 1)
+        if first - 1 > field_limit and max(map(len, text[1:first].split(","))) > field_limit:
+            raise _HandOver
+        yield text, len(text) - len(block) + cut
+        carried = [block[cut + 1:]]
+
+
+def _empty_lines(text: str, start: int, stop: int) -> int:
+    """The empty lines that start after a ``"\\n"`` of ``text[start:stop]``."""
+    count, at = 0, text.find("\n\n", start, stop + 1)
+    while at >= 0:
+        count += 1
+        at = text.find("\n\n", at + 1, stop + 1)
+    return count
+
+
+def _loadtxt(path, **kwargs) -> np.ndarray:
+    """The rows of the CSV file at ``path``, past its header, from
+    ``np.loadtxt`` with ``kwargs`` (its ``dtype``, ``usecols``, ``ndmin``
+    and ``converters``); ValueError for a field the dtype does not take."""
+    with warnings.catch_warnings():
+        # numpy 1.x reads a float such as "1.5" into an integer column,
+        # truncated, with a DeprecationWarning; as an error it is a ValueError
+        warnings.simplefilter("error", DeprecationWarning)
+        # an absolute path, which numpy never takes for a URL to download
+        return np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, skiprows=1,
+                          encoding="utf-8-sig", **kwargs)
 
 
 def _float_array(rows, name: str, empty_shape: tuple[int, ...]) -> np.ndarray | None:
@@ -186,66 +282,44 @@ class FeatureTable:
 
     @classmethod
     def _from_columns(cls, path) -> "FeatureTable | None":
-        """:meth:`_from_rows`'s table through ``np.loadtxt``, or None where
-        the two readers might disagree.
-
-        The file is read with universal newlines, so ``\\r`` and ``\\r\\n``
-        end a line as they end a ``csv`` row, and without a ``"`` every field
-        is the text between commas.  Every line must give one row: the row
-        reader raises on a blank line, which ``loadtxt`` would skip.  Fields,
-        not lines, are held to ``csv``'s size limit, since a row of 17,520
-        values is a longer line than ``csv`` accepts as one field.  The text
-        and its lines, a few bytes a cell, stay below the row reader's one
-        ``str`` object a cell.  A path that is not a regular file, such as a
-        pipe, may be read only once, so it goes to the row reader unopened.
-        """
-        if not os.path.isfile(path):
-            return None
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                text = fh.read()
-        except UnicodeDecodeError:  # reported by the row reader, at its own position
-            return None
-        if _hands_over(text):
-            return None
-        lines = text.split("\n")
-        del text
-        if lines[-1] == "":
-            lines.pop()  # the last line's terminator
-        if not lines or "" in lines:
-            return None
-        limit = csv.field_size_limit()
-        if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
-            return None
-        try:
-            features = _feature_columns(lines[0].split(","), path)
-        except ParseError:
-            return None
-        usecols = [idx for columns in features.values() for _, idx in columns]
-        if not usecols:
-            return None
-        body = lines[1:]
-        values = np.empty((0, len(usecols)))
-        if body:  # loadtxt warns on no lines
+        """:meth:`_from_rows`'s table through one ``np.loadtxt`` call on the
+        path, or None where the two readers might disagree (see
+        :func:`_columnar`).  Without a ``"`` every field is the text between
+        commas.  Every line must give one row, so a blank line, which the row
+        reader rejects and ``loadtxt`` skips, hands over."""
+        def read(fh):
             try:
-                values = np.loadtxt(
-                    body, dtype=np.float64, delimiter=",",
-                    comments=None, usecols=usecols, ndmin=2,
-                )
-            except ValueError:
+                features = _feature_columns(_header(fh), path)
+            except ParseError:
                 return None
-            if len(values) != len(body) or not np.isfinite(values).all():
+            usecols = [idx for columns in features.values() for _, idx in columns]
+            if not usecols:
                 return None
-        data = {}
-        for feature, columns in features.items():
-            data[feature], values = values[:, :len(columns)], values[:, len(columns):]
-        if "sizes" in data and (data["sizes"] < 0).any():
-            return None
-        return cls(
-            positions=data.get("positions"),
-            sizes=data["sizes"][:, 0] if "sizes" in data else None,
-            series=data.get("series"),
-        )
+            n_rows = 0
+            for text, end in _line_blocks(fh):
+                if _empty_lines(text, 0, end):
+                    return None
+                n_rows += text.count("\n", 0, end)
+            values = np.empty((0, len(usecols)))
+            if n_rows:  # loadtxt warns on no lines
+                try:
+                    values = _loadtxt(path, dtype=np.float64, usecols=usecols, ndmin=2)
+                except ValueError:
+                    return None
+                if len(values) != n_rows or not np.isfinite(values).all():
+                    return None
+            data = {}
+            for feature, columns in features.items():
+                data[feature], values = values[:, :len(columns)], values[:, len(columns):]
+            if "sizes" in data and (data["sizes"] < 0).any():
+                return None
+            return cls(
+                positions=data.get("positions"),
+                sizes=data["sizes"][:, 0] if "sizes" in data else None,
+                series=data.get("series"),
+            )
+
+        return _columnar(path, read)
 
     @classmethod
     def _from_rows(cls, path) -> "FeatureTable":

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ODD_NUMBERS, brute_force_resample, brute_force_widest_drop
-from pretopo import ConfigError, DataError, FeatureTable, ParseError, build_basis, ingest
+from pretopo import ConfigError, DataError, FeatureTable, ParseError, build_basis, ingest, similarity
 from pretopo.ingest import (
     RESOLUTIONS,
     RawSeries,
@@ -182,22 +182,22 @@ def ingest_year_text(n_sites=3, rows=400):
 
 class TestColumnarLoad:
     @settings(max_examples=300, deadline=None)
-    @given(text=raw_csv_texts(), block_chars=st.sampled_from([1, 7, 64, ingest._BLOCK_CHARS]))
+    @given(text=raw_csv_texts(), block_chars=st.sampled_from([1, 7, 64, similarity._BLOCK_CHARS]))
     def test_matches_row_reader(self, tmp_path_factory, text, block_chars):
         path = tmp_path_factory.mktemp("raw") / "raw.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = load_outcome(ingest._load_rows, path)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars):
             assert load_outcome(load_csv, path) == expected
             columnar = load_outcome(ingest._load_columnar, path)
         if columnar != ("handed over",):
             assert columnar == expected
 
-    @pytest.mark.parametrize("block_chars", [64, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [64, similarity._BLOCK_CHARS])
     def test_ingest_year_input_is_served_without_the_row_reader(self, tmp_path, block_chars):
         path = write(tmp_path, ingest_year_text())
         expected = load_outcome(ingest._load_rows, path)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+        with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
             assert load_outcome(load_csv, path) == expected
         assert [s.site_id for s in load_csv(path)] == ["site_000", "site_001", "site_002"]
@@ -245,19 +245,19 @@ class TestColumnarLoad:
         assert load_outcome(load_csv, path) == expected
         assert ingest._load_columnar(path) is None
 
-    @pytest.mark.parametrize("block_chars", [64, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [64, similarity._BLOCK_CHARS])
     def test_blocks_mixing_integer_and_fractional_timestamps(self, tmp_path, block_chars):
         stamps = [str(1800 * t) for t in range(30)]
         stamps[1] = "1800"
         stamps[12] = "21600.5"
         path = write(tmp_path, "site_id,timestamp,value\n" + "".join(f"s1,{t},1\n" for t in stamps))
         expected = load_outcome(ingest._load_rows, path)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+        with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
             assert load_outcome(load_csv, path) == expected
         assert load_csv(path)[0].timestamps[12] == 21600.5
 
-    @pytest.mark.parametrize("block_chars", [64, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [64, similarity._BLOCK_CHARS])
     @pytest.mark.parametrize("text", [
         "timestamp,value,site_id\n" + "".join(f"{t},{t % 5},s{t // 20}\n" for t in range(60)),
         "site_id,timestamp,value\n" + "".join(f"s{t // 7},{t},1\n" for t in range(40)),
@@ -266,7 +266,7 @@ class TestColumnarLoad:
     def test_site_layouts_are_served_without_the_row_reader(self, tmp_path, text, block_chars):
         path = write(tmp_path, text)
         expected = load_outcome(ingest._load_rows, path)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars), \
+        with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(ingest, "_load_rows", side_effect=AssertionError("row reader used")):
             assert load_outcome(load_csv, path) == expected
 
@@ -350,7 +350,7 @@ class TestColumnarLoad:
         if row is not None:
             rows[row] = f"{long},{row},1"
         path = write(tmp_path, "\n".join([header, *rows]))
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 64), mock.patch("csv.field_size_limit", return_value=250):
+        with mock.patch.object(similarity, "_BLOCK_CHARS", 64), mock.patch("csv.field_size_limit", return_value=250):
             assert ingest._load_columnar(path) is None
         assert ingest._load_columnar(path) is not None
 
@@ -456,6 +456,17 @@ class TestReaderChoice:
             csv.field_size_limit(limit)
         assert expected[:2] == ("error", ParseError)
         assert (outcome, used) == (expected, ["_load_rows"])
+
+    def test_long_lines_of_short_fields_are_served(self, tmp_path, field_limit_250):
+        # label columns make the header and every row longer than csv
+        # accepts as one field, and each field shorter
+        labels = ",".join(f"label_{k:02d}" for k in range(30))
+        lines = [f"s{i // 20},{i % 20},{i % 3}.5," + labels for i in range(60)]
+        path = write(tmp_path, RAW_HEADER.rstrip("\n") + "," + labels + "\n" + "\n".join(lines) + "\n")
+        assert min(map(len, lines)) > field_limit_250
+        expected = load_outcome(ingest._load_rows, path)
+        assert expected[0] == "ok"
+        assert served_by(path) == (expected, ["_read_file"])
 
     def test_plain_text_gz_name_reads_as_plain_name(self, tmp_path):
         text = ingest_year_text()

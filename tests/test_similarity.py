@@ -31,6 +31,7 @@ from pretopo import (
     build_basis,
     core,
     datagen,
+    similarity,
 )
 from pretopo.similarity import _read_item_csv, _write_item_csv, criterion_ball_masks
 
@@ -485,21 +486,15 @@ def served_outcome(path):
         return table_outcome(FeatureTable.from_csv, path)
 
 
-@pytest.fixture
-def field_limit_250():
-    old = csv.field_size_limit(250)
-    yield 250
-    csv.field_size_limit(old)
-
-
 class TestColumnarFromCsv:
     @settings(max_examples=300, deadline=None)
-    @given(data=features_csv_bytes())
-    def test_matches_row_reader(self, tmp_path_factory, data):
+    @given(data=features_csv_bytes(), block_chars=st.sampled_from([1, 7, 64, similarity._BLOCK_CHARS]))
+    def test_matches_row_reader(self, tmp_path_factory, data, block_chars):
         path = write_bytes(tmp_path_factory.mktemp("features"), data)
         expected = table_outcome(FeatureTable._from_rows, path)
-        assert table_outcome(FeatureTable.from_csv, path) == expected
-        columnar = table_outcome(FeatureTable._from_columns, path)
+        with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars):
+            assert table_outcome(FeatureTable.from_csv, path) == expected
+            columnar = table_outcome(FeatureTable._from_columns, path)
         if columnar != ("handed over",):
             assert columnar == expected
 
@@ -639,6 +634,74 @@ class TestColumnarFromCsv:
         expected = table_outcome(FeatureTable._from_rows, path)
         assert expected == ("ok", table_bits(FeatureTable(positions=[(1.0, 2.0)], sizes=[3.0])))
         assert served_outcome(path) == expected
+
+    @pytest.mark.parametrize("text", [
+        "x,y,size\n1,2,3\n4,5,6\n",
+        "x,y,size\n1,2,3\n4,5,6",
+        "x,y,size\r\n1,2,3\r\n4,5,6\r\n",
+        "x,y,size\r1,2,3\r4,5,6",
+        "x,y,size,label\n1,2,3," + "a" * 40 + "\n4,5,6,b\n",
+    ], ids=["final-newline", "no-final-newline", "crlf", "cr", "row-longer-than-a-block"])
+    def test_served_whatever_the_block_size(self, tmp_path, text):
+        # block sizes from 1 to past the end of the file put a block
+        # boundary between every two characters
+        path = write_bytes(tmp_path, text)
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert expected[0] == "ok"
+        for block_chars in range(1, len(text) + 2):
+            with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars):
+                assert served_outcome(path) == expected
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n\n3,4\n",
+        "x,y\r\n1,2\r\n\r\n3,4\r\n",
+        "x,y\n1,2\n3,4\n\n",
+        "x,y\n\n1,2\n",
+    ], ids=["inner", "inner-crlf", "trailing", "first-row"])
+    def test_blank_line_at_any_boundary_is_handed_over(self, tmp_path, text):
+        path = write_bytes(tmp_path, text)
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert expected[:2] == ("error", ParseError)
+        for block_chars in range(1, len(text) + 2):
+            with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars):
+                assert FeatureTable._from_columns(path) is None
+                assert table_outcome(FeatureTable.from_csv, path) == expected
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, similarity._BLOCK_CHARS])
+    def test_crlf_split_across_two_reads(self, tmp_path, block_chars):
+        # Python's text files decode 8,192 bytes at a time, so the first
+        # read of the file ends on a "\r" whose "\n" the second begins with
+        text = "x,y,hh\r\n" + "".join(f"{i % 10},{i % 7}\r\n" for i in range(4000))
+        assert text[8191:8193] == "\r\n"
+        path = write_bytes(tmp_path, text)
+        expected = table_outcome(FeatureTable._from_rows, path)
+        assert expected[0] == "ok"
+        with mock.patch.object(similarity, "_BLOCK_CHARS", block_chars):
+            assert served_outcome(path) == expected
+
+    def test_plain_text_gz_name_reads_as_plain_name(self, tmp_path):
+        # given a path, numpy picks a decompressor by its suffix
+        text = "x,y,size\n0,0,1\n1,0,2\n"
+        plain = table_outcome(FeatureTable.from_csv, write_bytes(tmp_path, text))
+        path = write_bytes(tmp_path, text, "f.csv.gz")
+        assert FeatureTable._from_columns(path) is None
+        with mock.patch.object(FeatureTable, "_from_rows", wraps=FeatureTable._from_rows) as from_rows:
+            assert table_outcome(FeatureTable.from_csv, path) == plain
+        from_rows.assert_called_once_with(path)
+
+    def test_reading_follows_the_data(self, tmp_path):
+        # 15 MiB of text for 6 MiB of values: the text is read a block at a
+        # time, not whole, and numpy parses the path
+        values = np.random.default_rng(5).random((200, 4000))
+        FeatureTable(series=values).to_csv(tmp_path / "f.csv")
+        tracemalloc.start()
+        try:
+            table = FeatureTable.from_csv(tmp_path / "f.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.series.tobytes() == values.tobytes()
+        assert peak < 2 * table.series.nbytes
 
 
 class TestToCsv:
