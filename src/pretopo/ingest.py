@@ -53,7 +53,7 @@ class RawSeries:
 
 def _parse_timestamp(raw: str) -> float:
     try:
-        return float(raw)
+        return float(raw) + 0.0  # "-0" is the instant 0, not -0.0
     except ValueError:
         pass
     try:
@@ -103,34 +103,32 @@ def _load_columnar(path) -> list[RawSeries] | None:
         if not all(column in names for column in _RAW_COLUMNS):
             return None
         usecols = [names.index(column) for column in _RAW_COLUMNS]
-        runs, n_rows, ascii, minus = _prepass(_line_blocks(fh), usecols[0] == 0)
+        runs, n_rows, ascii = _prepass(_line_blocks(fh), usecols[0] == 0)
         if not n_rows:
             return []  # loadtxt warns on a file with no rows
-        return _by_site(*_read_file(path, usecols, runs, n_rows, ascii, minus))
+        return _by_site(*_read_file(path, usecols, runs, n_rows, ascii))
 
     return _columnar(path, read)
 
 
-def _prepass(blocks, site_first: bool) -> tuple[tuple | None, int, bool, bool]:
+def _prepass(blocks, site_first: bool) -> tuple[tuple | None, int, bool]:
     """Over the ``blocks`` of :func:`_line_blocks`: the runs of one site's
     lines (a site's runs in adjacent blocks are one run) as
-    :func:`_read_file` gives them, the number of non-empty lines, whether
-    every block is ASCII, and whether one holds a ``"-"``.  The runs are
-    None unless ``site_first`` and :func:`_block_runs` finds them in every
-    block."""
+    :func:`_read_file` gives them, the number of non-empty lines, and
+    whether every block is ASCII.  The runs are None unless ``site_first``
+    and :func:`_block_runs` finds them in every block."""
     sites: list[str] = []
     rows: list[int] = []
     runs = site_first
-    n_rows, ascii, minus = 0, True, False
+    n_rows, ascii = 0, True
     for text, end in blocks:
         ascii = ascii and text.isascii()
-        minus = minus or "-" in text
         block_rows = _block_runs(text, end, sites, rows) if runs else None
         if block_rows is None:
             runs = False
             block_rows = text.count("\n", 0, end) - _empty_lines(text, 0, end)
         n_rows += block_rows
-    return ((sites, np.arange(len(sites)), np.array(rows)) if runs else None), n_rows, ascii, minus
+    return ((sites, np.arange(len(sites)), np.array(rows)) if runs else None), n_rows, ascii
 
 
 def _block_runs(text: str, end: int, sites: list[str], rows: list[int]) -> int | None:
@@ -171,28 +169,50 @@ def _block_runs(text: str, end: int, sites: list[str], rows: list[int]) -> int |
     return block_rows
 
 
-def _read_file(path, usecols, runs, n_rows, ascii, minus):
-    """``(timestamps, values, names, codes, rows)`` from one ``np.loadtxt``
-    call on the whole file, which must give the ``n_rows`` rows the prepass
+def _read_file(path, usecols, runs, n_rows, ascii):
+    """``(timestamps, values, names, codes, rows)`` from :func:`_loadtxt` on
+    the whole file, which must give the ``n_rows`` rows the prepass
     counted; run ``k`` of one site's rows, in file order, is ``rows[k]``
     rows of site ``names[codes[k]]``.  Given the prepass's ``runs``, the
     call skips the site-id column.  Without them, it parses each site id
     into its number in order of first appearance, so the table holds no
-    Python object per row, and a run is a stretch of equal numbers."""
-    site_codes = None
+    Python object per row, and a run is a stretch of equal numbers.
+
+    Timestamps are parsed as int64 on ASCII text, and as float64 on any
+    other (numpy's integer parser reads some other characters as digits:
+    "5\u01fe" gives 512).  Only a timestamp the int64 call does not take
+    (``1800.5``, ``1e9``, one past the int64 range) parses the file again
+    as float64; numpy names the dtype of the field it failed on, and the
+    timestamp is the one int64 field.  Any other failure hands over."""
+    site_field, converters = [], None
     if runs is None:
         site_codes = defaultdict()
         site_codes.default_factory = site_codes.__len__  # a new id's number
+        site_field, converters = [("site_id", np.int32)], {usecols[0]: site_codes.__getitem__}
     else:
         usecols = usecols[1:]
-    table = _read_numbers(path, usecols, ascii, minus, site_codes)
+
+    def parse(ts_type):
+        fields = [*site_field, ("timestamp", ts_type), ("value", np.float64)]
+        return _loadtxt(path, dtype=fields, usecols=usecols, ndmin=1, converters=converters)
+
+    try:
+        try:
+            table = parse(np.int64 if ascii else np.float64)
+        except ValueError as exc:
+            if not (ascii and " to int64 " in str(exc)):
+                raise
+            table = parse(np.float64)
+    except ValueError:
+        raise _HandOver from None
     if len(table) != n_rows:
         raise _HandOver
     if runs is None:
         codes = table["site_id"]
         starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
         runs = list(site_codes), codes[np.append(0, starts)], np.diff(starts, prepend=0, append=n_rows)
-    return table["timestamp"].astype(np.float64), table["value"].copy(), *runs
+    # + 0.0 makes the float64 copy and reads "-0" as 0, as _parse_timestamp does
+    return table["timestamp"] + 0.0, table["value"].copy(), *runs
 
 
 def _by_site(ts, values, names, run_codes, lengths) -> list[RawSeries]:
@@ -232,42 +252,6 @@ def _by_site(ts, values, names, run_codes, lengths) -> list[RawSeries]:
         RawSeries(site_ids[k], ts[a:b], values[a:b])
         for k, a, b in sorted(zip(run_rank.tolist(), starts.tolist(), ends.tolist()))
     ]
-
-
-def _read_numbers(path, usecols: list[int], integers: bool, minus: bool, site_codes) -> np.ndarray:
-    """The rows of the raw file at ``path`` as :func:`_read_rows` reads
-    them, with int64 timestamps if ``integers`` and every timestamp is an
-    integer, else float64 ones.  Only ASCII text may take int64: numpy's
-    integer parser reads some other characters as digits ("5\u01fe" gives
-    512).  ``"-0"`` is -0.0 to ``float``, so where ``minus`` says the text
-    holds a ``"-"``, a 0 is parsed again as a float."""
-    if integers:
-        try:
-            rows = _read_rows(path, usecols, np.int64, site_codes)
-        except ValueError:
-            pass
-        else:
-            if not minus or rows["timestamp"].all():
-                return rows
-            del rows  # not held while the text is parsed again
-    try:
-        return _read_rows(path, usecols, np.float64, site_codes)
-    except ValueError:
-        raise _HandOver from None
-
-
-def _read_rows(path, usecols: list[int], ts_type, site_codes) -> np.ndarray:
-    """The rows of the raw file at ``path``, past its header, from
-    :func:`_loadtxt`: ``timestamp`` as ``ts_type``, ``value`` as float64, and
-    first, when ``site_codes`` is given, ``site_id`` as the int32 that
-    ``site_codes[id]`` gives.  Raises ValueError for a field the dtype does
-    not take."""
-    fields = [("timestamp", ts_type), ("value", np.float64)]
-    converters = None
-    if site_codes is not None:
-        fields.insert(0, ("site_id", np.int32))
-        converters = {usecols[0]: site_codes.__getitem__}
-    return _loadtxt(path, dtype=fields, usecols=usecols, ndmin=1, converters=converters)
 
 
 def _load_rows(path) -> list[RawSeries]:

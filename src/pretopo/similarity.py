@@ -331,6 +331,9 @@ class FeatureTable:
             return cls()
         rows = list(reader)
         features = _feature_columns(header, path)
+        # a header alone, or with the blank rows to_csv writes for channels alone, reads as no item
+        if not features and any(row for _, row in rows):
+            raise ParseError("header names no feature column (x and y, size, series_*)", path=path, line=1)
 
         def column(name: str, idx: int) -> list[float]:
             values = []

@@ -1784,3 +1784,18 @@ class TestDeterminism:
         assert (out_dir / "hierarchy.dot").read_bytes() == (
             b"digraph quasihierarchy {\n  rankdir=TB;\n}\n"
         )
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "x,Y\n0,0\n1,1\n", "x\n0\n", "a,b\n\n,\n"],
+                             ids=["a-b", "x-Y", "x-alone", "empty-fields"])
+    def test_rows_under_a_header_without_features_exit_2(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        doc = {"dataset": {"kind": "features", "path": str(data)},
+               "criteria": [{"kind": "euclidean", "radius": 2.0}], "seed_func": "random_neighbor", "th_qh": 0.75}
+        out_dir = tmp_path / "out"
+        config = write_json(tmp_path / "cfg.json", doc)
+        assert run(capsys, "cluster", "--config", config, "--out-dir", str(out_dir)) == (2, "", json.dumps({
+            "error": "ParseError",
+            "message": f"{data}: line 1: header names no feature column (x and y, size, series_*)",
+        }) + "\n")
+        assert not out_dir.exists()

@@ -217,6 +217,12 @@ class TestPropertyChecks:
         assert small.issubset(large)
         assert not space.pseudoclosure(small).issubset(space.pseudoclosure(large))
 
+    def test_check_result_is_truthy_as_its_ok(self):
+        passing = check_isotony(random_prefilter_space(random.Random(5), 5))
+        failing = check_isotony(OddBumpSpace(Universe.of_size(4)))
+        assert (bool(passing), passing.ok) == (True, True)
+        assert (bool(failing), failing.ok) == (False, False)
+
     def test_graph_is_additive_and_singleton_determined(self):
         rng = random.Random(9)
         for _ in range(10):

@@ -284,6 +284,16 @@ class TestExtractAdjacency:
         with pytest.raises(ValueError):
             ClosedFamily([ElementSet(3, 0), ElementSet.from_members(3, [0])])
 
+    def test_families_equal_by_their_sets(self):
+        family = family_of(4, [0, 1], [1, 2])
+        assert family == family_of(4, [1, 2], [0, 1], [1, 2])
+        assert family != family_of(4, [0, 1])
+        assert family != family_of(5, [0, 1], [1, 2])
+        assert family != list(family)
+
+    def test_repr_counts_the_sets(self):
+        assert repr(family_of(4, [0, 1], [1, 2], [0, 1])) == "ClosedFamily(2 sets)"
+
     @pytest.mark.parametrize("sets", [
         [ElementSet(3, 0b11), ElementSet(5, 0b11000)],
         [ElementSet(3, 0b11), ElementSet(5, 0b11)],

@@ -234,7 +234,9 @@ class TestColumnarLoad:
         path = write(tmp_path, "site_id,timestamp,value\n" + "".join(f"{s},{spelling},1\n" for s in sites))
         expected = load_outcome(ingest._load_rows, path)
         assert load_outcome(ingest._load_columnar, path) == expected
-        assert [s.timestamps[0].hex() for s in load_csv(path)] == [float(spelling).hex()] * len(sites)
+        first = [(float(spelling) + 0.0).hex()] * len(sites)  # "-0" is the instant 0
+        for read in (load_csv, ingest._load_rows):
+            assert [s.timestamps[0].hex() for s in read(path)] == first
 
     @pytest.mark.parametrize("spelling", ["5\u01fe", "\u09035", "-\U0001175e"])
     def test_non_ascii_timestamps_fail_as_in_the_row_reader(self, tmp_path, spelling):
@@ -283,8 +285,8 @@ class TestColumnarLoad:
     def test_parsed_site_ids_are_one_object_per_site(self, tmp_path):
         # the table holds a number per row, and each site's id once beside it
         path = write(tmp_path, RAW_HEADER + "".join(f"site {t % 3},{t},1\n" for t in range(600)))
-        read, tables = ingest._read_numbers, []
-        with mock.patch.object(ingest, "_read_numbers", lambda *args: tables.append(read(*args)) or tables[-1]), \
+        read, tables = similarity._loadtxt, []
+        with mock.patch.object(ingest, "_loadtxt", lambda *a, **kw: tables.append(read(*a, **kw)) or tables[-1]), \
                 mock.patch.object(ingest, "_by_site", wraps=ingest._by_site) as by_site:
             assert load_outcome(load_csv, path) == load_outcome(ingest._load_rows, path)
         [table] = tables
@@ -408,10 +410,12 @@ class TestReaderChoice:
          ["_read_file"]),
         (RAW_HEADER + interleaved_rows(["\u00e9t\u00e9", "\u65e5\u672c", "ete"], range(100)), ["_read_file"]),
         (RAW_HEADER + interleaved_rows([" s1", "007", "s1", "7", "s1 "], range(100)), ["_read_file"]),
+        (RAW_HEADER + "s1,-0.0,1\ns1,0.5,2\ns2,-0,3\n", ["_read_file"]),
+        (RAW_HEADER + "\u00e9t\u00e9,-0,1\n\u00e9t\u00e9,5,2\ns2,-00,3\n", ["_read_file"]),
     ], ids=["descending-ids", "interleaved", "interleaved-tail", "site-id-last", "empty-lines-in-runs",
             "no-final-newline", "ids-prefixing-ids", "non-ascii-ids", "fractional-last-row",
             "zero-timestamps", "few-short-runs", "many-short-runs", "interleaved-non-ascii-ids",
-            "interleaved-spaces-and-zeros"])
+            "interleaved-spaces-and-zeros", "float-minus-zeros", "non-ascii-minus-zeros"])
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["utf-8", "bom"])
     def test_layout_matches_row_reader(self, tmp_path, text, readers, bom):
         path = tmp_path / "raw.csv"
@@ -429,20 +433,48 @@ class TestReaderChoice:
         assert expected[:2] == ("error", ParseError)
         assert served_by(path) == (expected, ["_read_file", "_load_rows"])
 
-    @pytest.mark.parametrize("text, calls", [
-        (RAW_HEADER + site_rows(["s1", "s2"], range(100)), 1),
-        (RAW_HEADER + site_rows(["b-1", "s2"], range(100)), 2),
-        (RAW_HEADER + site_rows(["s1", "s2"], range(100)) + "s3,-0,1\n", 2),
-    ], ids=["from-zero", "minus-in-an-id", "minus-zero"])
-    def test_zero_timestamps_are_parsed_again_only_beside_a_minus(self, tmp_path, text, calls):
-        # one int64 parse of the path, and a float64 one only where a "-"
-        # may have made a 0 into -0.0
+    @pytest.mark.parametrize("text", [
+        RAW_HEADER + site_rows(["s1", "s2"], range(100)),
+        RAW_HEADER + site_rows(["b-1", "s2"], range(100)),
+        RAW_HEADER + site_rows(["s1", "s2"], range(100)) + "s3,-0,1\n",
+        RAW_HEADER + interleaved_rows(["b-1", "s-2"], range(100)),
+    ], ids=["from-zero", "minus-in-an-id", "minus-zero", "interleaved-minus-in-ids"])
+    def test_timestamps_from_zero_parse_once(self, tmp_path, text):
+        # one int64 parse of the path, whatever "-" the text holds: "-0" is 0
         path = write(tmp_path, text)
         expected = load_outcome(ingest._load_rows, path)
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             assert load_outcome(load_csv, path) == expected
-        assert [call.args[0] for call in loadtxt.call_args_list] == [os.path.abspath(path)] * calls
-        assert load_csv(path)[-1].timestamps[0].hex() == ("-0x0.0p+0" if "s3" in text else "0x0.0p+0")
+        assert [call.args[0] for call in loadtxt.call_args_list] == [os.path.abspath(path)]
+        assert [s.timestamps[0].hex() for s in load_csv(path)] == ["0x0.0p+0"] * len(expected[1])
+
+    @pytest.mark.parametrize("text", [
+        RAW_HEADER + site_rows(["s1", "s2"], range(80)) + "s2,80.5,1\n",
+        RAW_HEADER + interleaved_rows(["s1", "s2"], range(80)) + "s2,80.5,1\n",
+    ], ids=["fractional-last-row", "interleaved-fractional"])
+    def test_float64_parse_follows_an_int64_timestamp_failure(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            outcome, used = served_by(path)
+        assert (outcome, used) == (load_outcome(ingest._load_rows, path), ["_read_file"])
+        assert [np.dtype(call.kwargs["dtype"])["timestamp"] for call in loadtxt.call_args_list] == [
+            np.int64, np.float64]
+
+    @pytest.mark.parametrize("text", [
+        RAW_HEADER + site_rows(["s1", "s2"], range(80)) + "s2,80\n",
+        RAW_HEADER + site_rows(["s1", "s2"], range(80)) + "s2,80,x\n",
+        RAW_HEADER + interleaved_rows(["s1", "s2"], range(80)) + "s2\n",
+        RAW_HEADER + interleaved_rows(["s1", "s2"], range(80)) + "s2,80,x\n",
+    ], ids=["short-line", "non-numeric-value", "interleaved-short-line", "interleaved-non-numeric-value"])
+    def test_other_failures_hand_over_after_one_parse(self, tmp_path, text):
+        # numpy names the dtype of the field it failed on: a short line or a
+        # float64 value calls for no float64 timestamps
+        path = write(tmp_path, text)
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            assert served_by(path) == (expected, ["_read_file", "_load_rows"])
+        assert expected[:2] == ("error", ParseError)
+        assert loadtxt.call_count == 1
 
     def test_over_limit_line_in_a_run_goes_to_the_row_reader(self, tmp_path):
         rows = [f"s1,{t},1" for t in range(40)]

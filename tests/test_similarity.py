@@ -394,6 +394,22 @@ class TestCsvRoundTrip:
         path.write_text("", encoding="utf-8")
         assert FeatureTable.from_csv(path).n_items == 0
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "x,Y\n0,0\n", "x\n0\n", "note\n\n\"\"\n"],
+                             ids=["a-b", "x-Y", "x-alone", "quoted-empty-field"])
+    def test_rows_under_a_header_without_features_are_an_error(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: line 1: header names no feature column (x and y, size, series_*)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            FeatureTable.from_csv(path)
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n", "\r\n\r\n\r\n"],
+                             ids=["header-only", "blank-rows", "channels-only-to-csv"])
+    def test_header_without_features_and_no_rows_is_empty(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        assert FeatureTable.from_csv(path).n_items == 0
+
 
 # Item ids and values that csv must quote: commas, quotes, line breaks, and
 # text beyond ASCII.  A NUL is left out: csv rejects it before Python 3.11.
