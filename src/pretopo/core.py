@@ -192,7 +192,7 @@ class NeighborhoodBasis:
                     raise ValueError(f"basis set {b!r} of item {x} does not contain {x}")
 
     @classmethod
-    def from_masks(cls, n: int, masks: Sequence[Sequence[int]]) -> "NeighborhoodBasis":
+    def from_masks(cls, n: int, masks: Iterable[Sequence[int]]) -> "NeighborhoodBasis":
         return cls(
             tuple(tuple(ElementSet(n, m) for m in row) for row in masks)
         )
@@ -320,8 +320,9 @@ class PrefilterSpace(PseudoclosureSpace):
 
     Basis set j of x meets A exactly when x lies in T_j(y) = {x : y in
     basis_j(x)} for some y in A.  So a(A) is the intersection over slots j
-    of short_j | (union of T_j(y) over y in A), where short_j holds the
-    items with no basis set j.  One call costs |A| big-integer ORs per slot;
+    of the union of T_j(y) over y in A.  An item with fewer basis sets than
+    the deepest item fills its later slots with its own last set, which adds
+    no condition.  One call costs |A| big-integer ORs per slot;
     :meth:`grow` keeps each slot's union, its reach, so that a superset of
     an evaluated set pays only for its new members.  Basis sets lie in the
     space's universe.
@@ -336,38 +337,24 @@ class PrefilterSpace(PseudoclosureSpace):
         self.basis = basis
         self._slots = self._transposed_slots()
 
-    def _transposed_slots(self) -> list[tuple[list[int], int]]:
-        """Per basis slot j: T_j(y) for every item y, and short_j."""
-        return [
-            (pack_rows(unpack_masks(rows, self.size).T), short)
-            for rows, short in self._slot_rows()
-        ]
+    def _transposed_slots(self) -> list[list[int]]:
+        """Per basis slot j: T_j(y) for every item y."""
+        return [pack_rows(unpack_masks(rows, self.size).T) for rows in self._slot_rows()]
 
-    def _slot_rows(self) -> list[tuple[list[int], int]]:
-        """Per basis slot j: each item's basis set j (0 if it has none), short_j."""
-        slots = []
+    def _slot_rows(self) -> list[list[int]]:
+        """Per basis slot j: each item's basis set j, or its last set if it has fewer."""
         depth = max(map(len, self.basis.sets), default=0)
-        for j in range(depth):
-            rows = []
-            short = 0
-            for x, row in enumerate(self.basis.sets):
-                if j < len(row):
-                    rows.append(row[j].mask)
-                else:
-                    rows.append(0)
-                    short |= 1 << x
-            slots.append((rows, short))
-        return slots
+        return [[row[min(j, len(row) - 1)].mask for row in self.basis.sets] for j in range(depth)]
 
     def grow(self, mask: int, parent: int = 0, parent_reach=None) -> tuple[int, tuple[int, ...]]:
         """``a(mask)`` and the reach tuple, one entry per basis slot:
         reach_j(mask) = reach_j(parent) | T_j(y) for each added member y."""
         if parent_reach is None:
-            parent, parent_reach = 0, [short for _, short in self._slots]
+            parent, parent_reach = 0, [0] * len(self._slots)
         added = list(_set_bits(mask & ~parent))
         out = self.universe.full_mask
         reach = []
-        for (transposed, _), slot_reach in zip(self._slots, parent_reach):
+        for transposed, slot_reach in zip(self._slots, parent_reach):
             for y in added:
                 slot_reach |= transposed[y]
             reach.append(slot_reach)
@@ -389,20 +376,15 @@ class FilterSpace(PrefilterSpace):
 
     x joins a(A) when the intersection of all its basis sets meets A, i.e.
     the generated family is stable under intersection and has a single-set
-    basis.  That is a prefilter space with one slot: the intersections.
+    basis.  That is a prefilter space with one slot: the intersections,
+    computed once, when the slot is built.
     """
 
-    def __init__(self, universe: Universe, basis: NeighborhoodBasis):
-        self._intersection_masks = [
-            reduce(operator.and_, (b.mask for b in row)) for row in basis.sets
-        ]
-        super().__init__(universe, basis)
-
-    def _slot_rows(self) -> list[tuple[list[int], int]]:
-        return [(self._intersection_masks, 0)]
+    def _slot_rows(self) -> list[list[int]]:
+        return [[reduce(operator.and_, (b.mask for b in row)) for row in self.basis.sets]]
 
     def neighborhoods_of(self, x: int) -> list[ElementSet]:
-        return [ElementSet(self.size, self._intersection_masks[x])]
+        return [ElementSet(self.size, reduce(operator.and_, (b.mask for b in self.basis.sets[x])))]
 
 
 class GraphSpace(PrefilterSpace):
@@ -430,8 +412,8 @@ class GraphSpace(PrefilterSpace):
         self._closed_succ = succ
         super().__init__(universe, NeighborhoodBasis.from_masks(n, [[m] for m in pred]))
 
-    def _transposed_slots(self) -> list[tuple[list[int], int]]:
-        return [(self._closed_succ, 0)]
+    def _transposed_slots(self) -> list[list[int]]:
+        return [self._closed_succ]
 
     def neighbor_mask(self, x: int) -> int:
         return self._closed_succ[x] & ~(1 << x)

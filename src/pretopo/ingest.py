@@ -318,19 +318,26 @@ def _month_edges(start: float, end: float) -> list[float]:
 
 
 def _bucket_edges(resolution: str, window: tuple[float, float]) -> np.ndarray:
-    """Bucket boundaries covering [start, end); the last bucket may be partial."""
+    """Bucket boundaries covering [start, end); the last bucket may be partial.
+    A window that the calendar or an array cannot cut, such as epoch
+    milliseconds at month steps, raises :class:`DataError`."""
     start, end = window
     if end <= start:
         raise ConfigError(f"empty window {window}")
-    if resolution == "month":
-        return np.asarray(_month_edges(start, end))
+    if resolution not in RESOLUTIONS:
+        raise ConfigError(f"unknown resolution {resolution!r}")
     try:
+        if resolution == "month":
+            return np.asarray(_month_edges(start, end))
         width = _FIXED_WIDTH[resolution]
-    except KeyError:
-        raise ConfigError(f"unknown resolution {resolution!r}") from None
-    count = max(1, int(np.ceil((end - start) / width)))
-    # start + i * width in float64, the same two roundings as in Python floats
-    return np.append(start + np.arange(count) * width, end)
+        count = max(1, int(np.ceil((end - start) / width)))
+        # start + i * width in float64, the same two roundings as in Python floats
+        return np.append(start + np.arange(count) * width, end)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise DataError(
+            f"resolution {resolution!r}: the window {list(window)} cannot be cut into "
+            f"buckets ({exc}); timestamps are read as seconds since 1970"
+        ) from None
 
 
 def _check_aggregate(aggregate: str) -> None:
@@ -457,7 +464,8 @@ def build_resampled_table(
     shrink it below 80 % of the median coverage are dropped first, then
     sites failing to fill the window's edge buckets are dropped as
     resampling discovers them.  A window that holds a single bucket at some
-    resolution raises :class:`ConfigError`.
+    resolution raises :class:`ConfigError`, and one it cannot cut into
+    buckets :class:`DataError`.
     """
     if not sites:
         raise DataError("no sites to resample")

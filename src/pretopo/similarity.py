@@ -567,8 +567,6 @@ def build_basis(
             per_criterion.append(criterion_ball_masks(table, c))
         except DegenerateSeriesError as exc:  # named by its label: a raw_series run's site id
             raise DegenerateSeriesError(exc.reason, item=universe.label_of(exc.item)) from None
-    basis = NeighborhoodBasis.from_masks(
-        n, [[balls[x] for balls in per_criterion] for x in range(n)]
-    )
+    basis = NeighborhoodBasis.from_masks(n, zip(*per_criterion))
     cls = PrefilterSpace if mode == "prefilter" else FilterSpace
     return cls(universe, basis)

@@ -1468,6 +1468,74 @@ def test_ingest_bad_data_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatc
     assert sorted(tmp_path.iterdir()) == [tmp_path / "r.csv"]
 
 
+# three sites of 48 half-hourly readings from 2021-01-01 in epoch milliseconds
+EPOCH_MS_READINGS = "site_id,timestamp,value\n" + "".join(
+    f"{site},{1609459200000 + k * 1800000},{1.0 + k * (i + 1) % 7}\n"
+    for i, site in enumerate("abc") for k in range(48)
+)
+
+
+def far_readings(start, mid, end):
+    """Two sites that read 1, 2 and 3 at the timestamps ``start``, ``mid`` and ``end``."""
+    return "site_id,timestamp,value\n" + "".join(
+        f"{site},{t!r},{v}\n" for site in "ab" for t, v in zip((start, mid, end), (1, 2, 3)))
+
+
+class TestWindowTheResolutionCannotCut:
+    """A common window that a resolution's buckets cannot cut exits 3 with
+    a DataError naming both, and writes nothing."""
+
+    CASES = [
+        (EPOCH_MS_READINGS, None, "month", [1609459200000.0, 1609543800000.0]),
+        (far_readings(-1e308, 0.0, 1e308), ["month"], "month", [-1e308, 1e308]),
+        (far_readings(-1e308, 0.0, 1e308), ["week"], "week", [-1e308, 1e308]),
+        (far_readings(0.0, 1e300, 2e300), ["day"], "day", [0.0, 2e300]),
+    ]
+    IDS = ["epoch-ms-default-resolutions", "month-1e308", "week-1e308", "day-2e300"]
+
+    def check_exit_3(self, capsys, tmp_path, argv, resolution, window):
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "DataError"
+        assert error["message"].startswith(f"resolution {resolution!r}: the window {window} cannot be cut")
+        assert error["message"].endswith("; timestamps are read as seconds since 1970")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("readings, resolutions, resolution, window", CASES, ids=IDS)
+    def test_ingest(self, tmp_path, capsys, monkeypatch, readings, resolutions, resolution, window):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.csv").write_text(readings, encoding="utf-8")
+        options = ["--resolutions", *resolutions] if resolutions else []
+        argv = ["ingest", "--input", "r.csv", "--out-dir", "out", *options]
+        self.check_exit_3(capsys, tmp_path, argv, resolution, window)
+
+    @pytest.mark.parametrize("readings, resolutions, resolution, window", CASES, ids=IDS)
+    def test_cluster(self, tmp_path, capsys, monkeypatch, readings, resolutions, resolution, window):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.csv").write_text(readings, encoding="utf-8")
+        dataset = {"kind": "raw_series", "path": "r.csv", "rho": 0.5}
+        if resolutions:
+            dataset["resolutions"] = resolutions
+        write_json(tmp_path / "c.json", {"dataset": dataset, "seed_func": "random_neighbor"})
+        argv = ["cluster", "--config", "c.json", "--out-dir", "out"]
+        self.check_exit_3(capsys, tmp_path, argv, resolution, window)
+
+    def test_epoch_ms_file_clusters_at_day_steps(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.csv").write_text(EPOCH_MS_READINGS, encoding="utf-8")
+        write_json(tmp_path / "c.json", {
+            "dataset": {"kind": "raw_series", "path": "r.csv", "rho": 0.5, "resolutions": ["day"]},
+            "seed_func": "random_neighbor",
+        })
+        code, _, _ = run(capsys, "cluster", "--config", "c.json", "--out-dir", "out")
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "assignment.csv", "hierarchy.dot", "hierarchy.json"]
+
+
 def write_pinned_readings(path):
     """Daily readings of six sites over days 1-119, three with a weekly and
     three with an 11-day rhythm, plus two sites that ingestion drops: "late"

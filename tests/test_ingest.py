@@ -30,6 +30,15 @@ from pretopo.ingest import (
 )
 
 DAY = 86400.0
+# 48 half-hours from 2021-01-01 in epoch milliseconds, read as seconds
+EPOCH_MS_WINDOW = (1609459200000.0, 1609459200000.0 + 47 * 1800000.0)
+# windows that a resolution's buckets cannot cut: calendar months end with
+# year 9999 and with the platform's time_t, and a bucket count must be a
+# finite array size
+UNCUT_WINDOWS = [
+    ("month", EPOCH_MS_WINDOW), ("month", (-1e308, 1e308)),
+    ("week", (-1e308, 1e308)), ("day", (0.0, 2e300)),
+]
 
 
 def write(tmp_path, text, name="raw.csv"):
@@ -581,7 +590,7 @@ class TestBucketEdges:
     @pytest.mark.parametrize("resolution", ["half_hour", "day", "week"])
     @pytest.mark.parametrize("window", [
         (0.0, 1.0), (0.1, 3.5 * DAY), (1609459200.0, 1609459200.0 + 17519 * 1800.0),
-        (-7.25, 400 * DAY + 0.3), (1e15 + 0.5, 1e15 + 40 * DAY),
+        (-7.25, 400 * DAY + 0.3), (1e15 + 0.5, 1e15 + 40 * DAY), EPOCH_MS_WINDOW,
     ])
     def test_fixed_width_matches_python_float_arithmetic(self, resolution, window):
         start, end = window
@@ -590,6 +599,15 @@ class TestBucketEdges:
         edges = _bucket_edges(resolution, window).tolist()
         assert all(type(e) is float for e in edges)
         assert edges == [start + i * width for i in range(count)] + [end]
+
+    @pytest.mark.parametrize("resolution, window", UNCUT_WINDOWS)
+    def test_window_the_resolution_cannot_cut_is_a_data_error(self, resolution, window):
+        site = series("s", list(window), [1.0, 2.0])
+        with pytest.raises(DataError) as exc_info:
+            resample(site, resolution, window)
+        message = str(exc_info.value)
+        assert message.startswith(f"resolution {resolution!r}: the window {list(window)} cannot be cut")
+        assert message.endswith("; timestamps are read as seconds since 1970")
 
 
 def random_resample_case(rng, resolution):

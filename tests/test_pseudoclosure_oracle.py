@@ -108,6 +108,30 @@ def test_family_matches_oracle_growth(n):
         assert sorted(s.mask for s in family) == sorted(expected)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_short_rows_act_as_rows_padded_with_their_last_set(n):
+    """An item with fewer basis sets than the deepest item acts as if it
+    repeated its last set: a prefilter or filter space built from random
+    short-row bases has the operator and the neighborhoods of the one built
+    from the same bases padded by hand to equal depth."""
+    rng = random.Random(7000 + n)
+    universe, padded_rows = Universe.of_size(n), 0
+    for _ in range(10):
+        for space in (random_prefilter_space(rng, n, max_sets=4), sparse_prefilter_space(rng, n)):
+            short = space.basis
+            depth = max(map(len, short.sets), default=0)
+            padded = NeighborhoodBasis(tuple(row + row[-1:] * (depth - len(row)) for row in short.sets))
+            padded_rows += sum(len(row) < depth for row in short.sets)
+            for kind in (PrefilterSpace, FilterSpace):
+                a, b = kind(universe, short), kind(universe, padded)
+                assert [a._pseudoclosure_mask(m) for m in range(1 << n)] == [
+                    b._pseudoclosure_mask(m) for m in range(1 << n)]
+                for x in range(n):
+                    # a padded prefilter row lists its last set more than once
+                    assert set(a.neighborhoods_of(x)) == set(b.neighborhoods_of(x))
+    assert padded_rows or n < 2
+
+
 # -- incremental growth -------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -65,10 +65,16 @@ class TestPearson:
         st.floats(min_value=0.1, max_value=50),
         st.floats(min_value=-100, max_value=100),
     )
+    @example(xs=[0.0, 6.103515625e-05, 5.5726793025997364e-11], a=1.0, b=2.0)
     def test_invariant_under_positive_affine_maps(self, xs, a, b):
         ys = list(range(len(xs)))
-        if max(xs) - min(xs) < 1e-6:  # keep the variance clear of underflow
-            return
+        spread = max(xs) - min(xs)
+        # a * v + b rounds each mapped value by under 2**-51 * k, with k the
+        # largest |a * v| plus |b|.  That moves the correlation by at most
+        # 2**-50 * sqrt(2n) * k / (a * spread), which must stay under TOL / 2.
+        k = max(abs(a * v) for v in xs) + abs(b)
+        if spread < 1e-6 or 2**-49 * math.sqrt(2 * len(xs)) * k >= TOL * a * spread:
+            return  # keep the variance clear of underflow, and the rounding under TOL
         scaled = [a * v + b for v in xs]
         assert pearson(scaled, ys) == pytest.approx(pearson(xs, ys), abs=TOL)
 
