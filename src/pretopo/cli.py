@@ -144,14 +144,18 @@ def _dataset_from_config(dataset: dict, criteria_docs: list):
 
         return criteria, read_raw_series
     criteria = [criterion_from_dict(c) for c in criteria_docs]
+    if kind not in ("features", "generate"):
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    # neither table holds a series channel: raw_series builds its own criteria
+    for criterion in criteria:
+        if getattr(criterion, "channel", None) is not None:
+            raise ConfigError(f"table has no series channel {criterion.channel!r}")
     if kind == "generate":
         from . import datagen
 
         spec = datagen.spec_from_dict(dataset.get("spec", {}))
         return criteria, lambda: (datagen.generate(spec)[0], None)
-    if kind == "features":
-        return criteria, lambda: (FeatureTable.from_csv(dataset["path"]), None)
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    return criteria, lambda: (FeatureTable.from_csv(dataset["path"]), None)
 
 
 def plan_cluster(doc: dict) -> RunPlan:

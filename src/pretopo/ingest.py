@@ -101,7 +101,7 @@ def _load_columnar(path) -> list[RawSeries] | None:
     def read(fh):
         names = _header(fh)
         if not all(column in names for column in _RAW_COLUMNS):
-            return None
+            raise _HandOver
         usecols = [names.index(column) for column in _RAW_COLUMNS]
         runs, n_rows, ascii = _prepass(_line_blocks(fh), usecols[0] == 0)
         if not n_rows:
@@ -113,43 +113,44 @@ def _load_columnar(path) -> list[RawSeries] | None:
 
 def _prepass(blocks, site_first: bool) -> tuple[tuple | None, int, bool]:
     """Over the ``blocks`` of :func:`_line_blocks`: the runs of one site's
-    lines (a site's runs in adjacent blocks are one run) as
-    :func:`_read_file` gives them, the number of non-empty lines, and
+    lines that :func:`_block_runs` finds in each block, as
+    :func:`_read_file` gives runs, the number of non-empty lines, and
     whether every block is ASCII.  The runs are None unless ``site_first``
     and :func:`_block_runs` finds them in every block."""
-    sites: list[str] = []
-    rows: list[int] = []
-    runs = site_first
+    runs: list[tuple[str, int]] | None = [] if site_first else None
     n_rows, ascii = 0, True
     for text, end in blocks:
         ascii = ascii and text.isascii()
-        block_rows = _block_runs(text, end, sites, rows) if runs else None
-        if block_rows is None:
-            runs = False
-            block_rows = text.count("\n", 0, end) - _empty_lines(text, 0, end)
-        n_rows += block_rows
-    return ((sites, np.arange(len(sites)), np.array(rows)) if runs else None), n_rows, ascii
+        block = None if runs is None else _block_runs(text, end)
+        if block is None:
+            runs = None
+            n_rows += text.count("\n", 0, end) - _empty_lines(text, 0, end)
+        else:
+            runs += block
+            n_rows += sum(n for _, n in block)
+    if runs is not None:
+        runs = [site for site, _ in runs], np.arange(len(runs)), np.array([n for _, n in runs])
+    return runs, n_rows, ascii
 
 
-def _block_runs(text: str, end: int, sites: list[str], rows: list[int]) -> int | None:
-    """Append to ``sites`` and ``rows`` the site id and line count of each
-    run of one site's lines in a block of :func:`_line_blocks` (a run that
-    goes on from the previous block adds to its last), and return the
-    block's count of non-empty lines; None for more than ``_BLOCK_RUNS``
-    runs, or a line without a comma.
+def _block_runs(text: str, end: int) -> list[tuple[str, int]] | None:
+    """The site id and line count of each run of one site's lines in a
+    block of :func:`_line_blocks`, in file order; None for more than
+    ``_BLOCK_RUNS`` runs, or a line without a comma.
 
     A line's site id is the text before its first comma, so
     ``"\\n" + site + ","`` occurs exactly at the ``"\\n"`` before each line
     of that site.  A run reaches the end of the last such line in the
     block, and every line it spans is the site's or empty.
     """
-    start, block_runs, block_rows = 0, 0, 0  # start: the "\n" before the next line
+    runs = []
+    start = 0  # the "\n" before the next line
     while start < end:
         if text[start + 1] == "\n":  # an empty line between runs
             start += 1
             continue
         comma = text.find(",", start, text.find("\n", start + 1))
-        if comma < 0 or block_runs == _BLOCK_RUNS:
+        if comma < 0 or len(runs) == _BLOCK_RUNS:
             return None
         key = text[start:comma + 1]
         stop = text.find("\n", text.rfind(key, start, end) + 1)
@@ -157,16 +158,9 @@ def _block_runs(text: str, end: int, sites: list[str], rows: list[int]) -> int |
         others = text.count("\n", start, stop) - n
         if others and others != _empty_lines(text, start, stop):
             return None
-        site = key[1:-1]
-        if block_runs == 0 and sites and sites[-1] == site:
-            rows[-1] += n
-        else:
-            sites.append(site)
-            rows.append(n)
-        block_runs += 1
-        block_rows += n
+        runs.append((key[1:-1], n))
         start = stop
-    return block_rows
+    return runs
 
 
 def _read_file(path, usecols, runs, n_rows, ascii):
@@ -218,7 +212,8 @@ def _read_file(path, usecols, runs, n_rows, ascii):
 def _by_site(ts, values, names, run_codes, lengths) -> list[RawSeries]:
     """Each site's readings, sites in id order, from the columns of every
     row in file order and each run of one site's rows: ``lengths[k]`` rows
-    of site ``names[run_codes[k]]``."""
+    of site ``names[run_codes[k]]``.  Adjacent runs may be of one site,
+    and this is the one place that joins them."""
     if not (np.isfinite(ts).all() and np.isfinite(values).all() and (values >= 0).all()):
         raise _HandOver
     site_ids = sorted(set(names))
@@ -228,13 +223,13 @@ def _by_site(ts, values, names, run_codes, lengths) -> list[RawSeries]:
     run_rank = np.array([rank[name] for name in names], rank_type)[run_codes]
     changes = run_rank[1:] != run_rank[:-1]
     if np.count_nonzero(changes) + 1 == len(site_ids):
-        # each site is one stretch of runs (one site's runs in adjacent
-        # blocks make one): its readings are sliced where they lie
+        # each site is one stretch of adjacent runs, joined here: its
+        # readings are sliced where they lie
         first = np.flatnonzero(np.append(True, changes))
         run_rank, lengths = run_rank[first], np.add.reduceat(lengths, first)
     else:
         # each site's rows, in file order, gathered in site-id order, one
-        # column at a time and in place
+        # column at a time and in place, so runs need no join
         order = np.argsort(np.repeat(run_rank, lengths), kind="stable")
         ts[:] = ts[order]
         values[:] = values[order]

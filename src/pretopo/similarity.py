@@ -101,9 +101,9 @@ def _columnar(path, read):
     byte-order mark, with universal newlines, so ``\\r`` and ``\\r\\n`` end a
     line as they end a ``csv`` row; None where a columnar reader hands the
     file over to its row reader, which reports any error at its own position:
-    ``read`` returns None or raises :class:`_HandOver`, or the bytes are not
-    UTF-8.  A path that is not a regular file, which may be read only once
-    (a pipe), or whose name numpy would decompress is handed over unopened."""
+    ``read`` raises :class:`_HandOver`, or the bytes are not UTF-8.  A path
+    that is not a regular file, which may be read only once (a pipe), or
+    whose name numpy would decompress is handed over unopened."""
     if not os.path.isfile(path) or str(path).endswith(_COMPRESSED):
         return None
     try:
@@ -178,6 +178,19 @@ def _loadtxt(path, **kwargs) -> np.ndarray:
                           encoding="utf-8-sig", **kwargs)
 
 
+# each feature's shape: the rank an array of it must have
+_SHAPES = {"positions": "n x k", "sizes": "n", "series": "n x L"}
+
+
+def _rank(rows) -> int | None:
+    """The number of dimensions numpy reads in ``rows``; None for nested
+    lists whose rows differ in length or rank."""
+    try:
+        return np.ndim(rows)
+    except ValueError:
+        return None
+
+
 def _float_array(rows, name: str, empty_shape: tuple[int, ...]) -> np.ndarray | None:
     """``rows`` (None stays None) as a float64 array, shaped ``empty_shape``
     when it holds no item; :class:`DataError` if a value is not finite."""
@@ -192,8 +205,10 @@ def _float_array(rows, name: str, empty_shape: tuple[int, ...]) -> np.ndarray | 
 @dataclass
 class FeatureTable:
     """Per-item features as float64 arrays, each covering all items:
-    ``positions`` n x 2, ``sizes`` n, ``series`` and every channel n x L.
-    Lists are converted; a NaN or infinite value is a :class:`DataError`.
+    ``positions`` n x k (n x 2 to write as CSV), ``sizes`` n, ``series``
+    and every channel n x L.  Lists are converted; an array of another
+    rank is a :class:`ConfigError`, and a NaN or infinite value a
+    :class:`DataError`.
 
     ``channels`` holds named auxiliary series matrices (one series per item
     and channel); they let several series-based criteria with different
@@ -207,8 +222,17 @@ class FeatureTable:
 
     def __post_init__(self):
         features = {"positions": self.positions, "sizes": self.sizes, "series": self.series}
+        features.update({f"channel {k!r}": v for k, v in self.channels.items()})
+        for name, rows in features.items():
+            shape = _SHAPES.get(name, "n x L")
+            rank = _rank(rows)
+            if rows is None or rank == shape.count("x") + 1 or rank == 1 and not len(rows):
+                continue
+            # series of unequal length: the loop below names them
+            if rank is None and shape == "n x L" and all(_rank(s) == 1 for s in rows):
+                continue
+            raise ConfigError(f"{name} must be an array of {shape} numbers")
         counts = {name: len(rows) for name, rows in features.items() if rows is not None}
-        counts.update({f"channel {k!r}": len(v) for k, v in self.channels.items()})
         if len(set(counts.values())) > 1:
             raise ConfigError(f"feature lengths disagree: {counts}")
         for name, rows in [("series", self.series), *self.channels.items()]:
@@ -245,7 +269,10 @@ class FeatureTable:
     def to_csv(self, path) -> None:
         """Write the x,y,size,series_* schema (row order is item order), one
         line per row ended by ``\\r\\n``, as ``csv.writer`` writes it: no
-        header name or float ``repr`` needs quoting."""
+        header name or float ``repr`` needs quoting.  The schema holds no
+        channels, so a table with channels raises :class:`ConfigError`."""
+        if self.channels:
+            raise ConfigError("csv schema holds no series channels")
         header = []
         if self.positions is not None:
             if self.positions.shape[1] != 2:
@@ -260,8 +287,7 @@ class FeatureTable:
             fh.write(",".join(header) + "\r\n")
             # blocks of 4,096 values, or of one row, become Python floats at once
             for lo, hi in _row_blocks(self.n_items, 64 * len(header)):
-                # the empty block writes empty rows for a table of channels alone
-                block = np.hstack([np.empty((hi - lo, 0)), *(c[lo:hi].reshape(hi - lo, -1) for c in columns)])
+                block = np.hstack([c[lo:hi].reshape(hi - lo, -1) for c in columns])
                 fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
     @classmethod
@@ -291,28 +317,28 @@ class FeatureTable:
             try:
                 features = _feature_columns(_header(fh), path)
             except ParseError:
-                return None
+                raise _HandOver from None
             usecols = [idx for columns in features.values() for _, idx in columns]
             if not usecols:
-                return None
+                raise _HandOver
             n_rows = 0
             for text, end in _line_blocks(fh):
                 if _empty_lines(text, 0, end):
-                    return None
+                    raise _HandOver
                 n_rows += text.count("\n", 0, end)
             values = np.empty((0, len(usecols)))
             if n_rows:  # loadtxt warns on no lines
                 try:
                     values = _loadtxt(path, dtype=np.float64, usecols=usecols, ndmin=2)
                 except ValueError:
-                    return None
+                    raise _HandOver from None
                 if len(values) != n_rows or not np.isfinite(values).all():
-                    return None
+                    raise _HandOver
             data = {}
             for feature, columns in features.items():
                 data[feature], values = values[:, :len(columns)], values[:, len(columns):]
             if "sizes" in data and (data["sizes"] < 0).any():
-                return None
+                raise _HandOver
             return cls(
                 positions=data.get("positions"),
                 sizes=data["sizes"][:, 0] if "sizes" in data else None,
@@ -331,8 +357,8 @@ class FeatureTable:
             return cls()
         rows = list(reader)
         features = _feature_columns(header, path)
-        # a header alone, or with the blank rows to_csv writes for channels alone, reads as no item
-        if not features and any(row for _, row in rows):
+        # a header alone reads as no item
+        if not features and rows:
             raise ParseError("header names no feature column (x and y, size, series_*)", path=path, line=1)
 
         def column(name: str, idx: int) -> list[float]:

@@ -706,6 +706,22 @@ class TestPlanCluster:
         with pytest.raises(DataRead):
             run_plan(plan)
 
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "features", "path": "missing.csv"},
+        {"kind": "generate", "spec": POINTS_SPEC},
+    ], ids=["missing-features-file", "generate"])
+    def test_series_channel_is_refused_before_data_is_read(self, tmp_path, capsys, monkeypatch, dataset):
+        # neither table holds channels, so the plan refuses one, naming it
+        calls = []
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(datagen, "generate", lambda *args: calls.append(args))
+        doc = {"dataset": dataset, "criteria": [{"kind": "pearson", "threshold": 0.5, "channel": "day"}],
+               "seed_func": "random_neighbor"}
+        code, out, err = run(capsys, "cluster", "--config", write_json(tmp_path / "c.json", doc), "--out-dir", "out")
+        assert (code, out, calls) == (2, "", [])
+        assert json.loads(err) == {"error": "ConfigError", "message": "table has no series channel 'day'"}
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
     def test_missing_features_file_is_planned_then_exits_2(self, tmp_path, capsys):
         doc = cluster_config(str(tmp_path / "missing.csv"), str(tmp_path / "out"))
         assert plan_cluster(doc).output_dir == str(tmp_path / "out")

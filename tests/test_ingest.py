@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gzip
+import itertools
 import logging
 import math
 import os
@@ -433,6 +434,28 @@ class TestReaderChoice:
         assert outcome == load_outcome(ingest._load_rows, path)
         assert outcome[0] == "ok"
         assert used == readers
+
+    def test_a_block_opening_inside_a_run_gives_that_run_its_own_entry(self):
+        # the block before ended inside s1's run: _by_site alone joins the two
+        text = "\ns1,2,1\ns1,3,1\n\ns2,0,1\n"
+        assert ingest._block_runs(text, len(text) - 1) == [("s1", 2), ("s2", 1)]
+
+    @pytest.mark.parametrize("text, stretches", [
+        (RAW_HEADER + site_rows(["a"], range(40)) + site_rows(["b"], range(5)), ["a", "b"]),
+        (RAW_HEADER + site_rows(["a"], range(20)) + site_rows(["b"], range(20)) + site_rows(["a"], range(20, 40)),
+         ["a", "b", "a"]),
+    ], ids=["site-over-blocks", "site-comes-back"])
+    def test_runs_of_every_block_are_joined_by_site(self, tmp_path, text, stretches):
+        # small blocks split a site into several runs, which the slice branch
+        # joins (one stretch per site) or the gather branch sums (a site back)
+        path = write(tmp_path, text)
+        expected = load_outcome(ingest._load_rows, path)
+        with mock.patch.object(similarity, "_BLOCK_CHARS", 64), \
+                mock.patch.object(ingest, "_by_site", wraps=ingest._by_site) as by_site:
+            assert served_by(path) == (expected, ["_read_file"])
+        names = by_site.call_args.args[2]
+        assert [site for site, _ in itertools.groupby(names)] == stretches
+        assert names.count("a") >= 3  # site a spans three blocks or more
 
     def test_short_line_with_the_site_id_last_fails_as_in_the_row_reader(self, tmp_path):
         rows = [f"{t},{t % 5},s{t // 20}" for t in range(60)]

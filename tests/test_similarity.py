@@ -357,6 +357,21 @@ class TestFeatureTableValidation:
         with pytest.raises(ConfigError, match=r"^day: all series must share one length, got \[2, 3\]$"):
             FeatureTable(channels={"day": [[1, 2, 3], [1, 2]]})
 
+    @pytest.mark.parametrize("features, message", [
+        ({"positions": [1.0, 2.0]}, "positions must be an array of n x k numbers"),
+        ({"positions": [[1.0, 2.0], [3.0]]}, "positions must be an array of n x k numbers"),
+        ({"positions": 1.0}, "positions must be an array of n x k numbers"),
+        ({"sizes": [[1.0], [2.0]]}, "sizes must be an array of n numbers"),
+        ({"series": [1.0, 2.0]}, "series must be an array of n x L numbers"),
+        ({"series": [[1.0, 2.0], 3.0]}, "series must be an array of n x L numbers"),
+        ({"channels": {"d": [1.0, 2.0]}}, "channel 'd' must be an array of n x L numbers"),
+        ({"channels": {"d": np.zeros((2, 2, 2))}}, "channel 'd' must be an array of n x L numbers"),
+    ], ids=["flat-positions", "ragged-positions", "scalar-positions", "column-sizes", "flat-series",
+            "mixed-series", "flat-channel", "cube-channel"])
+    def test_arrays_of_the_wrong_rank_are_config_errors(self, features, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            FeatureTable(**features)
+
     def test_lists_become_float64_arrays(self):
         table = FeatureTable(positions=[(0, 1), (2, 3)], sizes=[1, 2], series=[[1, 2], [3, 4]],
                              channels={"day": [[5, 6], [7, 8]]})
@@ -400,8 +415,10 @@ class TestCsvRoundTrip:
         path.write_text("", encoding="utf-8")
         assert FeatureTable.from_csv(path).n_items == 0
 
-    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "x,Y\n0,0\n", "x\n0\n", "note\n\n\"\"\n"],
-                             ids=["a-b", "x-Y", "x-alone", "quoted-empty-field"])
+    # blank rows are rows too: under a header (lf), or under a blank header line (crlf)
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "x,Y\n0,0\n", "x\n0\n", "note\n\n\"\"\n",
+                                      "a,b\n\n\n", "\r\n\r\n\r\n"],
+                             ids=["a-b", "x-Y", "x-alone", "quoted-empty-field", "lf", "crlf"])
     def test_rows_under_a_header_without_features_are_an_error(self, tmp_path, text):
         path = tmp_path / "f.csv"
         path.write_text(text, encoding="utf-8")
@@ -409,8 +426,7 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             FeatureTable.from_csv(path)
 
-    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n", "\r\n\r\n\r\n"],
-                             ids=["header-only", "blank-rows", "channels-only-to-csv"])
+    @pytest.mark.parametrize("text", ["a,b\n"], ids=["header-only"])
     def test_header_without_features_and_no_rows_is_empty(self, tmp_path, text):
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode())
@@ -737,8 +753,7 @@ class TestToCsv:
         FeatureTable(),
         FeatureTable(positions=[], sizes=[]),
         FeatureTable(series=[]),
-        FeatureTable(channels={"day": [[1.0, 2.0], [3.0, 4.0]]}),
-    ], ids=["points", "series", "all-features", "empty", "no-points", "no-series", "channels-only"])
+    ], ids=["points", "series", "all-features", "empty", "no-points", "no-series"])
     def test_bytes_match_csv_writer(self, tmp_path, table):
         table.to_csv(tmp_path / "fast.csv")
         csv_writer_to_csv(table, tmp_path / "oracle.csv")
@@ -749,11 +764,13 @@ class TestToCsv:
 @pytest.mark.parametrize("call, message", [
     (lambda path: FeatureTable(positions=[(0.0, 0.0, 0.0)]).to_csv(path),
      "csv schema supports planar positions only"),
+    (lambda path: FeatureTable(series=[[1.0, 2.0]], channels={"day": [[1.0, 2.0]]}).to_csv(path),
+     "csv schema holds no series channels"),
     (lambda path: build_basis(FeatureTable(sizes=[1.0, 2.0]), [SizeBall(1.0)], labels=["a"]),
      "label count does not match item count"),
     (lambda path: build_basis(FeatureTable(sizes=[1.0, 2.0]), ["euclid"]),
      "unknown criterion 'euclid'"),
-], ids=["non-planar-csv", "label-count", "not-a-criterion"])
+], ids=["non-planar-csv", "channels-to-csv", "label-count", "not-a-criterion"])
 def test_invalid_input_raises(tmp_path, call, message):
     with pytest.raises(ConfigError) as exc_info:
         call(tmp_path / "t.csv")
