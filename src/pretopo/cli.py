@@ -133,6 +133,9 @@ def _dataset_from_config(dataset: dict, criteria_docs: list):
     if kind == "raw_series":
         from . import ingest
 
+        if criteria_docs:
+            raise ConfigError("raw_series dataset: 'criteria' must be empty or absent; its criteria "
+                              "are one pearson ball per resolution, from 'rho'")
         resolutions, aggregate, criteria = ingest.raw_series_options(dataset)
 
         def read_raw_series():

@@ -178,37 +178,38 @@ def _loadtxt(path, **kwargs) -> np.ndarray:
                           encoding="utf-8-sig", **kwargs)
 
 
-# each feature's shape: the rank an array of it must have
-_SHAPES = {"positions": "n x k", "sizes": "n", "series": "n x L"}
+# each feature's shape, and its shape with no item; a channel's is the series'
+_SHAPES = {"positions": ("n x k", (0, 2)), "sizes": ("n", (0,)), "series": ("n x L", (0, 0))}
 
 
-def _rank(rows) -> int | None:
-    """The number of dimensions numpy reads in ``rows``; None for nested
-    lists whose rows differ in length or rank."""
+def _float_array(rows, name: str) -> np.ndarray:
+    """``rows`` as a float64 array of feature ``name``'s shape, by one
+    conversion; an array of no item takes the feature's empty shape.  Where
+    ``rows`` is no such array, :class:`ConfigError` names the feature, and
+    the lengths of series of unequal length."""
+    shape, empty = _SHAPES.get(name, _SHAPES["series"])
     try:
-        return np.ndim(rows)
-    except ValueError:
-        return None
-
-
-def _float_array(rows, name: str, empty_shape: tuple[int, ...]) -> np.ndarray | None:
-    """``rows`` (None stays None) as a float64 array, shaped ``empty_shape``
-    when it holds no item; :class:`DataError` if a value is not finite."""
-    if rows is None:
-        return None
-    array = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(array).all():
-        raise DataError(f"{name} holds a non-finite value")
-    return array if len(array) else array.reshape(empty_shape)
+        array = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            lengths = sorted({len(s) for s in rows})
+        except TypeError:
+            lengths = []
+        if shape == "n x L" and len(lengths) > 1:
+            raise ConfigError(f"{name}: all series must share one length, got {lengths}") from None
+        array = None
+    if array is None or array.ndim != len(empty) and array.shape != (0,):
+        raise ConfigError(f"{name} must be an array of {shape} numbers")
+    return array if len(array) else array.reshape(empty)
 
 
 @dataclass
 class FeatureTable:
     """Per-item features as float64 arrays, each covering all items:
     ``positions`` n x k (n x 2 to write as CSV), ``sizes`` n, ``series``
-    and every channel n x L.  Lists are converted; an array of another
-    rank is a :class:`ConfigError`, and a NaN or infinite value a
-    :class:`DataError`.
+    and every channel n x L.  Lists are converted once; a value that is no
+    array of that shape is a :class:`ConfigError`, and a NaN or infinite
+    value a :class:`DataError`.
 
     ``channels`` holds named auxiliary series matrices (one series per item
     and channel); they let several series-based criteria with different
@@ -223,32 +224,20 @@ class FeatureTable:
     def __post_init__(self):
         features = {"positions": self.positions, "sizes": self.sizes, "series": self.series}
         features.update({f"channel {k!r}": v for k, v in self.channels.items()})
-        for name, rows in features.items():
-            shape = _SHAPES.get(name, "n x L")
-            rank = _rank(rows)
-            if rows is None or rank == shape.count("x") + 1 or rank == 1 and not len(rows):
-                continue
-            # series of unequal length: the loop below names them
-            if rank is None and shape == "n x L" and all(_rank(s) == 1 for s in rows):
-                continue
-            raise ConfigError(f"{name} must be an array of {shape} numbers")
-        counts = {name: len(rows) for name, rows in features.items() if rows is not None}
+        arrays = {name: _float_array(rows, name) for name, rows in features.items() if rows is not None}
+        counts = {name: len(array) for name, array in arrays.items()}
         if len(set(counts.values())) > 1:
             raise ConfigError(f"feature lengths disagree: {counts}")
-        for name, rows in [("series", self.series), *self.channels.items()]:
-            if rows is None:
-                continue
-            lengths = {len(s) for s in rows}
-            if len(lengths) > 1:
-                raise ConfigError(f"{name}: all series must share one length, got {sorted(lengths)}")
-            if len(rows) and min(lengths) < 2:
+        for name, array in arrays.items():
+            if name not in ("positions", "sizes") and len(array) and array.shape[1] < 2:
                 raise ConfigError(f"{name}: series must have length >= 2")
-        self.positions = _float_array(self.positions, "positions", (0, 2))
-        self.sizes = _float_array(self.sizes, "sizes", (0,))
-        self.series = _float_array(self.series, "series", (0, 0))
-        self.channels = {k: _float_array(v, f"channel {k!r}", (0, 0)) for k, v in self.channels.items()}
-        if self.sizes is not None and (self.sizes < 0).any():
+        for name, array in arrays.items():
+            if not np.isfinite(array).all():
+                raise DataError(f"{name} holds a non-finite value")
+        if "sizes" in arrays and (arrays["sizes"] < 0).any():
             raise ConfigError("sizes must be non-negative")
+        self.positions, self.sizes, self.series = map(arrays.get, ("positions", "sizes", "series"))
+        self.channels = {k: arrays[f"channel {k!r}"] for k in self.channels}
 
     @property
     def n_items(self) -> int:
@@ -312,7 +301,8 @@ class FeatureTable:
         path, or None where the two readers might disagree (see
         :func:`_columnar`).  Without a ``"`` every field is the text between
         commas.  Every line must give one row, so a blank line, which the row
-        reader rejects and ``loadtxt`` skips, hands over."""
+        reader rejects and ``loadtxt`` skips, hands over, as does a table the
+        constructor refuses, so that the row reader reports its line."""
         def read(fh):
             try:
                 features = _feature_columns(_header(fh), path)
@@ -332,18 +322,19 @@ class FeatureTable:
                     values = _loadtxt(path, dtype=np.float64, usecols=usecols, ndmin=2)
                 except ValueError:
                     raise _HandOver from None
-                if len(values) != n_rows or not np.isfinite(values).all():
+                if len(values) != n_rows:
                     raise _HandOver
             data = {}
             for feature, columns in features.items():
                 data[feature], values = values[:, :len(columns)], values[:, len(columns):]
-            if "sizes" in data and (data["sizes"] < 0).any():
-                raise _HandOver
-            return cls(
-                positions=data.get("positions"),
-                sizes=data["sizes"][:, 0] if "sizes" in data else None,
-                series=data.get("series"),
-            )
+            try:
+                return cls(
+                    positions=data.get("positions"),
+                    sizes=data["sizes"][:, 0] if "sizes" in data else None,
+                    series=data.get("series"),
+                )
+            except (ConfigError, DataError):
+                raise _HandOver from None
 
         return _columnar(path, read)
 

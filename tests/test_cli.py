@@ -722,6 +722,25 @@ class TestPlanCluster:
         assert json.loads(err) == {"error": "ConfigError", "message": "table has no series channel 'day'"}
         assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
+    def test_raw_series_refuses_criteria_before_data_is_read(self, tmp_path, capsys, monkeypatch):
+        # its criteria come from 'rho', so a list is refused, malformed or not
+        calls = []
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(ingest, "load_csv", lambda *args: calls.append(args))
+        (tmp_path / "raw.csv").write_text("site_id,timestamp,value\n" + "".join(
+            f"{site},{d * 86400},{1.0 + 0.3 * (d % period)}\n"
+            for site, period in (("a", 7), ("b", 7), ("c", 11)) for d in range(60)), encoding="utf-8")
+        doc = {"dataset": {"kind": "raw_series", "path": "raw.csv", "rho": 0.5, "resolutions": ["day"]},
+               "criteria": [{"kind": "no-such-kind"}, {"kind": "pearson", "threshold": 7}],
+               "seed_func": "random_neighbor"}
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, "cluster", "--config", write_json(tmp_path / "c.json", doc), "--out-dir", "out")
+        assert (code, out, calls) == (2, "", [])
+        assert json.loads(err) == {"error": "ConfigError", "message": (
+            "raw_series dataset: 'criteria' must be empty or absent; "
+            "its criteria are one pearson ball per resolution, from 'rho'")}
+        assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "c.json"])
+
     def test_missing_features_file_is_planned_then_exits_2(self, tmp_path, capsys):
         doc = cluster_config(str(tmp_path / "missing.csv"), str(tmp_path / "out"))
         assert plan_cluster(doc).output_dir == str(tmp_path / "out")

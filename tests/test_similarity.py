@@ -1,8 +1,12 @@
 import csv
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +40,7 @@ from pretopo import (
 from pretopo.similarity import _read_item_csv, _write_item_csv, criterion_ball_masks
 
 TOL = 1e-12
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPearson:
@@ -336,6 +341,36 @@ class TestPairwiseRowsOracle:
         assert peak < n * n * 8 / 4
 
 
+# Pearson rows and balls of seeded random walks, one sha256 a line: 40 sites over
+# a year of half-hours, then 400 series of 2,000 points
+BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from pretopo import FeatureTable, PearsonBall
+from pretopo.similarity import criterion_ball_masks
+for n, length in ((40, 17_519), (400, 2_000)):
+    table = FeatureTable(series=np.cumsum(np.random.default_rng(n).standard_normal((n, length)), axis=1))
+    ball = PearsonBall(0.5)
+    print(hashlib.sha256(ball.rows(table)(0, n).tobytes()).hexdigest())
+    print(hashlib.sha256(repr(criterion_ball_masks(table, ball)).encode()).hexdigest())
+"""
+
+
+def test_pearson_balls_do_not_depend_on_the_blas_thread_count():
+    # fresh interpreters, since BLAS reads its thread count when numpy loads
+    outputs = []
+    for threads in ("1", "2"):
+        variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        result = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, str(SRC)], env={**os.environ, **dict.fromkeys(variables, threads)},
+            capture_output=True, text=True, check=True, encoding="utf-8",
+        )
+        outputs.append(result.stdout)
+    assert len(outputs[0].split()) == 4
+    assert outputs[1] == outputs[0]
+
+
 class TestFeatureTableValidation:
     def test_mismatched_feature_lengths(self):
         with pytest.raises(ConfigError):
@@ -354,7 +389,7 @@ class TestFeatureTableValidation:
     def test_ragged_series_are_checked_before_conversion(self):
         with pytest.raises(ConfigError, match=r"^series: all series must share one length, got \[2, 3\]$"):
             FeatureTable(series=[[1, 2], [1, 2, 3]])
-        with pytest.raises(ConfigError, match=r"^day: all series must share one length, got \[2, 3\]$"):
+        with pytest.raises(ConfigError, match=r"^channel 'day': all series must share one length, got \[2, 3\]$"):
             FeatureTable(channels={"day": [[1, 2, 3], [1, 2]]})
 
     @pytest.mark.parametrize("features, message", [
@@ -366,11 +401,25 @@ class TestFeatureTableValidation:
         ({"series": [[1.0, 2.0], 3.0]}, "series must be an array of n x L numbers"),
         ({"channels": {"d": [1.0, 2.0]}}, "channel 'd' must be an array of n x L numbers"),
         ({"channels": {"d": np.zeros((2, 2, 2))}}, "channel 'd' must be an array of n x L numbers"),
+        ({"sizes": ["a"]}, "sizes must be an array of n numbers"),
+        ({"series": [[1.0, 2.0], ["a", "b"]]}, "series must be an array of n x L numbers"),
+        ({"sizes": [10**400]}, "sizes must be an array of n numbers"),
     ], ids=["flat-positions", "ragged-positions", "scalar-positions", "column-sizes", "flat-series",
-            "mixed-series", "flat-channel", "cube-channel"])
+            "mixed-series", "flat-channel", "cube-channel", "text-sizes", "text-series", "huge-int-sizes"])
     def test_arrays_of_the_wrong_rank_are_config_errors(self, features, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             FeatureTable(**features)
+
+    def test_ragged_series_are_reported_before_a_count_mismatch(self):
+        with pytest.raises(ConfigError, match=r"^series: all series must share one length, got \[2, 3\]$"):
+            FeatureTable(sizes=[1.0], series=[[1, 2], [1, 2, 3]])
+
+    def test_items_without_values_keep_their_shape(self):
+        assert FeatureTable(positions=np.zeros((3, 0))).positions.shape == (3, 0)
+        with pytest.raises(ConfigError, match=r"^series: series must have length >= 2$"):
+            FeatureTable(series=[[]])
+        with pytest.raises(ConfigError, match=r"^channel 'day': series must have length >= 2$"):
+            FeatureTable(channels={"day": [[1.0], [2.0]]})
 
     def test_lists_become_float64_arrays(self):
         table = FeatureTable(positions=[(0, 1), (2, 3)], sizes=[1, 2], series=[[1, 2], [3, 4]],
